@@ -1,0 +1,131 @@
+"""Golden outputs: CLI results pinned byte for byte by sha256 digest.
+
+The digests cover the event logs of all three policies, the allocation CSV,
+a small trace sweep and the adaptive adversary. A change that only
+restructures code must leave every digest unchanged; a change that means to
+alter behaviour re-records them and says why.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+
+import pytest
+
+import repsim as R
+import repsim.cli as cli
+
+POLICY_NAMES = ("alg1", "wang", "simple")
+
+GOLDEN = {
+    "simulate.alg1": "35bf261948a097666a6564513464395b9e0a9b0b527327660dbd6160fa6edb7e",
+    "simulate.wang": "8fbb1ff33e5a90019c0bfa668b4c9eb6ed009090484d81dca67f1836bf956775",
+    "simulate.simple": "ca45cac114350ee0fb1350ee47242dfe58acf32936c9d3adf814e99c591a7f28",
+    "allocate": "b768d1dbc026ddd30ec7fccbc817408e379d415e2b391e8936380f24937eed90",
+    "adversary": "66020ad66b2d507d2c9497d97c178705b0de23494230b81d6a217b4cd7bf3b3a",
+    "sweep": "6f0eb1aa2cea573ab0ce8b70cd1251d775b260a46c18b0848600c1a2f64c5403",
+}
+
+
+def _named_instances() -> dict[str, R.Instance]:
+    return {
+        "fig1": R.gen_fig1(50, 1.0, 0.5, 0.1).instance,
+        "fig2": R.gen_fig2(8, 1.0, 1.2, 0.01).instance,
+        "tight1": R.gen_tight(1, mu2=1.5, lam=1.0, epsilon=0.01).instance,
+        "tight2": R.gen_tight(2, mu2=2.5, lam=1.0, epsilon=0.01, tau=3.0).instance,
+        "tight3": R.gen_tight(3, mu2=4.0, lam=1.0, epsilon=0.01).instance,
+    }
+
+
+def _random_instances() -> dict[str, R.Instance]:
+    # every start server and both sides of the 3x rate-spread threshold, so
+    # relocation, renew-then-relocate and anchor creation all occur
+    out = {}
+    for k in range(200):
+        n = 1 + k % 5
+        rate_range = (1.0, 19.0) if k % 2 else (1.0, 2.5)
+        initial = 1 + (k // 10) % n
+        out[f"random-{k}"] = R.gen_random(20_000 + k, n=n, m=k % 15, rate_range=rate_range, initial_server=initial)
+    return out
+
+
+def _cli(argv: list[str]) -> tuple[int, str]:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli.main(argv)
+    return code, buf.getvalue()
+
+
+def _ok(argv: list[str]) -> str:
+    code, out = _cli(argv)
+    assert code == 0, argv
+    return out
+
+
+def _copies(log: str) -> list[list[str]]:
+    return [line.split() for line in log.splitlines() if line.startswith("COPY ")]
+
+
+def _sha(outputs: list[str]) -> str:
+    return hashlib.sha256("\x00".join(outputs).encode()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def instance_files(tmp_path_factory) -> list[str]:
+    root = tmp_path_factory.mktemp("golden")
+    paths = []
+    for name, inst in {**_named_instances(), **_random_instances()}.items():
+        path = str(root / f"{name}.json")
+        R.dump_instance(inst, path)
+        paths.append(path)
+    return paths
+
+
+@pytest.fixture(scope="module")
+def event_logs(instance_files) -> dict[str, list[str]]:
+    return {
+        name: [_ok(["simulate", "--policy", name, "--instance", p, "--events"]) for p in instance_files]
+        for name in POLICY_NAMES
+    }
+
+
+def test_golden_inputs_reach_every_policy_rule(event_logs):
+    alg1, wang, simple = ("".join(event_logs[name]) for name in POLICY_NAMES)
+    assert "resident_special" in alg1 and "relocated_special" in alg1
+    assert " relocate\n" in wang
+    # wang runs that end with the sole copy renewing forever at the cheapest
+    # server after copies elsewhere
+    assert any(
+        len(copies) > 1 and any(c[1] == "1" and c[3] == "inf" for c in copies)
+        for copies in map(_copies, event_logs["wang"])
+    )
+    assert " create_copy\n" in simple
+
+
+@pytest.mark.parametrize("name", POLICY_NAMES)
+def test_golden_event_logs(event_logs, name):
+    assert _sha(event_logs[name]) == GOLDEN[f"simulate.{name}"]
+
+
+def test_golden_allocation_csv(instance_files):
+    assert _sha([_ok(["allocate", "--instance", p]) for p in instance_files]) == GOLDEN["allocate"]
+
+
+def test_golden_adversary():
+    outputs = [
+        "%d %s" % _cli(["adversary", "--policy", name, "--mu", mu]) for name in POLICY_NAMES for mu in ("5", "8", "20")
+    ]
+    assert _sha(outputs) == GOLDEN["adversary"]
+
+
+def test_golden_sweep_csv():
+    out = _ok(
+        [
+            "sweep", "--poisson-requests", "300", "--rates", "set4",
+            "--lambda-min", "50", "--lambda-max", "1200", "--lambda-step", "575",
+        ]
+    )
+    assert len(out.splitlines()) == 1 + 3 * 3
+    assert _sha([out]) == GOLDEN["sweep"]
