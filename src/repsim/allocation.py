@@ -29,7 +29,6 @@ from .model import (
     KIND_RELOCATED_SPECIAL,
     KIND_RESIDENT_SPECIAL,
     Request,
-    compute_cost,
 )
 from .policies import MODE_LOCAL, MODE_TRANSFER, AnnotatedRun
 
@@ -158,8 +157,3 @@ def classify_and_allocate(run: AnnotatedRun) -> AllocationReport:
     )
     return AllocationReport(tuple(entries), excluded, tuple(surcharges))
 
-
-def conservation_gap(run: AnnotatedRun) -> float:
-    """Signed difference between allocated total and the run's horizon cost."""
-    report = classify_and_allocate(run)
-    return report.total_allocated - compute_cost(run.schedule, run.schedule.instance.horizon).total

@@ -161,9 +161,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repsim",
         description="Online dynamic replication: simulation, allocation, exact offline oracle, experiments.",
         epilog=(
-            "Instance files are JSON objects with keys 'lambda' (number), 'initial_server' "
-            "(1-based integer), 'rates' (ascending array), and 'requests' (array of {'t', 's'} "
-            "with strictly increasing positive times)."
+            "Instance files are JSON objects with keys 'lambda' (finite number), 'initial_server' "
+            "(1-based integer), 'rates' (ascending array of finite numbers), and 'requests' (array of "
+            "{'t', 's'} with strictly increasing positive finite times and integer servers)."
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)

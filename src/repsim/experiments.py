@@ -148,13 +148,11 @@ class ExperimentSpec:
     budget: int = DEFAULT_BUDGET
 
     def __post_init__(self) -> None:
-        if any(lam <= 0 for lam in self.lambda_values):
-            raise ValueError("lambda values must be strictly positive")
         for name, rates in self.rate_sets.items():
-            if list(rates) != sorted(rates):
-                raise ValueError(f"rate set {name!r} must be ascending")
             if len(rates) != self.n_servers:
                 raise ValueError(f"rate set {name!r} has {len(rates)} rates for {self.n_servers} servers")
+            for lam in self.lambda_values:
+                Instance.build(rates, lam, 1)  # rejects bad rates or lambdas before any cell runs
         if self.oracle not in ("full", "restricted"):
             raise ValueError(f"oracle must be 'full' or 'restricted', got {self.oracle!r}")
 

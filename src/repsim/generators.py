@@ -186,11 +186,7 @@ def run_adversary(policy: "Policy | str", mu: float, lam: float = 1.0, epsilon: 
     abandoned_at: float | None = None
     if 2 not in sim.holders():
         abandoned_at = 0.0  # dropped during setup
-    while abandoned_at is None:
-        alarm = sim.next_alarm_time()
-        if alarm is None or alarm >= probe:
-            break
-        sim.step_alarm()
+    while abandoned_at is None and (alarm := sim.step_alarm(probe)) is not None:
         if 2 not in sim.holders():
             abandoned_at = alarm
     if abandoned_at is None:

@@ -12,6 +12,8 @@ exact time). Instances and schedules are immutable after construction.
 from __future__ import annotations
 
 import json
+import math
+import operator
 import re
 from dataclasses import dataclass
 
@@ -30,15 +32,31 @@ PURPOSE_RELOCATE = "relocate"
 
 
 class InstanceFormatError(ValueError):
-    """Malformed instance data; carries best-effort file/line context."""
+    """Malformed instance data; carries best-effort file/line context.
 
-    def __init__(self, message: str, *, path: str | None = None, line: int | None = None):
+    ``request`` is the 0-based position of the offending entry in the
+    request list, when one entry is at fault.
+    """
+
+    def __init__(
+        self, message: str, *, path: str | None = None, line: int | None = None, request: int | None = None
+    ):
         ctx = path or ""
         if line is not None:
             ctx += f":line {line}"
-        super().__init__(f"{ctx}: {message}" if ctx else message)
+        text = message if request is None else f"requests[{request}]: {message}"
+        super().__init__(f"{ctx}: {text}" if ctx else text)
+        self.message = message
         self.path = path
         self.line = line
+        self.request = request
+
+
+def _exact_int(value):
+    """``value`` as an int when that loses nothing, else unchanged for validation to reject."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    return operator.index(value) if hasattr(value, "__index__") else value
 
 
 @dataclass(frozen=True)
@@ -76,34 +94,39 @@ class Instance:
     requests: tuple[Request, ...]
 
     def __post_init__(self) -> None:
-        if not self.servers:
+        n = len(self.servers)
+        if not n:
             raise InstanceFormatError("instance needs at least one server")
+        prev_rate = 0.0
         for k, srv in enumerate(self.servers, start=1):
             if srv.index != k:
                 raise InstanceFormatError(f"server indices must be 1..n in order, got {srv.index} at position {k}")
-            if srv.rate <= 0:
-                raise InstanceFormatError(f"storage rate of server {k} must be strictly positive, got {srv.rate}")
-        rates = [s.rate for s in self.servers]
-        for k in range(1, len(rates)):
-            if rates[k] < rates[k - 1]:
+            if not (math.isfinite(srv.rate) and srv.rate > 0):
                 raise InstanceFormatError(
-                    f"rates must be ascending: rates[{k + 1}]={rates[k]} < rates[{k}]={rates[k - 1]}"
+                    f"storage rate of server {k} must be finite and strictly positive, got {srv.rate}"
                 )
-        if self.transfer_cost <= 0:
-            raise InstanceFormatError(f"transfer cost must be strictly positive, got {self.transfer_cost}")
-        if not 1 <= self.initial_server <= len(self.servers):
-            raise InstanceFormatError(f"initial server {self.initial_server} out of range 1..{len(self.servers)}")
+            if srv.rate < prev_rate:
+                raise InstanceFormatError(f"rates must be ascending: rates[{k}]={srv.rate} < rates[{k - 1}]={prev_rate}")
+            prev_rate = srv.rate
+        if not (math.isfinite(self.transfer_cost) and self.transfer_cost > 0):
+            raise InstanceFormatError(f"transfer cost must be finite and strictly positive, got {self.transfer_cost}")
+        if not (isinstance(self.initial_server, int) and 1 <= self.initial_server <= n):
+            raise InstanceFormatError(f"initial server {self.initial_server!r} is not an integer in 1..{n}")
         prev = 0.0
-        for k, req in enumerate(self.requests, start=1):
-            if req.index != k:
-                raise InstanceFormatError(f"request indices must be 1..m in order, got {req.index} at position {k}")
-            if not 1 <= req.server <= len(self.servers):
-                raise InstanceFormatError(f"request {k} server {req.server} out of range 1..{len(self.servers)}")
+        for k, req in enumerate(self.requests):
+            if req.index != k + 1:
+                raise InstanceFormatError(f"index must be {k + 1}, got {req.index}", request=k)
+            if not (isinstance(req.server, int) and 1 <= req.server <= n):
+                raise InstanceFormatError(f"server {req.server!r} is not an integer in 1..{n}", request=k)
+            if not math.isfinite(req.time):
+                raise InstanceFormatError(f"time {req.time} is not finite", request=k)
             if req.time <= 0:
-                raise InstanceFormatError(f"request {k} time {req.time} must be > 0 (time 0 is reserved)")
+                raise InstanceFormatError(f"time {req.time} must be > 0 (time 0 is reserved)", request=k)
             if req.time <= prev:
                 raise InstanceFormatError(
-                    f"request times must strictly increase: request {k} at t={req.time} follows t={prev}"
+                    f"time {req.time} does not strictly increase past {prev}"
+                    " (tied or out-of-order timestamps are rejected)",
+                    request=k,
                 )
             prev = req.time
 
@@ -115,9 +138,10 @@ class Instance:
         initial_server: int,
         requests: "list[tuple[float, int]] | tuple[tuple[float, int], ...]" = (),
     ) -> "Instance":
+        """Instance from plain numbers; servers are 1-based indices, rates ascending."""
         servers = tuple(Server(i + 1, float(r)) for i, r in enumerate(rates))
-        reqs = tuple(Request(j + 1, float(t), int(s)) for j, (t, s) in enumerate(requests))
-        return cls(servers, float(transfer_cost), int(initial_server), reqs)
+        reqs = tuple(Request(j + 1, float(t), _exact_int(s)) for j, (t, s) in enumerate(requests))
+        return cls(servers, float(transfer_cost), _exact_int(initial_server), reqs)
 
     @property
     def n(self) -> int:
@@ -206,18 +230,18 @@ class Violation:
     description: str
 
 
-def _holding_spans(schedule: ReplicationSchedule, server: int) -> list[tuple[float, float]]:
-    """Maximal contiguous holding spans at one server (kind splits merged)."""
-    ivals = sorted(
-        ((c.start, c.end) for c in schedule.copies if c.server == server),
-        key=lambda p: p,
-    )
-    spans: list[tuple[float, float]] = []
-    for start, end in ivals:
-        if spans and start <= spans[-1][1] + TOL:
-            spans[-1] = (spans[-1][0], max(spans[-1][1], end))
+def _holding_spans(schedule: ReplicationSchedule) -> dict[int, list[tuple[float, float]]]:
+    """Each server's maximal contiguous holding spans, kind splits merged.
+
+    Every server of the instance has an entry, empty when it never holds.
+    """
+    spans: dict[int, list[tuple[float, float]]] = {s.index: [] for s in schedule.instance.servers}
+    for c in sorted(schedule.copies, key=lambda c: (c.server, c.start, c.end)):
+        lst = spans.setdefault(c.server, [])
+        if lst and c.start <= lst[-1][1] + TOL:
+            lst[-1] = (lst[-1][0], max(lst[-1][1], c.end))
         else:
-            spans.append((start, end))
+            lst.append((c.start, c.end))
     return spans
 
 
@@ -246,7 +270,7 @@ def validate_schedule(schedule: ReplicationSchedule) -> list[Violation]:
     if covered < horizon - TOL:
         out.append(Violation(covered, f"coverage gap ({covered:g}, {horizon:g}): no copy alive"))
 
-    spans_by_server = {s.index: _holding_spans(schedule, s.index) for s in inst.servers}
+    spans_by_server = _holding_spans(schedule)
     for req in inst.all_requests:
         spans = spans_by_server[req.server]
         if not any(a - TOL <= req.time <= b + TOL for a, b in spans):
@@ -335,7 +359,12 @@ def _request_line(text: str, k: int) -> int | None:
     return None
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def loads_instance(text: str, path: str | None = None) -> Instance:
+    """Parse the JSON instance format; ``Instance`` validates the values."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -345,40 +374,29 @@ def loads_instance(text: str, path: str | None = None) -> Instance:
     for key in ("lambda", "initial_server", "rates", "requests"):
         if key not in doc:
             raise InstanceFormatError(f"missing key {key!r}", path=path)
+    for key in ("lambda", "initial_server"):
+        if not _is_number(doc[key]):
+            raise InstanceFormatError(f"{key!r} must be a number, got {doc[key]!r}", path=path)
     rates = doc["rates"]
-    if not isinstance(rates, list) or not rates:
-        raise InstanceFormatError("'rates' must be a nonempty array", path=path)
-    for k in range(1, len(rates)):
-        if rates[k] < rates[k - 1]:
-            raise InstanceFormatError(
-                f"'rates' must be ascending: rates[{k + 1}]={rates[k]} < rates[{k}]={rates[k - 1]}", path=path
-            )
+    if not isinstance(rates, list) or not all(map(_is_number, rates)):
+        raise InstanceFormatError("'rates' must be an array of numbers", path=path)
     reqs = doc["requests"]
     if not isinstance(reqs, list):
         raise InstanceFormatError("'requests' must be an array", path=path)
     pairs: list[tuple[float, int]] = []
-    prev = 0.0
     for k, entry in enumerate(reqs):
-        line = _request_line(text, k)
-        if not isinstance(entry, dict) or "t" not in entry or "s" not in entry:
-            raise InstanceFormatError(f"requests[{k}] must be an object with keys 't' and 's'", path=path, line=line)
-        t, s = float(entry["t"]), int(entry["s"])
-        if t <= 0:
-            raise InstanceFormatError(f"requests[{k}] time {t} must be > 0 (time 0 is reserved)", path=path, line=line)
-        if t <= prev:
+        if not (isinstance(entry, dict) and _is_number(entry.get("t")) and _is_number(entry.get("s"))):
             raise InstanceFormatError(
-                f"requests[{k}] time {t} does not strictly increase past {prev} (tied or out-of-order timestamps are rejected)",
-                path=path,
-                line=line,
+                "must be an object with numbers 't' and 's'", path=path, line=_request_line(text, k), request=k
             )
-        prev = t
-        pairs.append((t, s))
+        pairs.append((entry["t"], entry["s"]))
     try:
-        return Instance.build(rates, float(doc["lambda"]), int(doc["initial_server"]), pairs)
-    except InstanceFormatError:
-        raise
-    except ValueError as exc:
-        raise InstanceFormatError(str(exc), path=path) from exc
+        return Instance.build(rates, doc["lambda"], doc["initial_server"], pairs)
+    except InstanceFormatError as exc:
+        line = None if exc.request is None else _request_line(text, exc.request)
+        raise InstanceFormatError(exc.message, path=path, line=line, request=exc.request) from exc
+    except OverflowError as exc:  # an integer beyond the float range
+        raise InstanceFormatError(f"number too large: {exc}", path=path) from exc
 
 
 def load_instance(path: str) -> Instance:

@@ -36,6 +36,7 @@ from .model import (
     ReplicationSchedule,
     Transfer,
     Violation,
+    _holding_spans,
 )
 
 DEFAULT_BUDGET = 5_000_000_000
@@ -86,19 +87,30 @@ def _check_budget(instance: Instance, restricted: bool, budget: int) -> None:
         )
 
 
+def _subset_tables(instance: Instance) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[tuple[float, int]]]:
+    """Rates, each holder subset's rate sum and priciest rate, and the events.
+
+    Subset ``mask`` holds server ``b + 1`` when bit ``b`` is set. The events
+    are (time, server) pairs, the synthetic time-0 request first.
+    """
+    rates = np.array([s.rate for s in instance.servers])
+    size = 1 << instance.n
+    ratesum = np.zeros(size)
+    maxrate = np.zeros(size)
+    for b in range(instance.n):
+        half = 1 << b
+        ratesum[half : 2 * half] = ratesum[:half] + rates[b]
+        maxrate[half : 2 * half] = np.maximum(maxrate[:half], rates[b])
+    events = [(0.0, instance.initial_server)] + [(r.time, r.server) for r in instance.requests]
+    return rates, ratesum, maxrate, events
+
+
 def _solve(instance: Instance, restricted: bool, budget: int, reconstruct: bool) -> DPSolution:
     _check_budget(instance, restricted, budget)
     n = instance.n
     size = 1 << n
     lam = instance.transfer_cost
-    rates = np.array([instance.rate(i) for i in range(1, n + 1)])
-
-    ratesum = np.zeros(size)
-    maxrate = np.zeros(size)
-    for b in range(n):
-        half = 1 << b
-        ratesum[half : 2 * half] = ratesum[:half] + rates[b]
-        maxrate[half : 2 * half] = np.maximum(maxrate[:half], rates[b])
+    rates, ratesum, maxrate, events = _subset_tables(instance)
 
     masks = np.arange(size)
     with_bit = [np.nonzero(masks & (1 << b))[0] for b in range(n)]
@@ -106,7 +118,6 @@ def _solve(instance: Instance, restricted: bool, budget: int, reconstruct: bool)
     dp = np.full(size, math.inf)
     dp[_bit(instance.initial_server)] = 0.0
 
-    events = [(0.0, instance.initial_server)] + [(r.time, r.server) for r in instance.requests]
     tables: list[np.ndarray] = []
     prefix: list[float] = []
     prev_t = 0.0
@@ -158,16 +169,9 @@ def _reconstruct(instance: Instance, tables: list[np.ndarray], restricted: bool)
     lam = instance.transfer_cost
     masks = np.arange(size)
     rank = _rank_order(n)
-    ratesum = np.zeros(size)
-    maxrate = np.zeros(size)
-    rates = [instance.rate(i) for i in range(1, n + 1)]
-    for b in range(n):
-        half = 1 << b
-        ratesum[half : 2 * half] = ratesum[:half] + rates[b]
-        maxrate[half : 2 * half] = np.maximum(maxrate[:half], rates[b])
+    rates, ratesum, maxrate, events = _subset_tables(instance)
     popcount = np.array([bin(m).count("1") for m in range(size)])
 
-    events = [(0.0, instance.initial_server)] + [(r.time, r.server) for r in instance.requests]
     final_state = _argmin_with_rank(tables[-1], rank, np.ones(size, dtype=bool))
     holder_seq = [0] * len(events)
     holder_seq[-1] = final_state
@@ -265,19 +269,13 @@ def validate_offline_structure(schedule: ReplicationSchedule) -> list[Violation]
         if not any(abs(tr.time - t) <= TOL for t in req_times):
             out.append(Violation(tr.time, f"transfer at t={tr.time:g} coincides with no request time"))
 
-    spans: dict[int, list[tuple[float, float]]] = {}
-    for c in sorted(schedule.copies, key=lambda c: (c.server, c.start, c.end)):
-        lst = spans.setdefault(c.server, [])
-        if lst and c.start <= lst[-1][1] + TOL:
-            lst[-1] = (lst[-1][0], max(lst[-1][1], c.end))
-        else:
-            lst.append((c.start, c.end))
+    spans = _holding_spans(schedule)
 
     prev_at: dict[int, float] = {inst.initial_server: 0.0}
     for req in inst.requests:
         t_prev = prev_at.get(req.server)
         if t_prev is not None and inst.rate(req.server) * (req.time - t_prev) <= inst.transfer_cost + TOL:
-            held = any(a - TOL <= t_prev and req.time <= b + TOL for a, b in spans.get(req.server, []))
+            held = any(a - TOL <= t_prev and req.time <= b + TOL for a, b in spans[req.server])
             if not held:
                 out.append(
                     Violation(

@@ -73,33 +73,56 @@ class MarkAction:
 
 
 class Policy:
-    """Base class for online policies; subclasses keep all state themselves."""
+    """Base class for online policies.
+
+    A policy tracks one expiry time per held copy in ``_expiry`` (``inf`` for
+    a copy kept indefinitely) and reacts to requests and to its own alarms,
+    which fire at the earliest finite expiry. After the final request the
+    driver keeps firing alarms until ``settled()``; copies still alive then
+    are recorded as held forever.
+    """
 
     name = "abstract"
     uses_copy_exclusions = False
 
     def reset(self, instance: Instance) -> None:
-        raise NotImplementedError
+        """Start a run: the initial copy holds one window from time 0."""
+        self._inst = instance
+        self._lam = instance.transfer_cost
+        g = instance.initial_server
+        self._expiry: dict[int, float] = {g: self._window(g)}
+
+    def _window(self, server: int) -> float:
+        return self._lam / self._inst.rate(server)
 
     def setup_actions(self) -> list:
         """Actions applied at time 0, right after the initial copy is placed."""
         return []
 
     def on_request(self, time: float, server: int) -> list:
+        """Actions serving a request at ``server``; they must leave it holding a copy."""
         raise NotImplementedError
 
     def on_alarm(self, time: float) -> list:
+        """Actions for the copies expiring at ``time``: the policy's expiry rules.
+
+        They run both between requests and in the wind-down after the final
+        request, so a subclass states each rule once, in this method.
+        """
         raise NotImplementedError
 
     def next_alarm(self) -> float | None:
-        return None
+        """Earliest finite expiry, or None when no alarm is pending."""
+        alarm = min(self._expiry.values(), default=math.inf)
+        return alarm if math.isfinite(alarm) else None
 
-    def finish(self, horizon: float) -> list:
-        """Wind-down after the final request: list of (time, action) pairs.
+    def settled(self) -> bool:
+        """True once further alarms would change nothing: none is pending.
 
-        Copies left alive after these are recorded as held forever.
+        A policy whose alarms renew some copy forever must override this, or
+        the wind-down after the final request never ends.
         """
-        return []
+        return self.next_alarm() is None
 
 
 class ThresholdPolicy(Policy):
@@ -117,15 +140,8 @@ class ThresholdPolicy(Policy):
     uses_copy_exclusions = True
 
     def reset(self, instance: Instance) -> None:
-        self._inst = instance
-        self._lam = instance.transfer_cost
-        g = instance.initial_server
-        self._expiry: dict[int, float] = {g: self._window(g)}
-        self._last_request: dict[int, float] = {i: -math.inf for i in range(1, instance.n + 1)}
-        self._last_request[g] = 0.0
-
-    def _window(self, server: int) -> float:
-        return self._lam / self._inst.rate(server)
+        super().reset(instance)
+        self._last_request: dict[int, float] = {instance.initial_server: 0.0}
 
     def on_request(self, time: float, server: int) -> list:
         acts: list = []
@@ -134,7 +150,7 @@ class ThresholdPolicy(Policy):
         else:
             src = min(self._expiry)
             acts.append(TransferAction(src, server, PURPOSE_SERVE))
-            if time - self._last_request[src] >= self._window(src) - TOL:
+            if time - self._last_request.get(src, -math.inf) >= self._window(src) - TOL:
                 # outward transfer from a special (or just-expired) copy
                 del self._expiry[src]
                 acts.append(DropAction(src))
@@ -160,29 +176,6 @@ class ThresholdPolicy(Policy):
                 acts.append(DropAction(server))
         return acts
 
-    def next_alarm(self) -> float | None:
-        finite = [e for e in self._expiry.values() if math.isfinite(e)]
-        return min(finite) if finite else None
-
-    def finish(self, horizon: float) -> list:
-        events: list = []
-        live = dict(self._expiry)
-        while live:
-            server, exp = min(live.items(), key=lambda kv: (kv[1], kv[0]))
-            if not math.isfinite(exp):
-                break
-            if len(live) > 1:
-                events.append((exp, DropAction(server)))
-                del live[server]
-            elif self._inst.rate(server) <= 3.0 * self._inst.rate(1) + TOL:
-                events.append((exp, MarkAction(server, KIND_RESIDENT_SPECIAL)))
-                break
-            else:
-                events.append((exp, TransferAction(server, 1, PURPOSE_RELOCATE, kind=KIND_RELOCATED_SPECIAL)))
-                events.append((exp, DropAction(server)))
-                break
-        return events
-
 
 class FixedRenewalPolicy(Policy):
     """Rival policy with fixed-length holds and renew-then-relocate fallback.
@@ -198,14 +191,8 @@ class FixedRenewalPolicy(Policy):
     name = "wang"
 
     def reset(self, instance: Instance) -> None:
-        self._inst = instance
-        self._lam = instance.transfer_cost
-        g = instance.initial_server
-        self._expiry: dict[int, float] = {g: self._window(g)}
+        super().reset(instance)
         self._renewed: set[int] = set()
-
-    def _window(self, server: int) -> float:
-        return self._lam / self._inst.rate(server)
 
     def on_request(self, time: float, server: int) -> list:
         acts: list = []
@@ -233,40 +220,14 @@ class FixedRenewalPolicy(Policy):
             else:
                 del self._expiry[server]
                 self._renewed.discard(server)
-                if 1 in self._expiry:
-                    # unreachable while this copy is sole; guard documented in README
-                    acts.append(DropAction(server))
-                else:
-                    acts.append(TransferAction(server, 1, PURPOSE_RELOCATE))
-                    acts.append(DropAction(server))
-                    self._expiry[1] = time + self._window(1)
+                acts.append(TransferAction(server, 1, PURPOSE_RELOCATE))
+                acts.append(DropAction(server))
+                self._expiry[1] = time + self._window(1)
         return acts
 
-    def next_alarm(self) -> float | None:
-        finite = [e for e in self._expiry.values() if math.isfinite(e)]
-        return min(finite) if finite else None
-
-    def finish(self, horizon: float) -> list:
-        events: list = []
-        live = dict(self._expiry)
-        renewed = set(self._renewed)
-        while live:
-            server, exp = min(live.items(), key=lambda kv: (kv[1], kv[0]))
-            if not math.isfinite(exp):
-                break
-            if len(live) > 1:
-                events.append((exp, DropAction(server)))
-                del live[server]
-            elif server == 1:
-                break  # renews forever once sole at the cheapest server
-            elif server not in renewed:
-                renewed.add(server)
-                live[server] = exp + self._window(server)
-            else:
-                events.append((exp, TransferAction(server, 1, PURPOSE_RELOCATE)))
-                events.append((exp, DropAction(server)))
-                break
-        return events
+    def settled(self) -> bool:
+        """Also settled with the sole copy at the cheapest server, which renews forever."""
+        return super().settled() or list(self._expiry) == [1]
 
 
 class AnchorPolicy(Policy):
@@ -281,18 +242,14 @@ class AnchorPolicy(Policy):
     name = "simple"
 
     def reset(self, instance: Instance) -> None:
-        self._inst = instance
-        self._lam = instance.transfer_cost
-        self._expiry: dict[int, float] = {1: math.inf}
+        super().reset(instance)
+        self._expiry = {1: math.inf}
 
     def setup_actions(self) -> list:
         g = self._inst.initial_server
         if g == 1:
             return []
         return [TransferAction(g, 1, PURPOSE_CREATE), DropAction(g)]
-
-    def _window(self, server: int) -> float:
-        return self._lam / self._inst.rate(server)
 
     def on_request(self, time: float, server: int) -> list:
         acts: list = []
@@ -309,16 +266,6 @@ class AnchorPolicy(Policy):
             del self._expiry[server]
             acts.append(DropAction(server))
         return acts
-
-    def next_alarm(self) -> float | None:
-        finite = [e for e in self._expiry.values() if math.isfinite(e)]
-        return min(finite) if finite else None
-
-    def finish(self, horizon: float) -> list:
-        return sorted(
-            ((e, DropAction(s)) for s, e in self._expiry.items() if s != 1),
-            key=lambda pair: (pair[0], pair[1].server),
-        )
 
 
 POLICIES = {
@@ -406,9 +353,6 @@ class Simulation:
     def holders(self) -> set[int]:
         return set(self._live)
 
-    def next_alarm_time(self) -> float | None:
-        return self._policy.next_alarm()
-
     # -- event processing ---------------------------------------------------
 
     def _close_segment(self, server: int, end: float) -> None:
@@ -428,10 +372,6 @@ class Simulation:
                     request_index, time, act.dst, MODE_TRANSFER, act.src, src.kind, src.origin, src.switch
                 )
             if act.dst in self._live:
-                if act.purpose == PURPOSE_RELOCATE:
-                    # target already holds a copy: move degenerates to a drop
-                    self._close_segment(act.src, time)
-                    return record
                 raise PolicyFault(time, f"transfer into server {act.dst} which already holds a copy")
             self._transfers.append(Transfer(time, act.src, act.dst, act.purpose))
             if act.purpose == PURPOSE_RELOCATE:
@@ -458,17 +398,16 @@ class Simulation:
 
     def run_alarms_before(self, limit: float) -> None:
         """Process all alarms strictly earlier than ``limit``."""
-        while True:
-            alarm = self._policy.next_alarm()
-            if alarm is None or alarm >= limit:
-                return
-            for act in self._policy.on_alarm(alarm):
-                self._apply(alarm, act)
+        while self.step_alarm(limit) is not None:
+            pass
 
-    def step_alarm(self) -> float | None:
-        """Process the single next alarm batch; returns its time."""
+    def step_alarm(self, before: float = math.inf) -> float | None:
+        """Process the next alarm batch if it falls strictly before ``before``.
+
+        Returns the batch's time, or None when no such alarm is pending.
+        """
         alarm = self._policy.next_alarm()
-        if alarm is None:
+        if alarm is None or alarm >= before:
             return None
         for act in self._policy.on_alarm(alarm):
             self._apply(alarm, act)
@@ -500,16 +439,14 @@ class Simulation:
         return record
 
     def finalize(self) -> AnnotatedRun:
-        """Wind down held copies past the final request and assemble the run."""
+        """Fire the policy's alarms until it is settled, then assemble the run.
+
+        Copies alive at that point are recorded as held forever.
+        """
         if self._finalized:
             raise RuntimeError("simulation already finalized")
         self._finalized = True
-        if self._injected:
-            horizon = self._injected[-1][0]
-            last_server = self._injected[-1][1]
-        else:
-            horizon = 0.0
-            last_server = self._inst.initial_server
+        horizon, last_server = self._injected[-1] if self._injected else (0.0, self._inst.initial_server)
         if self._policy.uses_copy_exclusions:
             cur = self._live.get(last_server)
             if cur is not None and cur.kind == KIND_REGULAR:
@@ -521,8 +458,8 @@ class Simulation:
                     )
                 else:
                     cur.excluded = True
-        for time, act in self._policy.finish(horizon):
-            self._apply(time, act)
+        while not self._policy.settled():
+            self.step_alarm()
         for server in sorted(self._live):
             c = self._live[server]
             excluded = c.excluded or (self._policy.uses_copy_exclusions and c.kind in SPECIAL_KINDS)

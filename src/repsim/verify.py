@@ -80,11 +80,7 @@ def typing_problems(run: AnnotatedRun) -> list[str]:
     return out
 
 
-def verify_instance(
-    instance: Instance,
-    budget: int = DEFAULT_BUDGET,
-    check_oracle: bool = True,
-) -> list[str]:
+def verify_instance(instance: Instance, budget: int = DEFAULT_BUDGET) -> list[str]:
     """Run every invariant suite against one instance; returns found problems."""
     problems: list[str] = []
     runs: dict[str, tuple] = {}
@@ -102,38 +98,37 @@ def verify_instance(
     if abs(gap) > 1e-9:
         problems.append(f"alg1: allocation conservation broken by {gap:g}")
 
-    if check_oracle:
-        try:
-            full = opt_full(instance, budget=budget)
-            restricted = opt_restricted(instance, budget=budget)
-        except BudgetExceeded as exc:
-            problems.append(f"oracle skipped: {exc}")
-            return problems
-        if abs(full.opt_cost - restricted.opt_cost) > 1e-9:
-            problems.append(
-                f"restricted oracle {restricted.opt_cost!r} disagrees with full oracle {full.opt_cost!r}"
-            )
-        for label, sol in (("full", full), ("restricted", restricted)):
-            for v in validate_schedule(sol.schedule):
-                problems.append(f"{label} oracle: invalid schedule: {v.description}")
-            for v in validate_offline_structure(sol.schedule):
-                problems.append(f"{label} oracle: structure: {v.description}")
-            if abs(compute_cost(sol.schedule).total - sol.opt_cost) > 1e-9:
-                problems.append(f"{label} oracle: reconstructed schedule cost differs from optimum")
-        for i in range(1, len(full.prefix_costs)):
-            if full.prefix_costs[i] < full.prefix_costs[i - 1] - 1e-9:
-                problems.append(f"prefix optimum decreases at request {i}")
-        for name, (run, cost) in runs.items():
-            if cost.total < full.opt_cost - 1e-9:
-                problems.append(f"{name}: cost {cost.total:g} undercuts the optimum {full.opt_cost:g}")
-        bound = competitive_bound(instance)
-        if alg1_cost.total > bound * full.opt_cost + 1e-9:
-            problems.append(
-                f"alg1: cost {alg1_cost.total!r} exceeds {bound:g} x optimum {full.opt_cost!r}"
-            )
-        simple_cost = runs["simple"][1].total
-        if instance.initial_server == 1 and simple_cost > 3.0 * full.opt_cost + 1e-9:
-            problems.append(f"simple: cost {simple_cost!r} exceeds 3 x optimum {full.opt_cost!r}")
+    try:
+        full = opt_full(instance, budget=budget)
+        restricted = opt_restricted(instance, budget=budget)
+    except BudgetExceeded as exc:
+        problems.append(f"oracle skipped: {exc}")
+        return problems
+    if abs(full.opt_cost - restricted.opt_cost) > 1e-9:
+        problems.append(
+            f"restricted oracle {restricted.opt_cost!r} disagrees with full oracle {full.opt_cost!r}"
+        )
+    for label, sol in (("full", full), ("restricted", restricted)):
+        for v in validate_schedule(sol.schedule):
+            problems.append(f"{label} oracle: invalid schedule: {v.description}")
+        for v in validate_offline_structure(sol.schedule):
+            problems.append(f"{label} oracle: structure: {v.description}")
+        if abs(compute_cost(sol.schedule).total - sol.opt_cost) > 1e-9:
+            problems.append(f"{label} oracle: reconstructed schedule cost differs from optimum")
+    for i in range(1, len(full.prefix_costs)):
+        if full.prefix_costs[i] < full.prefix_costs[i - 1] - 1e-9:
+            problems.append(f"prefix optimum decreases at request {i}")
+    for name, (run, cost) in runs.items():
+        if cost.total < full.opt_cost - 1e-9:
+            problems.append(f"{name}: cost {cost.total:g} undercuts the optimum {full.opt_cost:g}")
+    bound = competitive_bound(instance)
+    if alg1_cost.total > bound * full.opt_cost + 1e-9:
+        problems.append(
+            f"alg1: cost {alg1_cost.total!r} exceeds {bound:g} x optimum {full.opt_cost!r}"
+        )
+    simple_cost = runs["simple"][1].total
+    if instance.initial_server == 1 and simple_cost > 3.0 * full.opt_cost + 1e-9:
+        problems.append(f"simple: cost {simple_cost!r} exceeds 3 x optimum {full.opt_cost!r}")
     return problems
 
 

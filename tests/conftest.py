@@ -25,6 +25,25 @@ def fig3_instance() -> R.Instance:
     )
 
 
+# Instance files the parser must reject: (JSON text, expected message part).
+BAD_DOCUMENTS = {
+    "nan-lambda": ('{"lambda": NaN, "initial_server": 1, "rates": [1], "requests": []}', "transfer cost"),
+    "infinite-rate": ('{"lambda": 1, "initial_server": 1, "rates": [1, Infinity], "requests": []}', "rate of server 2"),
+    "nan-time": (
+        '{"lambda": 1, "initial_server": 1, "rates": [1, 2], "requests": [\n'
+        '  {"t": 1.0, "s": 2},\n  {"t": NaN, "s": 2},\n  {"t": 0.5, "s": 1}\n]}',
+        "line 3: requests[1]: time nan",
+    ),
+    "fractional-server": (
+        '{"lambda": 1, "initial_server": 1, "rates": [1, 2], "requests": [{"t": 1.0, "s": 1.9}]}',
+        "requests[0]: server 1.9",
+    ),
+    "fractional-initial-server": ('{"lambda": 1, "initial_server": 1.7, "rates": [1, 2], "requests": []}', "1.7"),
+    "string-rate": ('{"lambda": 1, "initial_server": 1, "rates": [1, "2"], "requests": []}', "'rates'"),
+    "huge-integer": ('{"lambda": 1%s, "initial_server": 1, "rates": [1], "requests": []}' % ("0" * 400), "too large"),
+}
+
+
 def dumb_schedule_cost(schedule: R.ReplicationSchedule, horizon: float) -> float:
     """Straight re-summation of a schedule's cost, independent of compute_cost."""
     total = 0.0

@@ -9,6 +9,7 @@ import pytest
 
 import repsim
 import repsim.cli as cli
+from conftest import BAD_DOCUMENTS
 
 
 def _run(argv, capsys):
@@ -102,6 +103,16 @@ def test_malformed_instance_reports_context(tmp_path, capsys):
     code, _, err = _run(["simulate", "--policy", "alg1", "--instance", str(bad)], capsys)
     assert code == 2
     assert "ascending" in err
+
+
+@pytest.mark.parametrize("case", sorted(BAD_DOCUMENTS))
+def test_bad_instance_values_exit_two(tmp_path, capsys, case):
+    bad = tmp_path / "bad.json"
+    bad.write_text(BAD_DOCUMENTS[case][0])
+    code, out, err = _run(["simulate", "--policy", "alg1", "--instance", str(bad)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {bad}")
 
 
 def test_adversary_command(capsys):

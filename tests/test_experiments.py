@@ -167,6 +167,10 @@ def test_spec_validation():
         R.ExperimentSpec(times=(1.0,), rate_sets={"x": (1.0, 2.0)}, lambda_values=(0.0,), n_servers=2)
     with pytest.raises(ValueError):
         R.ExperimentSpec(times=(1.0,), rate_sets={"x": (1.0,)}, lambda_values=(1.0,), n_servers=2)
+    with pytest.raises(ValueError):
+        R.ExperimentSpec(times=(1.0,), rate_sets={"x": (1.0, math.nan)}, lambda_values=(1.0,), n_servers=2)
+    with pytest.raises(ValueError):
+        R.ExperimentSpec(times=(1.0,), rate_sets={"x": (1.0, 2.0)}, lambda_values=(math.inf,), n_servers=2)
 
 
 def test_rate_sets_shapes():

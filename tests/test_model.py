@@ -7,7 +7,7 @@ import math
 import pytest
 
 import repsim as R
-from conftest import dumb_schedule_cost
+from conftest import BAD_DOCUMENTS, dumb_schedule_cost
 
 TOL = 1e-9
 
@@ -135,6 +135,25 @@ def test_instance_rejects_bad_data():
         R.Instance.build([1.0], 1.0, 1, [(0.0, 1)])  # time 0 reserved
     with pytest.raises(R.InstanceFormatError):
         R.Instance.build([1.0], 1.0, 1, [(1.0, 1), (1.0, 1)])  # tied times
+    nan, inf = math.nan, math.inf
+    for rates, lam, initial, requests in (
+        ([1.0, nan], 1.0, 1, []),
+        ([1.0, inf], 1.0, 1, []),
+        ([1.0], nan, 1, []),
+        ([1.0], inf, 1, []),
+        ([1.0], 1.0, 1, [(nan, 1)]),
+        ([1.0], 1.0, 1, [(1.0, 1), (inf, 1)]),
+        ([1.0, 2.0], 1.0, 1, [(1.0, 1.9)]),  # non-integer server, not truncated
+        ([1.0, 2.0], 1.0, 1.7, []),
+    ):
+        with pytest.raises(R.InstanceFormatError):
+            R.Instance.build(rates, lam, initial, requests)
+
+
+def test_instance_build_keeps_integral_servers():
+    inst = R.Instance.build([1.0, 2.0], 1.0, 2.0, [(1.0, 2.0)])
+    assert inst.initial_server == 2 and type(inst.initial_server) is int
+    assert inst.requests[0].server == 2 and type(inst.requests[0].server) is int
 
 
 def test_json_round_trip():
@@ -161,6 +180,34 @@ def test_parser_rejects_descending_rates_and_bad_json():
     with pytest.raises(R.InstanceFormatError) as err:
         R.loads_instance('{"lambda": 1,,}', path="broken.json")
     assert "broken.json:line 1" in str(err.value)
+
+
+@pytest.mark.parametrize("case", sorted(BAD_DOCUMENTS))
+def test_parser_rejects_bad_values(case):
+    text, expected = BAD_DOCUMENTS[case]
+    with pytest.raises(R.InstanceFormatError) as err:
+        R.loads_instance(text, path="bad.json")
+    assert str(err.value).startswith("bad.json")
+    assert expected in str(err.value)
+
+
+def test_parser_locates_lines_only_on_error(monkeypatch):
+    # the trace-scale instance: 11,683 Poisson requests over 10 servers
+    times = R.gen_poisson_trace(42, 11_683, 50.0)
+    inst = R.Instance.build(R.RATE_SETS["set3"], 200.0, 1, R.assign_servers(times, 10, 42))
+    text = R.dumps_instance(inst)
+    calls = []
+    locate = R.model._request_line
+    monkeypatch.setattr(R.model, "_request_line", lambda text, k: calls.append(k) or locate(text, k))
+    assert R.loads_instance(text) == inst
+    assert calls == []
+    last = inst.requests[-1]
+    bad = text.replace(f'{{"t": {last.time!r}, "s": {last.server}}}', f'{{"t": NaN, "s": {last.server}}}')
+    with pytest.raises(R.InstanceFormatError) as err:
+        R.loads_instance(bad, path="trace.json")
+    assert calls == [11_682]
+    line = bad.splitlines().index(f'    {{"t": NaN, "s": {last.server}}}') + 1
+    assert f"trace.json:line {line}: requests[11682]: time nan" in str(err.value)
 
 
 def test_dummy_request_materialized():
