@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 violated invariant, 2 usage or input error.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -114,6 +115,16 @@ def _cmd_adversary(args) -> int:
     return 0 if outcome.ratio > 2.0 else 1
 
 
+def _lambda_grid(lo: float, hi: float, step: float) -> tuple[float, ...]:
+    """lo, lo + step, lo + 2*step, ... up to hi, which is included when on the grid."""
+    if not (math.isfinite(step) and step > 0):
+        raise ValueError(f"--lambda-step must be a positive number, got {step:g}")
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+        raise ValueError(f"--lambda-min {lo:g} must not exceed --lambda-max {hi:g}")
+    count = math.floor((hi - lo) / step + 1e-9) + 1  # the slack keeps a rounded hi on the grid
+    return tuple(min(lo + k * step, hi) for k in range(count))
+
+
 def _cmd_sweep(args) -> int:
     if args.trace:
         column_map = {"timestamp": args.col_timestamp, "op": args.col_op, "object_id": args.col_object}
@@ -131,9 +142,7 @@ def _cmd_sweep(args) -> int:
     else:
         rates = tuple(float(v) for v in args.rates.split(","))
         rate_sets = {"custom": rates}
-    lambdas = tuple(
-        float(v) for v in range(int(args.lambda_min), int(args.lambda_max) + 1, int(args.lambda_step))
-    )
+    lambdas = _lambda_grid(args.lambda_min, args.lambda_max, args.lambda_step)
     n = len(next(iter(rate_sets.values())))
     spec = experiments.ExperimentSpec(
         times=tuple(times),

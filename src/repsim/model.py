@@ -351,12 +351,28 @@ def dump_instance(instance: Instance, path: str) -> None:
         fh.write(dumps_instance(instance))
 
 
-def _request_line(text: str, k: int) -> int | None:
-    """Best-effort line number of the k-th (0-based) request object in raw JSON."""
-    matches = list(re.finditer(r'\{[^{}]*"t"', text))
-    if k < len(matches):
-        return text.count("\n", 0, matches[k].start()) + 1
-    return None
+_SEPARATORS = re.compile(r"[\s,:]*")
+
+
+def _request_line(text: str, k: int) -> int:
+    """Line number of the k-th (0-based) entry of the 'requests' array, whatever its type.
+
+    ``text`` must hold a JSON object; the scan walks its top-level members as
+    ``json.loads`` does, so the last 'requests' key wins.
+    """
+    decode = json.JSONDecoder().raw_decode
+    pos = _SEPARATORS.match(text, text.index("{") + 1).end()
+    start = pos
+    while text[pos] != "}":
+        key, pos = decode(text, pos)
+        pos = _SEPARATORS.match(text, pos).end()
+        if key == "requests":
+            start = pos + 1  # past its '['
+        pos = _SEPARATORS.match(text, decode(text, pos)[1]).end()
+    pos = _SEPARATORS.match(text, start).end()
+    for _ in range(k):
+        pos = _SEPARATORS.match(text, decode(text, pos)[1]).end()
+    return text.count("\n", 0, pos) + 1
 
 
 def _is_number(value) -> bool:

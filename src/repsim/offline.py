@@ -6,17 +6,24 @@ early only adds storage, and transfers can always be aligned with a request).
 The DP therefore sweeps requests in time order with one cost table indexed by
 holder subset. A step charges gap storage for the held set, a transfer when
 the requesting server holds no copy, and a transfer per extra copy created.
+Each change of holders is a bit pass that relaxes the subsets on one side of
+a server's bit from their partners on the other: (2n + 2) * 2^n evaluations
+per step in either mode.
 
-Two transition sets are offered. The full oracle may create copies anywhere.
-The restricted oracle prunes the creation targets to the requesting server,
-the cheapest server, and servers strictly cheaper than the priciest current
-holder (the just-served requester counting as held). The pruning is safe: an
-extra copy only ever pays off by letting a costlier holder be dropped
-(parking the object cheaply or pre-positioning it at a cheaper server with
-an upcoming request), so some optimal schedule never creates a copy at or
-above the priciest held rate. Creating only at the requester or the cheapest
-server, with no rate condition, is NOT enough; pre-positioning at a
-mid-priced server beats it by a positive margin.
+The restricted oracle is the full one with a creation mask: copies are
+created only at the requester, the cheapest server, and servers strictly
+cheaper than the priciest current holder. The pruning is safe: an extra copy
+only ever pays off by letting a costlier holder be dropped (parking the object
+cheaply or pre-positioning it at a cheaper server with an upcoming request),
+so some optimal schedule never creates a copy at or above the priciest held
+rate. Creating only at the requester or the cheapest server, with no rate
+condition, is NOT enough; pre-positioning at a mid-priced server beats it by
+a positive margin.
+
+For a schedule the forward pass records, per step, the subset each subset was
+reached from, moving it only where a candidate is strictly cheaper. The
+backtrack walks these choices back from the first cheapest final subset, so
+on exact ties the schedule is the first strictly cheaper path in pass order.
 """
 
 from __future__ import annotations
@@ -59,146 +66,100 @@ def _bit(server: int) -> int:
     return 1 << (server - 1)
 
 
-def _rank_order(n: int) -> np.ndarray:
-    """rank[mask] = position under (popcount, ascending index tuple) ordering."""
-    size = 1 << n
-    def key(mask: int) -> tuple:
-        idx = tuple(i + 1 for i in range(n) if mask >> i & 1)
-        return (len(idx), idx)
-    order = sorted(range(size), key=key)
-    rank = np.empty(size, dtype=np.int64)
-    for pos, mask in enumerate(order):
-        rank[mask] = pos
-    return rank
-
-
-def _check_budget(instance: Instance, restricted: bool, budget: int) -> None:
+def _check_budget(instance: Instance, budget: int) -> None:
     n, m = instance.n, instance.m
     if n > 12:
         raise BudgetExceeded(f"oracle supports at most 12 servers, instance has {n}")
-    if restricted:
-        work = (m + 1) * (2 * n + 2) * (1 << n)
-    else:
-        work = (m + 1) * 4**n
+    work = (m + 1) * (2 * n + 2) * (1 << n)
     if work > budget:
         raise BudgetExceeded(
-            f"estimated work {work:.4g} transition evaluations exceeds budget {budget:.4g}"
-            f" (n={n}, m={m}, {'restricted' if restricted else 'full'} mode)"
+            f"estimated work {work:.4g} transition evaluations exceeds budget {budget:.4g} (n={n}, m={m})"
         )
 
 
-def _subset_tables(instance: Instance) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[tuple[float, int]]]:
-    """Rates, each holder subset's rate sum and priciest rate, and the events.
+def _subset_tables(instance: Instance, restricted: bool) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Each holder subset's rate sum, and per bit the cost of creating that copy.
 
-    Subset ``mask`` holds server ``b + 1`` when bit ``b`` is set. The events
-    are (time, server) pairs, the synthetic time-0 request first.
+    Subset ``mask`` holds server ``b + 1`` when bit ``b`` is set. ``create[b]``
+    is laid out like the subsets lacking bit ``b`` in ``_relax``: one transfer
+    where a copy at server ``b + 1`` may be created from that subset, ``inf``
+    where the restricted rule forbids it.
     """
-    rates = np.array([s.rate for s in instance.servers])
-    size = 1 << instance.n
-    ratesum = np.zeros(size)
-    maxrate = np.zeros(size)
-    for b in range(instance.n):
+    rates = [s.rate for s in instance.servers]
+    ratesum = np.zeros(1 << instance.n)
+    maxrate = np.zeros(1 << instance.n)
+    for b, rate in enumerate(rates):
         half = 1 << b
-        ratesum[half : 2 * half] = ratesum[:half] + rates[b]
-        maxrate[half : 2 * half] = np.maximum(maxrate[:half], rates[b])
-    events = [(0.0, instance.initial_server)] + [(r.time, r.server) for r in instance.requests]
-    return rates, ratesum, maxrate, events
+        ratesum[half : 2 * half] = ratesum[:half] + rate
+        maxrate[half : 2 * half] = np.maximum(maxrate[:half], rate)
+    create = []
+    for b, rate in enumerate(rates):
+        priciest = maxrate.reshape(-1, 2, 1 << b)[:, 0]
+        allowed = (priciest > rate) | (b == 0 or not restricted)
+        create.append(np.where(allowed, instance.transfer_cost, math.inf))
+    return ratesum, create
+
+
+def _relax(dp: np.ndarray, came: np.ndarray | None, b: int, into: int, cost: np.ndarray | None = None) -> None:
+    """Relax the subsets with bit ``b`` equal to ``into`` from their partners across it.
+
+    With ``came`` given, an entry and its origin move only where the candidate
+    is strictly cheaper; without it this is a plain in-place minimum.
+    """
+    side = dp.reshape(-1, 2, 1 << b)
+    dst, src = side[:, into], side[:, 1 - into]
+    cand = src if cost is None else src + cost
+    if came is None:
+        np.minimum(dst, cand, out=dst)
+        return
+    better = cand < dst
+    np.copyto(dst, cand, where=better)
+    origin = came.reshape(-1, 2, 1 << b)
+    np.copyto(origin[:, into], origin[:, 1 - into], where=better)
 
 
 def _solve(instance: Instance, restricted: bool, budget: int, reconstruct: bool) -> DPSolution:
-    _check_budget(instance, restricted, budget)
+    _check_budget(instance, budget)
     n = instance.n
     size = 1 << n
-    lam = instance.transfer_cost
-    rates, ratesum, maxrate, events = _subset_tables(instance)
-
-    masks = np.arange(size)
-    with_bit = [np.nonzero(masks & (1 << b))[0] for b in range(n)]
+    ratesum, create = _subset_tables(instance, restricted)
+    events = [(0.0, instance.initial_server)] + [(r.time, r.server) for r in instance.requests]
 
     dp = np.full(size, math.inf)
     dp[_bit(instance.initial_server)] = 0.0
+    # came[i][s]: the subset held before step i that subset s after it was reached from
+    came = np.tile(np.arange(size, dtype=np.int16), (len(events), 1)) if reconstruct else None
 
-    tables: list[np.ndarray] = []
     prefix: list[float] = []
     prev_t = 0.0
-    for time, server in events:
-        gap = time - prev_t
+    for i, (time, server) in enumerate(events):
+        dp += (time - prev_t) * ratesum
         prev_t = time
-        qbit = _bit(server)
-        a = dp + gap * ratesum
-        without_q = (masks & qbit) == 0
-        a[without_q] += lam  # serve by inward transfer
-        wq = with_bit[server - 1]
-        a[wq] = np.minimum(a[wq], a[wq ^ qbit])  # keeping the served copy is free
+        back = came[i] if reconstruct else None
+        q = server - 1
+        dp.reshape(-1, 2, 1 << q)[:, 0] += instance.transfer_cost  # serve by inward transfer
+        _relax(dp, back, q, 1)  # keeping the served copy is free
         for b in range(n):
-            # an extra copy costs one transfer; sequential passes cover
-            # multi-copy creations (restricted targets cannot raise the
-            # priciest held rate, so later conditions are unaffected)
-            w = with_bit[b]
-            src = w ^ (1 << b)
-            if restricted and b != 0:
-                ok = maxrate[src] > rates[b]
-                w, src = w[ok], src[ok]
-            a[w] = np.minimum(a[w], a[src] + lam)
+            # sequential passes cover multi-copy creations; a restricted creation never
+            # raises the priciest held rate, so every pass tests the same priciest holder
+            _relax(dp, back, b, 1, create[b])
         for b in range(n):
-            w = with_bit[b]
-            a[w ^ (1 << b)] = np.minimum(a[w ^ (1 << b)], a[w])  # drops are free
-        a[0] = math.inf
-        dp = a
-        if reconstruct:
-            tables.append(dp.copy())
+            _relax(dp, back, b, 0)  # drops are free
+        dp[0] = math.inf
         prefix.append(float(dp.min()))
 
-    opt = prefix[-1]
-    schedule = _reconstruct(instance, tables, restricted) if reconstruct else None
-    return DPSolution(opt, schedule, tuple(prefix))
+    schedule = _reconstruct(instance, events, came, int(np.argmin(dp))) if reconstruct else None
+    return DPSolution(prefix[-1], schedule, tuple(prefix))
 
 
-def _argmin_with_rank(costs: np.ndarray, rank: np.ndarray, feasible: np.ndarray) -> int:
-    c = np.where(feasible, costs, math.inf)
-    best = c.min()
-    if not math.isfinite(best):
-        raise RuntimeError("offline DP backtrack found no feasible predecessor")
-    near = np.nonzero(c <= best + TOL)[0]
-    return int(near[np.argmin(rank[near])])
-
-
-def _reconstruct(instance: Instance, tables: list[np.ndarray], restricted: bool) -> ReplicationSchedule:
+def _reconstruct(
+    instance: Instance, events: list[tuple[float, int]], came: np.ndarray, final_state: int
+) -> ReplicationSchedule:
     n = instance.n
-    size = 1 << n
-    lam = instance.transfer_cost
-    masks = np.arange(size)
-    rank = _rank_order(n)
-    rates, ratesum, maxrate, events = _subset_tables(instance)
-    popcount = np.array([bin(m).count("1") for m in range(size)])
-
-    final_state = _argmin_with_rank(tables[-1], rank, np.ones(size, dtype=bool))
     holder_seq = [0] * len(events)
     holder_seq[-1] = final_state
-    target = final_state
     for i in range(len(events) - 1, 0, -1):
-        time, server = events[i]
-        gap = time - events[i - 1][0]
-        qbit = _bit(server)
-        extra = target & ~(masks | qbit)
-        feasible = np.ones(size, dtype=bool)
-        if restricted:
-            # creations are conditioned on the priciest holder with the just
-            # served requester counting as held, matching the forward pass
-            maxrate_q = maxrate[masks | qbit]
-            for b in range(1, n):
-                bb = 1 << b
-                if target & bb and bb != qbit:
-                    lacks = (masks & bb) == 0
-                    feasible &= ~lacks | (maxrate_q > rates[b])
-        costs = (
-            tables[i - 1]
-            + gap * ratesum
-            + lam * ((masks & qbit) == 0)
-            + lam * popcount[extra]
-        )
-        target = _argmin_with_rank(costs, rank, feasible)
-        holder_seq[i - 1] = target
+        holder_seq[i - 1] = int(came[i, holder_seq[i]])
 
     copies: list[CopyInterval] = []
     transfers: list[Transfer] = []
@@ -245,7 +206,7 @@ def opt_full(instance: Instance, budget: int = DEFAULT_BUDGET, reconstruct: bool
 
 
 def opt_restricted(instance: Instance, budget: int = DEFAULT_BUDGET, reconstruct: bool = True) -> DPSolution:
-    """Optimum over the pruned transition set meant for trace-scale runs.
+    """Optimum over the pruned transition set: the same DP with a creation mask.
 
     Copies are created only at the requesting server, at server 1, or at
     servers strictly cheaper than the priciest current holder. Agreement

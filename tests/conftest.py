@@ -5,7 +5,14 @@ from __future__ import annotations
 import math
 from itertools import product
 
+from hypothesis import settings
+
 import repsim as R
+
+# Property tests draw the same examples on every run, without a stored
+# example database and without per-example deadlines on a slow machine.
+settings.register_profile("repsim", derandomize=True, database=None, deadline=None, max_examples=150)
+settings.load_profile("repsim")
 
 
 def fig3_instance() -> R.Instance:
@@ -33,6 +40,11 @@ BAD_DOCUMENTS = {
         '{"lambda": 1, "initial_server": 1, "rates": [1, 2], "requests": [\n'
         '  {"t": 1.0, "s": 2},\n  {"t": NaN, "s": 2},\n  {"t": 0.5, "s": 1}\n]}',
         "line 3: requests[1]: time nan",
+    ),
+    "non-object-request": (
+        '{"lambda": 1, "initial_server": 1, "rates": [1, 2], "requests": [\n'
+        '  {"t": 1.0, "s": 2},\n  5,\n  {"t": 2.0, "s": 1}\n]}',
+        "line 3: requests[1]: must be an object",
     ),
     "fractional-server": (
         '{"lambda": 1, "initial_server": 1, "rates": [1, 2], "requests": [{"t": 1.0, "s": 1.9}]}',

@@ -166,6 +166,47 @@ def test_sweep_command_csv(capsys):
     assert len(lines) == 1 + 2 * 3
 
 
+@pytest.mark.parametrize(
+    "bounds, want",
+    [
+        (("2.5", "4.5", "1"), ["2.5", "3.5", "4.5"]),  # fractional bounds are not truncated
+        (("2.7", "4", "1"), ["2.7", "3.7"]),
+        (("2", "3", "0.5"), ["2", "2.5", "3"]),  # a fractional step
+        (("0.1", "0.3", "0.1"), ["0.1", "0.2", "0.3"]),  # a rounded upper end stays on the grid
+    ],
+)
+def test_sweep_lambda_grid(capsys, bounds, want):
+    lo, hi, step = bounds
+    code, out, _ = _run(
+        [
+            "sweep", "--rates", "1,2", "--lambda-min", lo, "--lambda-max", hi, "--lambda-step", step,
+            "--poisson-requests", "30", "--poisson-gap", "5", "--policies", "alg1",
+        ],
+        capsys,
+    )
+    assert code == 0
+    assert sorted({line.split(",")[1] for line in out.splitlines()[1:]}, key=float) == want
+
+
+@pytest.mark.parametrize(
+    "bounds, flag",
+    [
+        (("2", "4", "0"), "--lambda-step"),
+        (("2", "4", "-1"), "--lambda-step"),
+        (("2", "4", "nan"), "--lambda-step"),
+        (("5", "4", "1"), "--lambda-min"),
+    ],
+)
+def test_sweep_rejects_bad_lambda_grid(capsys, bounds, flag):
+    lo, hi, step = bounds
+    code, out, err = _run(
+        ["sweep", "--rates", "1,2", "--lambda-min", lo, "--lambda-max", hi, "--lambda-step", step], capsys
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and flag in err
+
+
 def test_identical_argv_byte_identical_output(capsys):
     argv = [
         "sweep", "--rates", "1,2", "--lambda-min", "2", "--lambda-max", "2",

@@ -126,7 +126,8 @@ def test_prefix_costs_nondecreasing():
 
 
 def test_budget_refusal_names_the_bound():
-    inst = R.gen_random(seed=1, n=12, m=400, rate_range=(1.0, 2.0))
+    # (m + 1) * (2n + 2) * 2^n = 47,001 * 26 * 4,096 is just over 5e9
+    inst = R.gen_random(seed=1, n=12, m=47_000, rate_range=(1.0, 2.0))
     with pytest.raises(R.BudgetExceeded) as err:
         R.opt_full(inst, budget=5_000_000_000)
     assert "budget" in str(err.value)
@@ -136,6 +137,15 @@ def test_budget_refusal_names_the_bound():
     with pytest.raises(R.BudgetExceeded) as err13:
         R.opt_full(R.gen_random(seed=1, n=13, m=1))
     assert "12" in str(err13.value)
+
+
+def test_full_oracle_fits_the_default_budget_at_scale():
+    # both modes run the same O(n 2^n) passes per step, so the full oracle is
+    # charged like the restricted one and is not refused for 10 servers
+    inst = R.gen_random(seed=5, n=10, m=5_000, rate_range=(1.0, 4.0), horizon=5_000.0)
+    full = R.opt_full(inst, reconstruct=False)
+    assert full.opt_cost == R.opt_restricted(inst, reconstruct=False).opt_cost
+    assert len(full.prefix_costs) == inst.m + 1
 
 
 def test_reconstruction_is_deterministic():
