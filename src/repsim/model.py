@@ -15,6 +15,7 @@ import json
 import math
 import operator
 import re
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 TOL = 1e-9
@@ -234,6 +235,11 @@ def _holding_spans(schedule: ReplicationSchedule) -> dict[int, list[tuple[float,
     """Each server's maximal contiguous holding spans, kind splits merged.
 
     Every server of the instance has an entry, empty when it never holds.
+    The sorted lookups of the validators rely on this contract, per server:
+    spans are sorted by start; each span starts more than TOL after the
+    previous one ends (``start > prev_end + TOL`` as computed); so ends never
+    decrease, and they strictly increase unless a copy ends before it starts
+    (which ``CopyInterval`` allows within TOL).
     """
     spans: dict[int, list[tuple[float, float]]] = {s.index: [] for s in schedule.instance.servers}
     for c in sorted(schedule.copies, key=lambda c: (c.server, c.start, c.end)):
@@ -245,6 +251,30 @@ def _holding_spans(schedule: ReplicationSchedule) -> dict[int, list[tuple[float,
     return spans
 
 
+def _span_lows(spans: dict[int, list[tuple[float, float]]]) -> dict[int, list[float]]:
+    """``start - TOL`` of every span, per server: the bisect keys of ``_holds_through``."""
+    return {server: [a - TOL for a, _ in lst] for server, lst in spans.items()}
+
+
+def _holds_through(spans: list[tuple[float, float]], lows: list[float], t0: float, t1: float) -> bool:
+    """``any(a - TOL <= t0 and t1 <= b + TOL for a, b in spans)`` for one server's spans.
+
+    Only the last span with ``a - TOL <= t0`` can match: ends never decrease,
+    so an earlier span ends no later.
+    """
+    i = bisect_right(lows, t0)
+    return i > 0 and t1 <= spans[i - 1][1] + TOL
+
+
+def _any_within_tol(times: list[float], t: float) -> bool:
+    """``any(abs(x - t) <= TOL for x in times)`` for ascending ``times``.
+
+    The distance grows away from ``t``, so only its two neighbours can match.
+    """
+    i = bisect_left(times, t)
+    return any(abs(x - t) <= TOL for x in times[max(i - 1, 0) : i + 1])
+
+
 def validate_schedule(schedule: ReplicationSchedule) -> list[Violation]:
     """Check feasibility; returns every violation found (empty means valid).
 
@@ -252,6 +282,7 @@ def validate_schedule(schedule: ReplicationSchedule) -> list[Violation]:
     [0, horizon], every request served by a local copy at its time, and every
     copy creation sourced by a transfer into that server at its start time
     (the initial copy at the initial server being the one exception).
+    Sorted lookups keep it at O((m + copies + transfers) log) time.
     """
     inst = schedule.instance
     out: list[Violation] = []
@@ -271,9 +302,9 @@ def validate_schedule(schedule: ReplicationSchedule) -> list[Violation]:
         out.append(Violation(covered, f"coverage gap ({covered:g}, {horizon:g}): no copy alive"))
 
     spans_by_server = _holding_spans(schedule)
+    lows = _span_lows(spans_by_server)
     for req in inst.all_requests:
-        spans = spans_by_server[req.server]
-        if not any(a - TOL <= req.time <= b + TOL for a, b in spans):
+        if not _holds_through(spans_by_server[req.server], lows[req.server], req.time, req.time):
             out.append(
                 Violation(req.time, f"request {req.index} at t={req.time:g} unserved: server {req.server} holds no copy")
             )
@@ -281,12 +312,13 @@ def validate_schedule(schedule: ReplicationSchedule) -> list[Violation]:
     transfers_in: dict[int, list[float]] = {}
     for tr in schedule.transfers:
         transfers_in.setdefault(tr.dst, []).append(tr.time)
+    for times in transfers_in.values():
+        times.sort()
     for server, spans in spans_by_server.items():
         for start, _end in spans:
             if start <= TOL and server == inst.initial_server:
                 continue
-            times = transfers_in.get(server, [])
-            if not any(abs(t - start) <= TOL for t in times):
+            if not _any_within_tol(transfers_in.get(server, []), start):
                 out.append(
                     Violation(start, f"unsourced copy: server {server} copy starting at t={start:g} has no inbound transfer")
                 )

@@ -43,7 +43,10 @@ from .model import (
     ReplicationSchedule,
     Transfer,
     Violation,
+    _any_within_tol,
     _holding_spans,
+    _holds_through,
+    _span_lows,
 )
 
 DEFAULT_BUDGET = 5_000_000_000
@@ -221,23 +224,24 @@ def validate_offline_structure(schedule: ReplicationSchedule) -> list[Violation]
     (a) every transfer happens at some request time (the synthetic time-0
     request included); (b) when two consecutive requests at one server are
     close enough that storing between them is no costlier than one transfer,
-    the server holds a copy throughout the gap.
+    the server holds a copy throughout the gap. Sorted lookups keep it at
+    O((m + copies + transfers) log) time.
     """
     inst = schedule.instance
     out: list[Violation] = []
     req_times = [0.0] + [r.time for r in inst.requests]
     for tr in schedule.transfers:
-        if not any(abs(tr.time - t) <= TOL for t in req_times):
+        if not _any_within_tol(req_times, tr.time):
             out.append(Violation(tr.time, f"transfer at t={tr.time:g} coincides with no request time"))
 
     spans = _holding_spans(schedule)
+    lows = _span_lows(spans)
 
     prev_at: dict[int, float] = {inst.initial_server: 0.0}
     for req in inst.requests:
         t_prev = prev_at.get(req.server)
         if t_prev is not None and inst.rate(req.server) * (req.time - t_prev) <= inst.transfer_cost + TOL:
-            held = any(a - TOL <= t_prev and req.time <= b + TOL for a, b in spans[req.server])
-            if not held:
+            if not _holds_through(spans[req.server], lows[req.server], t_prev, req.time):
                 out.append(
                     Violation(
                         req.time,

@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import math
-from itertools import product
+from itertools import accumulate, product
 
 from hypothesis import settings
+from hypothesis import strategies as st
 
 import repsim as R
 
@@ -13,6 +14,21 @@ import repsim as R
 # example database and without per-example deadlines on a slow machine.
 settings.register_profile("repsim", derandomize=True, database=None, deadline=None, max_examples=150)
 settings.load_profile("repsim")
+
+
+@st.composite
+def instances(draw, max_n: int = 4, max_m: int = 8) -> R.Instance:
+    """Small random instances; half of them give every server the same rate."""
+    n = draw(st.integers(1, max_n))
+    rate = st.floats(0.25, 8.0)
+    if draw(st.booleans()):
+        rates = [draw(rate)] * n
+    else:
+        rates = sorted(draw(st.lists(rate, min_size=n, max_size=n)))
+    lam = draw(st.floats(0.25, 4.0))
+    times = list(accumulate(draw(st.lists(st.floats(0.01, 3.0), max_size=max_m))))
+    servers = draw(st.lists(st.integers(1, n), min_size=len(times), max_size=len(times)))
+    return R.Instance.build(rates, lam, draw(st.integers(1, n)), list(zip(times, servers)))
 
 
 def fig3_instance() -> R.Instance:

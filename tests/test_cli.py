@@ -72,6 +72,17 @@ def test_verify_single_instance(tmp_path, capsys):
     assert "0 violation(s)" in out
 
 
+def test_verify_trace_prefix_instance(tmp_path, capsys):
+    # the first 3,000 requests of the trace-scale instance: 10 servers, set4, lambda 400
+    times = repsim.gen_poisson_trace(42, 11_683, 50.0)
+    requests = repsim.assign_servers(times, 10, 42)[:3000]
+    out_file = str(tmp_path / "trace.json")
+    repsim.dump_instance(repsim.Instance.build(repsim.RATE_SETS["set4"], 400.0, 1, requests), out_file)
+    code, out, _ = _run(["verify", "--instance", out_file], capsys)
+    assert code == 0
+    assert "verify: 0 violation(s)" in out
+
+
 def test_verify_requires_a_source(capsys):
     code, _, err = _run(["verify"], capsys)
     assert code == 2

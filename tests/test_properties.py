@@ -6,28 +6,12 @@ tie exactly and the reconstruction's tie-breaking is exercised.
 
 from __future__ import annotations
 
-from itertools import accumulate
-
 from hypothesis import given
-from hypothesis import strategies as st
 
 import repsim as R
+from conftest import instances
 
 TOL = 1e-9
-
-
-@st.composite
-def instances(draw, max_n: int = 4, max_m: int = 8) -> R.Instance:
-    n = draw(st.integers(1, max_n))
-    rate = st.floats(0.25, 8.0)
-    if draw(st.booleans()):
-        rates = [draw(rate)] * n
-    else:
-        rates = sorted(draw(st.lists(rate, min_size=n, max_size=n)))
-    lam = draw(st.floats(0.25, 4.0))
-    times = list(accumulate(draw(st.lists(st.floats(0.01, 3.0), max_size=max_m))))
-    servers = draw(st.lists(st.integers(1, n), min_size=len(times), max_size=len(times)))
-    return R.Instance.build(rates, lam, draw(st.integers(1, n)), list(zip(times, servers)))
 
 
 @given(instances())
