@@ -26,7 +26,9 @@ GOLDEN = {
     "allocate": "b768d1dbc026ddd30ec7fccbc817408e379d415e2b391e8936380f24937eed90",
     "adversary": "66020ad66b2d507d2c9497d97c178705b0de23494230b81d6a217b4cd7bf3b3a",
     "sweep": "6f0eb1aa2cea573ab0ce8b70cd1251d775b260a46c18b0848600c1a2f64c5403",
+    "sweep.default_grid": "edd76c310bb1ecddfbcffc0b38c9890c52f567fa4f5cc819c8638b8614ba40df",
 }
+DEFAULT_GRID_PREFIX = ["sweep", "--prefix", "300"]  # every rate set x the default lambda grid
 
 
 def _named_instances() -> dict[str, R.Instance]:
@@ -129,3 +131,20 @@ def test_golden_sweep_csv():
     )
     assert len(out.splitlines()) == 1 + 3 * 3
     assert _sha([out]) == GOLDEN["sweep"]
+
+
+@pytest.fixture(scope="module")
+def default_grid_csv() -> str:
+    return _ok(DEFAULT_GRID_PREFIX)
+
+
+def test_golden_default_grid_sweep(default_grid_csv):
+    assert len(default_grid_csv.splitlines()) == 1 + 4 * 47 * 3
+    assert _sha([default_grid_csv]) == GOLDEN["sweep.default_grid"]
+
+
+def test_sweep_workers_give_the_same_bytes(default_grid_csv):
+    assert _ok(DEFAULT_GRID_PREFIX + ["--workers", "2"]) == default_grid_csv
+    header, *rows = default_grid_csv.splitlines(keepends=True)
+    set4 = header + "".join(r for r in rows if r.startswith("set4,"))
+    assert _ok(DEFAULT_GRID_PREFIX + ["--rates", "set4", "--workers", "2"]) == set4
