@@ -46,7 +46,7 @@ from .model import (
     max_min_rate_ratio,
     validate_schedule,
 )
-from .offline import BudgetExceeded, DPSolution, opt_full, opt_restricted, validate_offline_structure
+from .offline import BudgetExceeded, DPSolution, opt_costs, opt_full, opt_restricted, validate_offline_structure
 from .policies import (
     POLICIES,
     AnnotatedRun,

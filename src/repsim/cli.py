@@ -22,7 +22,7 @@ from .generators import (
     run_adversary,
 )
 from .model import InstanceFormatError, dump_instance, dumps_instance, load_instance
-from .offline import BudgetExceeded, DEFAULT_BUDGET, opt_full, opt_restricted
+from .offline import ORACLES, BudgetExceeded, DEFAULT_BUDGET, opt_full, opt_restricted
 from .policies import POLICIES, PolicyFault, simulate
 from .verify import verify_instance, verify_random_batch
 
@@ -184,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("opt", help="compute the exact offline optimum")
-    p.add_argument("--oracle", default="full", choices=("full", "restricted"))
+    p.add_argument("--oracle", default="full", choices=ORACLES)
     p.add_argument("--instance", required=True)
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.add_argument("--events", action="store_true", help="print the optimal schedule")
@@ -238,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--poisson-gap", type=float, default=50.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--policies", default="alg1,wang,simple")
-    p.add_argument("--oracle", default="restricted", choices=("full", "restricted"))
+    p.add_argument("--oracle", default="restricted", choices=ORACLES)
     p.add_argument("--prefix", type=int)
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.add_argument("--workers", type=int, default=1)

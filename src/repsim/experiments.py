@@ -4,6 +4,7 @@ The sweep mirrors the evaluation setup: 10 servers under one of four storage
 rate sets, requests from a real or synthetic trace assigned uniformly at
 random across servers, transfer costs swept over a grid, and every policy's
 cost normalized by the offline optimum (restricted oracle at trace scale).
+All transfer costs of one rate set share one oracle pass.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import Instance
-from .offline import BudgetExceeded, DEFAULT_BUDGET, opt_restricted, opt_full
+from .offline import ORACLES, BudgetExceeded, DEFAULT_BUDGET, opt_costs
 from .policies import simulate
 
 RATE_SETS: dict[str, tuple[float, ...]] = {
@@ -153,7 +154,7 @@ class ExperimentSpec:
                 raise ValueError(f"rate set {name!r} has {len(rates)} rates for {self.n_servers} servers")
             for lam in self.lambda_values:
                 Instance.build(rates, lam, 1)  # rejects bad rates or lambdas before any cell runs
-        if self.oracle not in ("full", "restricted"):
+        if self.oracle not in ORACLES:
             raise ValueError(f"oracle must be 'full' or 'restricted', got {self.oracle!r}")
 
 
@@ -169,41 +170,53 @@ class SweepRow:
     seed: int
 
 
-def _run_cell(args) -> list[SweepRow]:
-    set_name, rates, lam, policies, assigned, seed, oracle, budget = args
-    inst = Instance.build(rates, lam, 1, assigned)
-    solver = opt_full if oracle == "full" else opt_restricted
+def _run_group(args) -> list[SweepRow]:
+    """One rate set over a run of transfer costs: one oracle pass, then every policy per cost."""
+    set_name, rates, lams, policies, assigned, seed, oracle, budget = args
+    first = Instance.build(rates, lams[0], 1, assigned)
     try:
-        opt = solver(inst, budget=budget, reconstruct=False).opt_cost
+        optima = opt_costs(first, lams, oracle, budget)
     except BudgetExceeded:
-        opt = None
+        optima = (None,) * len(lams)
     rows = []
-    for pol in policies:
-        _, cost = simulate(pol, inst)
-        ratio = cost.total / opt if opt else None
-        rows.append(SweepRow(set_name, lam, pol, cost.total, opt, ratio, inst.m, seed))
+    for k, (lam, opt) in enumerate(zip(lams, optima)):
+        inst = first if k == 0 else Instance.build(rates, lam, 1, assigned)
+        for pol in policies:
+            _, cost = simulate(pol, inst)
+            ratio = cost.total / opt if opt else None
+            rows.append(SweepRow(set_name, lam, pol, cost.total, opt, ratio, inst.m, seed))
     return rows
+
+
+def _split(values: tuple[float, ...], parts: int) -> list[tuple[float, ...]]:
+    """``values`` cut into at most ``parts`` contiguous, non-empty runs of near-equal length."""
+    parts = min(max(parts, 1), len(values))
+    return [values[k * len(values) // parts : (k + 1) * len(values) // parts] for k in range(parts)]
 
 
 def run_sweep(spec: ExperimentSpec, workers: int = 1) -> list[SweepRow]:
     """Simulate every (rate set, transfer cost, policy) cell and normalize by
     the oracle; cells whose oracle run exceeds the budget report raw costs only.
+
+    Cells are grouped by rate set, and each group runs one oracle pass over
+    all of its transfer costs. With several workers each rate set's transfer
+    costs are cut into ``workers`` contiguous runs, one process task each.
     """
     times = list(spec.times[: spec.prefix] if spec.prefix else spec.times)
     assigned = assign_servers(times, spec.n_servers, spec.seed)
-    cells = [
-        (name, spec.rate_sets[name], lam, spec.policies, assigned, spec.seed, spec.oracle, spec.budget)
+    groups = [
+        (name, spec.rate_sets[name], lams, spec.policies, assigned, spec.seed, spec.oracle, spec.budget)
         for name in sorted(spec.rate_sets)
-        for lam in spec.lambda_values
+        for lams in _split(spec.lambda_values, workers)
     ]
     rows: list[SweepRow] = []
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for batch in pool.map(_run_cell, cells):
+            for batch in pool.map(_run_group, groups):
                 rows.extend(batch)
     else:
-        for cell in cells:
-            rows.extend(_run_cell(cell))
+        for group in groups:
+            rows.extend(_run_group(group))
     rows.sort(key=lambda r: (r.rate_set, r.lam, r.policy))
     return rows
 

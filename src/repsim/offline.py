@@ -8,7 +8,10 @@ holder subset. A step charges gap storage for the held set, a transfer when
 the requesting server holds no copy, and a transfer per extra copy created.
 Each change of holders is a bit pass that relaxes the subsets on one side of
 a server's bit from their partners on the other: (2n + 2) * 2^n evaluations
-per step in either mode.
+per step in either mode. Transfer costs change no event, so the table has one
+column per transfer cost, and a sweep gets all of a rate set's optima from
+one pass (``opt_costs``); ``opt_full`` and ``opt_restricted`` are the
+one-column case.
 
 The restricted oracle is the full one with a creation mask: copies are
 created only at the requester, the cheapest server, and servers strictly
@@ -29,6 +32,7 @@ on exact ties the schedule is the first strictly cheaper path in pass order.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +54,7 @@ from .model import (
 )
 
 DEFAULT_BUDGET = 5_000_000_000
+ORACLES = ("full", "restricted")
 
 
 class BudgetExceeded(RuntimeError):
@@ -80,79 +85,132 @@ def _check_budget(instance: Instance, budget: int) -> None:
         )
 
 
-def _subset_tables(instance: Instance, restricted: bool) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Each holder subset's rate sum, and per bit the cost of creating that copy.
+def _subset_tables(instance: Instance) -> tuple[np.ndarray, np.ndarray]:
+    """Each holder subset's rate sum and priciest held rate.
 
-    Subset ``mask`` holds server ``b + 1`` when bit ``b`` is set. ``create[b]``
-    is laid out like the subsets lacking bit ``b`` in ``_relax``: one transfer
-    where a copy at server ``b + 1`` may be created from that subset, ``inf``
-    where the restricted rule forbids it.
+    Subset ``mask`` holds server ``b + 1`` when bit ``b`` is set.
     """
-    rates = [s.rate for s in instance.servers]
     ratesum = np.zeros(1 << instance.n)
     maxrate = np.zeros(1 << instance.n)
-    for b, rate in enumerate(rates):
+    for b, server in enumerate(instance.servers):
         half = 1 << b
-        ratesum[half : 2 * half] = ratesum[:half] + rate
-        maxrate[half : 2 * half] = np.maximum(maxrate[:half], rate)
-    create = []
-    for b, rate in enumerate(rates):
-        priciest = maxrate.reshape(-1, 2, 1 << b)[:, 0]
-        allowed = (priciest > rate) | (b == 0 or not restricted)
-        create.append(np.where(allowed, instance.transfer_cost, math.inf))
-    return ratesum, create
+        ratesum[half : 2 * half] = ratesum[:half] + server.rate
+        maxrate[half : 2 * half] = np.maximum(maxrate[:half], server.rate)
+    return ratesum, maxrate
 
 
-def _relax(dp: np.ndarray, came: np.ndarray | None, b: int, into: int, cost: np.ndarray | None = None) -> None:
-    """Relax the subsets with bit ``b`` equal to ``into`` from their partners across it.
+_SHORT_RUN = 8  # views made of runs this short or shorter put the axis across runs last
 
-    With ``came`` given, an entry and its origin move only where the candidate
-    is strictly cheaper; without it this is a plain in-place minimum.
+
+def _halves(table: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per bit ``b``, views of the rows of ``table`` whose subset lacks and has bit ``b``.
+
+    The two views of a bit pair each subset with the one that differs from it
+    in that bit only, and tables of one shape get views of one shape. A view
+    is made of runs of ``(1 << b) * columns`` contiguous entries. When runs
+    are short, numpy's per-run cost dominates, so those views put the axis
+    across runs last; ufuncs over them must then run in C order.
     """
-    side = dp.reshape(-1, 2, 1 << b)
-    dst, src = side[:, into], side[:, 1 - into]
-    cand = src if cost is None else src + cost
-    if came is None:
-        np.minimum(dst, cand, out=dst)
-        return
-    better = cand < dst
-    np.copyto(dst, cand, where=better)
-    origin = came.reshape(-1, 2, 1 << b)
-    np.copyto(origin[:, into], origin[:, 1 - into], where=better)
+    size, cols = table.shape
+    out = []
+    for b in range(size.bit_length() - 1):
+        side = table.reshape(size >> (b + 1), 2, 1 << b, cols)
+        lo, hi = side[:, 0], side[:, 1]
+        if (1 << b) * cols <= _SHORT_RUN:
+            lo, hi = lo.transpose(1, 2, 0), hi.transpose(1, 2, 0)
+        out.append((lo, hi))
+    return out
 
 
-def _solve(instance: Instance, restricted: bool, budget: int, reconstruct: bool) -> DPSolution:
+def _solve(
+    instance: Instance,
+    transfer_costs: Sequence[float],
+    restricted: bool,
+    budget: int,
+    prefix: bool,
+    reconstruct: bool,
+) -> tuple[np.ndarray, ReplicationSchedule | None]:
+    """Run the DP with one table column per transfer cost.
+
+    Returns the optima, one column per transfer cost: one row per step with
+    ``prefix``, else the final row only. With ``reconstruct`` (one transfer
+    cost only) it also returns an optimal schedule. Every view, temporary and
+    creation-cost array is built before the step loop, which then only calls
+    ufuncs on them in place.
+    """
     _check_budget(instance, budget)
     n = instance.n
     size = 1 << n
-    ratesum, create = _subset_tables(instance, restricted)
+    cols = len(transfer_costs)
     events = [(0.0, instance.initial_server)] + [(r.time, r.server) for r in instance.requests]
 
-    dp = np.full(size, math.inf)
-    dp[_bit(instance.initial_server)] = 0.0
-    # came[i][s]: the subset held before step i that subset s after it was reached from
-    came = np.tile(np.arange(size, dtype=np.int16), (len(events), 1)) if reconstruct else None
+    def table(column) -> np.ndarray:
+        return np.repeat(np.asarray(column, dtype=float)[:, None], cols, axis=1)
 
-    prefix: list[float] = []
+    ratesum, maxrate = _subset_tables(instance)
+    ratesum = table(ratesum)  # a full table keeps the storage pass contiguous
+    transfer = _halves(np.tile(np.asarray(transfer_costs, dtype=float), (size, 1)))
+    priciest = [lo for lo, _ in _halves(table(maxrate))]
+    create = []
+    for b, server in enumerate(instance.servers):
+        # a copy at server b + 1 costs one transfer where the restricted rule allows it
+        allowed = (priciest[b] > server.rate) | (b == 0 or not restricted)
+        create.append(np.where(allowed, transfer[b][0], math.inf))
+    dp = np.full((size, cols), math.inf)
+    dp[_bit(instance.initial_server)] = 0.0
+    halves = _halves(dp)
+    scratch = [np.empty_like(lo) for lo, _ in halves]
+    storage = np.empty_like(dp)
+    optima = np.empty((len(events) if prefix else 1, cols))
+    if reconstruct:
+        # came[i][s]: the subset held before step i that subset s after it was reached from
+        came = np.empty((len(events), size), dtype=np.int16)
+        origin = np.empty((size, 1), dtype=np.int16)
+        identity = np.arange(size, dtype=np.int16)[:, None]
+        origin_halves = _halves(origin)
+        better = [np.empty(lo.shape, dtype=bool) for lo, _ in halves]
+
+    def relax(b: int, into: int, cost: np.ndarray | None = None) -> None:
+        """Relax the subsets with bit ``b`` equal to ``into`` from their partners across it.
+
+        While reconstructing, an entry and its origin move only where the
+        candidate is strictly cheaper; otherwise this is a plain minimum.
+        """
+        dst, src = halves[b][into], halves[b][1 - into]
+        if cost is not None:
+            src = np.add(src, cost, out=scratch[b], order="C")
+        if not reconstruct:
+            np.minimum(dst, src, out=dst, order="C")
+            return
+        moved = np.less(src, dst, out=better[b], order="C")
+        np.copyto(dst, src, where=moved)
+        np.copyto(origin_halves[b][into], origin_halves[b][1 - into], where=moved)
+
     prev_t = 0.0
     for i, (time, server) in enumerate(events):
-        dp += (time - prev_t) * ratesum
+        dp += np.multiply(ratesum, time - prev_t, out=storage)
         prev_t = time
-        back = came[i] if reconstruct else None
+        if reconstruct:
+            np.copyto(origin, identity)
         q = server - 1
-        dp.reshape(-1, 2, 1 << q)[:, 0] += instance.transfer_cost  # serve by inward transfer
-        _relax(dp, back, q, 1)  # keeping the served copy is free
+        np.add(halves[q][0], transfer[q][0], out=halves[q][0], order="C")  # serve by inward transfer
+        relax(q, 1)  # keeping the served copy is free
         for b in range(n):
             # sequential passes cover multi-copy creations; a restricted creation never
             # raises the priciest held rate, so every pass tests the same priciest holder
-            _relax(dp, back, b, 1, create[b])
+            relax(b, 1, create[b])
         for b in range(n):
-            _relax(dp, back, b, 0)  # drops are free
+            relax(b, 0)  # drops are free
         dp[0] = math.inf
-        prefix.append(float(dp.min()))
+        if prefix:
+            np.min(dp, axis=0, out=optima[i])
+        if reconstruct:
+            came[i] = origin[:, 0]
+    if not prefix:
+        np.min(dp, axis=0, out=optima[0])
 
-    schedule = _reconstruct(instance, events, came, int(np.argmin(dp))) if reconstruct else None
-    return DPSolution(prefix[-1], schedule, tuple(prefix))
+    schedule = _reconstruct(instance, events, came, int(np.argmin(dp[:, 0]))) if reconstruct else None
+    return optima, schedule
 
 
 def _reconstruct(
@@ -203,9 +261,15 @@ def _reconstruct(
     )
 
 
+def _single(instance: Instance, restricted: bool, budget: int, reconstruct: bool) -> DPSolution:
+    prefix, schedule = _solve(instance, (instance.transfer_cost,), restricted, budget, True, reconstruct)
+    costs = tuple(prefix[:, 0].tolist())
+    return DPSolution(costs[-1], schedule, costs)
+
+
 def opt_full(instance: Instance, budget: int = DEFAULT_BUDGET, reconstruct: bool = True) -> DPSolution:
     """Exact optimum with copies creatable at any server on request instants."""
-    return _solve(instance, restricted=False, budget=budget, reconstruct=reconstruct)
+    return _single(instance, restricted=False, budget=budget, reconstruct=reconstruct)
 
 
 def opt_restricted(instance: Instance, budget: int = DEFAULT_BUDGET, reconstruct: bool = True) -> DPSolution:
@@ -215,7 +279,25 @@ def opt_restricted(instance: Instance, budget: int = DEFAULT_BUDGET, reconstruct
     servers strictly cheaper than the priciest current holder. Agreement
     with ``opt_full`` is part of the acceptance suite.
     """
-    return _solve(instance, restricted=True, budget=budget, reconstruct=reconstruct)
+    return _single(instance, restricted=True, budget=budget, reconstruct=reconstruct)
+
+
+def opt_costs(
+    instance: Instance, transfer_costs: Sequence[float], oracle: str = "restricted", budget: int = DEFAULT_BUDGET
+) -> tuple[float, ...]:
+    """The optimum of ``instance`` under each transfer cost, from one DP pass.
+
+    The instance's own transfer cost is ignored. Each result equals
+    ``opt_full`` or ``opt_restricted`` (by ``oracle``) of the instance with
+    that transfer cost. The work budget is the single-cost estimate: every
+    cost shares the event list, so the pass is refused for all or for none.
+    """
+    if oracle not in ORACLES:
+        raise ValueError(f"oracle must be one of {ORACLES}, got {oracle!r}")
+    for cost in transfer_costs:
+        Instance(instance.servers, float(cost), instance.initial_server, ())  # rejects a bad transfer cost
+    optima, _ = _solve(instance, transfer_costs, oracle == "restricted", budget, False, False)
+    return tuple(optima[0].tolist())
 
 
 def validate_offline_structure(schedule: ReplicationSchedule) -> list[Violation]:

@@ -193,15 +193,30 @@ class FixedRenewalPolicy(Policy):
     def reset(self, instance: Instance) -> None:
         super().reset(instance)
         self._renewed: set[int] = set()
+        self._idle_end = math.inf  # the first renewed window end of an idle sole copy at server 1
 
     def on_request(self, time: float, server: int) -> list:
         acts: list = []
         if server not in self._expiry:
             src = min(self._expiry)
             acts.append(TransferAction(src, server, PURPOSE_SERVE))
+            if self._expiry.get(1) == math.inf:
+                self._expiry[1] = self._idle_expiry(time)
         self._expiry[server] = time + self._window(server)
         self._renewed.discard(server)
         return acts
+
+    def _idle_expiry(self, time: float) -> float:
+        """The window end an idle sole copy at server 1 has reached at ``time``.
+
+        The copy renews one window per alarm, and alarms fire strictly before
+        a request, so this is the first end at or after ``time``. The same
+        chain of additions as one alarm per window keeps every end bit for bit.
+        """
+        end, window = self._idle_end, self._window(1)
+        while end < time:
+            end += window
+        return end
 
     def on_alarm(self, time: float) -> list:
         acts: list = []
@@ -213,7 +228,10 @@ class FixedRenewalPolicy(Policy):
                 self._renewed.discard(server)
                 acts.append(DropAction(server))
             elif server == 1:
-                self._expiry[server] = time + self._window(1)
+                # a sole copy at the cheapest server renews forever without acting, so
+                # it waits for the next request instead of firing one alarm per window
+                self._idle_end = time + self._window(1)
+                self._expiry[server] = math.inf
             elif server not in self._renewed:
                 self._renewed.add(server)
                 self._expiry[server] = time + self._window(server)
@@ -225,9 +243,6 @@ class FixedRenewalPolicy(Policy):
                 self._expiry[1] = time + self._window(1)
         return acts
 
-    def settled(self) -> bool:
-        """Also settled with the sole copy at the cheapest server, which renews forever."""
-        return super().settled() or list(self._expiry) == [1]
 
 
 class AnchorPolicy(Policy):

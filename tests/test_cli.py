@@ -72,15 +72,25 @@ def test_verify_single_instance(tmp_path, capsys):
     assert "0 violation(s)" in out
 
 
-def test_verify_trace_prefix_instance(tmp_path, capsys):
-    # the first 3,000 requests of the trace-scale instance: 10 servers, set4, lambda 400
+def _verify_trace_prefix(tmp_path, capsys, prefix: int) -> None:
+    # a prefix of the trace-scale instance: 10 servers, set4, lambda 400
     times = repsim.gen_poisson_trace(42, 11_683, 50.0)
-    requests = repsim.assign_servers(times, 10, 42)[:3000]
+    requests = repsim.assign_servers(times, 10, 42)[:prefix]
     out_file = str(tmp_path / "trace.json")
     repsim.dump_instance(repsim.Instance.build(repsim.RATE_SETS["set4"], 400.0, 1, requests), out_file)
     code, out, _ = _run(["verify", "--instance", out_file], capsys)
     assert code == 0
     assert "verify: 0 violation(s)" in out
+
+
+def test_verify_trace_prefix_instance(tmp_path, capsys):
+    _verify_trace_prefix(tmp_path, capsys, 3000)
+
+
+def test_verify_compares_trace_scale_costs_relatively(tmp_path, capsys):
+    # from 3,132 requests on, the optimum and its schedule's cost, summed in
+    # another order, differ by more than an absolute 1e-9
+    _verify_trace_prefix(tmp_path, capsys, 3132)
 
 
 def test_verify_requires_a_source(capsys):

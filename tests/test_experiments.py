@@ -134,15 +134,18 @@ def test_sweep_prefix_caps_requests():
 
 
 def test_sweep_reports_na_on_budget_exhaustion():
+    # every cell of a refused group reports NA, and the sweep goes on
     times = R.gen_poisson_trace(seed=5, total_requests=60, mean_gap=10.0)
     spec = R.ExperimentSpec(
         times=tuple(times),
-        rate_sets={"custom": (1.0, 2.0)},
-        lambda_values=(3.0,),
+        rate_sets={"custom": (1.0, 2.0), "flat": (1.0, 1.0)},
+        lambda_values=(3.0, 4.0, 9.0),
         n_servers=2,
         budget=10,
     )
     rows = R.run_sweep(spec)
+    assert R.run_sweep(spec, workers=2) == rows
+    assert len(rows) == 2 * 3 * 3
     assert all(r.opt_cost is None and r.ratio is None for r in rows)
     assert all(r.online_cost > 0 for r in rows)
     assert ",NA,NA," in R.sweep_csv(rows).splitlines()[1]
@@ -157,7 +160,9 @@ def test_sweep_worker_pool_matches_serial():
         n_servers=3,
         seed=2,
     )
-    assert R.run_sweep(spec, workers=2) == R.run_sweep(spec, workers=1)
+    serial = R.run_sweep(spec, workers=1)
+    for workers in (2, 3):  # three workers get more chunks than there are transfer costs
+        assert R.run_sweep(spec, workers=workers) == serial
 
 
 def test_spec_validation():

@@ -148,6 +148,19 @@ def test_full_oracle_fits_the_default_budget_at_scale():
     assert len(full.prefix_costs) == inst.m + 1
 
 
+def test_opt_costs_checks_its_arguments():
+    inst = R.gen_random(seed=3, n=3, m=6)
+    assert R.opt_costs(inst, []) == ()
+    assert R.opt_costs(inst, [inst.transfer_cost], "full") == (R.opt_full(inst).opt_cost,)
+    with pytest.raises(ValueError, match="oracle"):
+        R.opt_costs(inst, [1.0], "Full")
+    for bad in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(R.InstanceFormatError, match="transfer cost"):
+            R.opt_costs(inst, [1.0, bad])
+    with pytest.raises(R.BudgetExceeded):
+        R.opt_costs(inst, [1.0, 2.0], budget=10)
+
+
 def test_reconstruction_is_deterministic():
     inst = R.gen_random(seed=8, n=3, m=10, rate_range=(1.0, 1.0))  # equal rates force ties
     a = R.opt_full(inst)

@@ -145,6 +145,25 @@ def test_rival_winddown_relocates_after_one_renewal():
     assert len(tail) == 1 and math.isinf(tail[0].end)
 
 
+def test_rival_idle_copy_at_cheapest_server_waits_for_the_next_request():
+    # the sole copy at server 1 renews about 6e5 times before the first request;
+    # those renewals must not cost one alarm each, and the copy's window end
+    # must still be the 600,001st renewal, where it is dropped
+    class CountingAlarms(R.FixedRenewalPolicy):
+        alarms = 0
+
+        def on_alarm(self, time):
+            self.alarms += 1
+            return super().on_alarm(time)
+
+    policy = CountingAlarms()
+    inst = R.Instance.build([1.0, 2.0], 1.0, 1, [(6e5 + 1, 2), (6e5 + 2, 1)])
+    run, cost = R.simulate(policy, inst)
+    assert policy.alarms < 10
+    assert cost.total == 600_005.0
+    first = [c for c in run.schedule.copies if c.server == 1][0]
+    assert (first.start, first.end) == (0.0, 600_001.0)
+
 # -- anchor policy ----------------------------------------------------------
 
 

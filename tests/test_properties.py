@@ -7,6 +7,7 @@ tie exactly and the reconstruction's tie-breaking is exercised.
 from __future__ import annotations
 
 from hypothesis import given
+from hypothesis import strategies as st
 
 import repsim as R
 from conftest import instances
@@ -38,7 +39,28 @@ def test_doubling_prices_doubles_the_optimum_exactly(inst):
         assert scaled.prefix_costs == tuple(2 * c for c in base.prefix_costs)
 
 
-@given(instances())
+def _with_transfer_cost(inst: R.Instance, lam: float) -> R.Instance:
+    return R.Instance.build(
+        [s.rate for s in inst.servers], lam, inst.initial_server, [(r.time, r.server) for r in inst.requests]
+    )
+
+
+@st.composite
+def transfer_cost_lists(draw) -> list[float]:
+    """1 to 6 transfer costs with repeats; small ones make extra copies pay off,
+    so the restricted oracle's creation mask decides between schedules."""
+    pool = draw(st.lists(st.floats(0.01, 20.0), min_size=1, max_size=4))
+    return draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6))
+
+
+@given(instances(max_n=5), transfer_cost_lists())
+def test_batched_optima_equal_single_cost_optima(inst, lams):
+    for oracle, solver in (("full", R.opt_full), ("restricted", R.opt_restricted)):
+        expected = tuple(solver(_with_transfer_cost(inst, lam), reconstruct=False).opt_cost for lam in lams)
+        assert R.opt_costs(inst, lams, oracle) == expected
+
+
+@given(instances(max_n=5))
 def test_reconstructed_schedules_are_valid_and_optimal(inst):
     for solver in (R.opt_full, R.opt_restricted):
         sol = solver(inst)
