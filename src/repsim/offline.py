@@ -99,7 +99,7 @@ def _subset_tables(instance: Instance) -> tuple[np.ndarray, np.ndarray]:
     return ratesum, maxrate
 
 
-_SHORT_RUN = 8  # views made of runs this short or shorter put the axis across runs last
+_SHORT_RUN = 4  # views made of runs this short or shorter put the axis across runs last
 
 
 def _halves(table: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:

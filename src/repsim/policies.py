@@ -119,8 +119,8 @@ class Policy:
     def settled(self) -> bool:
         """True once further alarms would change nothing: none is pending.
 
-        A policy whose alarms renew some copy forever must override this, or
-        the wind-down after the final request never ends.
+        A copy that would renew forever must hold an infinite expiry, or the
+        wind-down after the final request never ends.
         """
         return self.next_alarm() is None
 
@@ -242,7 +242,6 @@ class FixedRenewalPolicy(Policy):
                 acts.append(DropAction(server))
                 self._expiry[1] = time + self._window(1)
         return acts
-
 
 
 class AnchorPolicy(Policy):
