@@ -164,6 +164,7 @@ def test_rival_idle_copy_at_cheapest_server_waits_for_the_next_request():
     first = [c for c in run.schedule.copies if c.server == 1][0]
     assert (first.start, first.end) == (0.0, 600_001.0)
 
+
 # -- anchor policy ----------------------------------------------------------
 
 

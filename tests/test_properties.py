@@ -6,6 +6,8 @@ tie exactly and the reconstruction's tie-breaking is exercised.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -39,12 +41,6 @@ def test_doubling_prices_doubles_the_optimum_exactly(inst):
         assert scaled.prefix_costs == tuple(2 * c for c in base.prefix_costs)
 
 
-def _with_transfer_cost(inst: R.Instance, lam: float) -> R.Instance:
-    return R.Instance.build(
-        [s.rate for s in inst.servers], lam, inst.initial_server, [(r.time, r.server) for r in inst.requests]
-    )
-
-
 @st.composite
 def transfer_cost_lists(draw) -> list[float]:
     """1 to 6 transfer costs with repeats; small ones make extra copies pay off,
@@ -56,7 +52,7 @@ def transfer_cost_lists(draw) -> list[float]:
 @given(instances(max_n=5), transfer_cost_lists())
 def test_batched_optima_equal_single_cost_optima(inst, lams):
     for oracle, solver in (("full", R.opt_full), ("restricted", R.opt_restricted)):
-        expected = tuple(solver(_with_transfer_cost(inst, lam), reconstruct=False).opt_cost for lam in lams)
+        expected = tuple(solver(replace(inst, transfer_cost=lam), reconstruct=False).opt_cost for lam in lams)
         assert R.opt_costs(inst, lams, oracle) == expected
 
 
