@@ -1,7 +1,8 @@
 """Golden outputs: CLI results pinned byte for byte by sha256 digest.
 
 The digests cover the event logs of all three policies, the allocation CSV,
-a small trace sweep and the adaptive adversary. A change that only
+a small trace sweep, the adaptive adversary and the three policies' event
+logs and exact costs on a trace-scale instance. A change that only
 restructures code must leave every digest unchanged; a change that means to
 alter behaviour re-records them and says why.
 """
@@ -27,6 +28,7 @@ GOLDEN = {
     "adversary": "66020ad66b2d507d2c9497d97c178705b0de23494230b81d6a217b4cd7bf3b3a",
     "sweep": "6f0eb1aa2cea573ab0ce8b70cd1251d775b260a46c18b0848600c1a2f64c5403",
     "sweep.default_grid": "edd76c310bb1ecddfbcffc0b38c9890c52f567fa4f5cc819c8638b8614ba40df",
+    "simulate.trace": "cbb114ab4ab750679f7c319fdf877c952c54e5c7e5c4776087c4a88a7ab58ccf",
 }
 DEFAULT_GRID_PREFIX = ["sweep", "--prefix", "300"]  # every rate set x the default lambda grid
 
@@ -120,6 +122,18 @@ def test_golden_adversary():
         "%d %s" % _cli(["adversary", "--policy", name, "--mu", mu]) for name in POLICY_NAMES for mu in ("5", "8", "20")
     ]
     assert _sha(outputs) == GOLDEN["adversary"]
+
+
+def test_golden_trace_scale_runs():
+    # 2,000 requests of the seeded Poisson trace on 10 servers (set4, lambda 400);
+    # repr keeps every bit of each total, which the CLI outputs round to .10g
+    times = R.gen_poisson_trace(42, 11_683, 50.0)[:2000]
+    inst = R.Instance.build(R.RATE_SETS["set4"], 400.0, 1, R.assign_servers(times, 10, 42))
+    outputs = []
+    for name in POLICY_NAMES:
+        run, cost = R.simulate(name, inst)
+        outputs += [run.event_log(), repr(cost.total)]
+    assert _sha(outputs) == GOLDEN["simulate.trace"]
 
 
 def test_golden_sweep_csv():
