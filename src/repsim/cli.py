@@ -26,6 +26,8 @@ from .offline import ORACLES, BudgetExceeded, DEFAULT_BUDGET, opt_full, opt_rest
 from .policies import POLICIES, PolicyFault, simulate
 from .verify import verify_instance, verify_random_batch
 
+BUDGET_HELP = "oracle work bound per transfer cost, in transition evaluations (m+1)(2n+2)2^n (default %(default)s)"
+
 
 def _fmt(x: float) -> str:
     return f"{x:.10g}"
@@ -186,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("opt", help="compute the exact offline optimum")
     p.add_argument("--oracle", default="full", choices=ORACLES)
     p.add_argument("--instance", required=True)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help=BUDGET_HELP)
     p.add_argument("--events", action="store_true", help="print the optimal schedule")
     p.set_defaults(func=_cmd_opt)
 
@@ -199,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--random", action="store_true")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--count", type=int, default=100)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help=BUDGET_HELP)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("gen", help="emit a generated instance file")
@@ -240,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--policies", default="alg1,wang,simple")
     p.add_argument("--oracle", default="restricted", choices=ORACLES)
     p.add_argument("--prefix", type=int)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help=BUDGET_HELP)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_sweep)

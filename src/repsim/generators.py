@@ -184,10 +184,10 @@ def run_adversary(policy: "Policy | str", mu: float, lam: float = 1.0, epsilon: 
     base = Instance.build([1.0, mu], lam, 2, [])
     sim = Simulation(policy, base)
     abandoned_at: float | None = None
-    if 2 not in sim.holders():
-        abandoned_at = 0.0  # dropped during setup
+    if 2 not in sim.expiry:
+        abandoned_at = 0.0  # dropped at the start
     while abandoned_at is None and (alarm := sim.step_alarm(probe)) is not None:
-        if 2 not in sim.holders():
+        if 2 not in sim.expiry:
             abandoned_at = alarm
     if abandoned_at is None:
         sim.inject_request(probe, 1)

@@ -75,13 +75,19 @@ def _bit(server: int) -> int:
 
 
 def _check_budget(instance: Instance, budget: int) -> None:
+    """Refuse a run whose work per transfer cost exceeds ``budget``.
+
+    A pass over K transfer costs does K times this work; the budget bounds
+    the work of each one.
+    """
     n, m = instance.n, instance.m
     if n > 12:
         raise BudgetExceeded(f"oracle supports at most 12 servers, instance has {n}")
     work = (m + 1) * (2 * n + 2) * (1 << n)
     if work > budget:
         raise BudgetExceeded(
-            f"estimated work {work:.4g} transition evaluations exceeds budget {budget:.4g} (n={n}, m={m})"
+            f"estimated work {work:.4g} transition evaluations per transfer cost exceeds budget {budget:.4g}"
+            f" (n={n}, m={m})"
         )
 
 
@@ -289,8 +295,8 @@ def opt_costs(
 
     The instance's own transfer cost is ignored. Each result equals
     ``opt_full`` or ``opt_restricted`` (by ``oracle``) of the instance with
-    that transfer cost. The work budget is the single-cost estimate: every
-    cost shares the event list, so the pass is refused for all or for none.
+    that transfer cost. The budget bounds the work per transfer cost, which
+    is the same for every cost, so the pass is refused for all or for none.
     """
     if oracle not in ORACLES:
         raise ValueError(f"oracle must be one of {ORACLES}, got {oracle!r}")

@@ -1,10 +1,12 @@
 """Online policies and the event-driven simulation driver.
 
-The driver owns the ground truth (which servers hold copies) and the recorded
-schedule. A policy receives request and alarm events in time order and reacts
-with transfer, drop, or kind-change actions. The driver
-validates every action against the current holder set and aborts with a
-policy fault when a policy would break feasibility.
+The driver owns the ground truth: which servers hold copies, when each copy
+expires, and the recorded schedule. Its ``expiry`` map from server to expiry
+time (``inf`` for a copy kept until further notice) is the only holder
+table; its keys are the holders. A policy reads that map and acts on it
+only through four checked driver methods: ``transfer``, ``drop``, ``mark``
+(a kind change in place) and ``hold`` (a new expiry time). The driver aborts
+with a policy fault when an action would break feasibility.
 
 Three policies are provided, selectable by name:
 
@@ -44,85 +46,48 @@ MODE_TRANSFER = "transfer"
 
 
 class PolicyFault(RuntimeError):
-    """A policy emitted an infeasible action or left a request unserved."""
+    """A policy took an infeasible action or left a request unserved."""
 
     def __init__(self, time: float, message: str):
         super().__init__(f"policy fault at t={time:g}: {message}")
         self.time = time
 
 
-@dataclass(frozen=True)
-class TransferAction:
-    src: int
-    dst: int
-    purpose: str = PURPOSE_SERVE
-    kind: str = KIND_REGULAR
-
-
-@dataclass(frozen=True)
-class DropAction:
-    server: int
-
-
-@dataclass(frozen=True)
-class MarkAction:
-    """Switch the kind of a held copy in place (regular to special)."""
-
-    server: int
-    kind: str
-
-
 class Policy:
-    """Base class for online policies.
+    """Base class for online policies: the rules, with no copy state of their own.
 
-    A policy tracks one expiry time per held copy in ``_expiry`` (``inf`` for
-    a copy kept indefinitely) and reacts to requests and to its own alarms,
-    which fire at the earliest finite expiry. After the final request the
-    driver keeps firing alarms until ``settled()``; copies still alive then
-    are recorded as held forever.
+    Each hook receives the running ``Simulation`` and acts through its
+    ``transfer``, ``drop``, ``mark`` and ``hold`` methods. A hook must not keep
+    the simulation beyond the call. A new copy expires at ``inf`` until the
+    policy holds it to a finite time; the driver calls ``expire`` for each copy
+    whose expiry time has come, also after the final request, until every
+    expiry is ``inf``. Copies alive then are recorded as held forever, so a
+    copy that would renew forever must hold an infinite expiry.
     """
 
     name = "abstract"
     uses_copy_exclusions = False
 
-    def reset(self, instance: Instance) -> None:
-        """Start a run: the initial copy holds one window from time 0."""
-        self._inst = instance
-        self._lam = instance.transfer_cost
-        g = instance.initial_server
-        self._expiry: dict[int, float] = {g: self._window(g)}
+    def start(self, sim: "Simulation") -> None:
+        """Begin a run at time 0: the initial copy holds one window."""
+        self._inst = sim.instance
+        g = self._inst.initial_server
+        sim.hold(g, self._window(g))
 
     def _window(self, server: int) -> float:
-        return self._lam / self._inst.rate(server)
+        return self._inst.transfer_cost / self._inst.rate(server)
 
-    def setup_actions(self) -> list:
-        """Actions applied at time 0, right after the initial copy is placed."""
-        return []
-
-    def on_request(self, time: float, server: int) -> list:
-        """Actions serving a request at ``server``; they must leave it holding a copy."""
+    def on_request(self, sim: "Simulation", time: float, server: int) -> None:
+        """Serve a request at ``server``; it must hold a copy afterwards."""
         raise NotImplementedError
 
-    def on_alarm(self, time: float) -> list:
-        """Actions for the copies expiring at ``time``: the policy's expiry rules.
+    def expire(self, sim: "Simulation", time: float, server: int) -> None:
+        """The rule for the copy at ``server`` whose expiry time ``time`` has come.
 
-        They run both between requests and in the wind-down after the final
+        It runs both between requests and in the wind-down after the final
         request, so a subclass states each rule once, in this method.
         """
         raise NotImplementedError
-
-    def next_alarm(self) -> float | None:
-        """Earliest finite expiry, or None when no alarm is pending."""
-        alarm = min(self._expiry.values(), default=math.inf)
-        return alarm if math.isfinite(alarm) else None
-
-    def settled(self) -> bool:
-        """True once further alarms would change nothing: none is pending.
-
-        A copy that would renew forever must hold an infinite expiry, or the
-        wind-down after the final request never ends.
-        """
-        return self.next_alarm() is None
 
 
 class ThresholdPolicy(Policy):
@@ -139,42 +104,29 @@ class ThresholdPolicy(Policy):
     name = "alg1"
     uses_copy_exclusions = True
 
-    def reset(self, instance: Instance) -> None:
-        super().reset(instance)
-        self._last_request: dict[int, float] = {instance.initial_server: 0.0}
+    def start(self, sim: "Simulation") -> None:
+        super().start(sim)
+        self._last_request: dict[int, float] = {self._inst.initial_server: 0.0}
 
-    def on_request(self, time: float, server: int) -> list:
-        acts: list = []
-        if server in self._expiry:
-            self._expiry[server] = time + self._window(server)
-        else:
-            src = min(self._expiry)
-            acts.append(TransferAction(src, server, PURPOSE_SERVE))
+    def on_request(self, sim: "Simulation", time: float, server: int) -> None:
+        if server not in sim.expiry:
+            src = min(sim.expiry)
+            sim.transfer(src, server)
             if time - self._last_request.get(src, -math.inf) >= self._window(src) - TOL:
                 # outward transfer from a special (or just-expired) copy
-                del self._expiry[src]
-                acts.append(DropAction(src))
-            self._expiry[server] = time + self._window(server)
+                sim.drop(src)
+        sim.hold(server, time + self._window(server))
         self._last_request[server] = time
-        return acts
 
-    def on_alarm(self, time: float) -> list:
-        acts: list = []
-        for server in sorted(s for s, e in self._expiry.items() if e == time):
-            if self._expiry.get(server) != time:
-                continue
-            if len(self._expiry) > 1:
-                del self._expiry[server]
-                acts.append(DropAction(server))
-            elif self._inst.rate(server) <= 3.0 * self._inst.rate(1) + TOL:
-                self._expiry[server] = math.inf
-                acts.append(MarkAction(server, KIND_RESIDENT_SPECIAL))
-            else:
-                del self._expiry[server]
-                self._expiry[1] = math.inf
-                acts.append(TransferAction(server, 1, PURPOSE_RELOCATE, kind=KIND_RELOCATED_SPECIAL))
-                acts.append(DropAction(server))
-        return acts
+    def expire(self, sim: "Simulation", time: float, server: int) -> None:
+        if len(sim.expiry) > 1:
+            sim.drop(server)
+        elif self._inst.rate(server) <= 3.0 * self._inst.rate(1) + TOL:
+            sim.mark(server, KIND_RESIDENT_SPECIAL)
+            sim.hold(server, math.inf)
+        else:
+            sim.transfer(server, 1, PURPOSE_RELOCATE, KIND_RELOCATED_SPECIAL)
+            sim.drop(server)
 
 
 class FixedRenewalPolicy(Policy):
@@ -190,58 +142,49 @@ class FixedRenewalPolicy(Policy):
 
     name = "wang"
 
-    def reset(self, instance: Instance) -> None:
-        super().reset(instance)
+    def start(self, sim: "Simulation") -> None:
+        super().start(sim)
         self._renewed: set[int] = set()
         self._idle_end = math.inf  # the first renewed window end of an idle sole copy at server 1
 
-    def on_request(self, time: float, server: int) -> list:
-        acts: list = []
-        if server not in self._expiry:
-            src = min(self._expiry)
-            acts.append(TransferAction(src, server, PURPOSE_SERVE))
-            if self._expiry.get(1) == math.inf:
-                self._expiry[1] = self._idle_expiry(time)
-        self._expiry[server] = time + self._window(server)
+    def on_request(self, sim: "Simulation", time: float, server: int) -> None:
+        if server not in sim.expiry:
+            if sim.expiry.get(1) == math.inf:
+                sim.hold(1, self._idle_expiry(time))
+            sim.transfer(min(sim.expiry), server)
+        sim.hold(server, time + self._window(server))
         self._renewed.discard(server)
-        return acts
 
     def _idle_expiry(self, time: float) -> float:
         """The window end an idle sole copy at server 1 has reached at ``time``.
 
-        The copy renews one window per alarm, and alarms fire strictly before
-        a request, so this is the first end at or after ``time``. The same
-        chain of additions as one alarm per window keeps every end bit for bit.
+        The copy renews one window per expiry, and expiries are handled
+        strictly before a request, so this is the first end at or after
+        ``time``. The same chain of additions as one expiry per window keeps
+        every end bit for bit.
         """
         end, window = self._idle_end, self._window(1)
         while end < time:
             end += window
         return end
 
-    def on_alarm(self, time: float) -> list:
-        acts: list = []
-        for server in sorted(s for s, e in self._expiry.items() if e == time):
-            if self._expiry.get(server) != time:
-                continue
-            if len(self._expiry) > 1:
-                del self._expiry[server]
-                self._renewed.discard(server)
-                acts.append(DropAction(server))
-            elif server == 1:
-                # a sole copy at the cheapest server renews forever without acting, so
-                # it waits for the next request instead of firing one alarm per window
-                self._idle_end = time + self._window(1)
-                self._expiry[server] = math.inf
-            elif server not in self._renewed:
-                self._renewed.add(server)
-                self._expiry[server] = time + self._window(server)
-            else:
-                del self._expiry[server]
-                self._renewed.discard(server)
-                acts.append(TransferAction(server, 1, PURPOSE_RELOCATE))
-                acts.append(DropAction(server))
-                self._expiry[1] = time + self._window(1)
-        return acts
+    def expire(self, sim: "Simulation", time: float, server: int) -> None:
+        if len(sim.expiry) > 1:
+            sim.drop(server)
+            self._renewed.discard(server)
+        elif server == 1:
+            # a sole copy at the cheapest server renews forever without acting, so
+            # it waits for the next request instead of expiring once per window
+            self._idle_end = time + self._window(1)
+            sim.hold(1, math.inf)
+        elif server not in self._renewed:
+            self._renewed.add(server)
+            sim.hold(server, time + self._window(server))
+        else:
+            self._renewed.discard(server)
+            sim.transfer(server, 1, PURPOSE_RELOCATE)
+            sim.drop(server)
+            sim.hold(1, time + self._window(1))
 
 
 class AnchorPolicy(Policy):
@@ -255,31 +198,22 @@ class AnchorPolicy(Policy):
 
     name = "simple"
 
-    def reset(self, instance: Instance) -> None:
-        super().reset(instance)
-        self._expiry = {1: math.inf}
-
-    def setup_actions(self) -> list:
+    def start(self, sim: "Simulation") -> None:
+        self._inst = sim.instance
         g = self._inst.initial_server
-        if g == 1:
-            return []
-        return [TransferAction(g, 1, PURPOSE_CREATE), DropAction(g)]
+        if g != 1:
+            sim.transfer(g, 1, PURPOSE_CREATE)
+            sim.drop(g)
 
-    def on_request(self, time: float, server: int) -> list:
-        acts: list = []
+    def on_request(self, sim: "Simulation", time: float, server: int) -> None:
         if server == 1:
-            return acts
-        if server not in self._expiry:
-            acts.append(TransferAction(1, server, PURPOSE_SERVE))
-        self._expiry[server] = time + self._window(server)
-        return acts
+            return
+        if server not in sim.expiry:
+            sim.transfer(1, server)
+        sim.hold(server, time + self._window(server))
 
-    def on_alarm(self, time: float) -> list:
-        acts: list = []
-        for server in sorted(s for s, e in self._expiry.items() if e == time and s != 1):
-            del self._expiry[server]
-            acts.append(DropAction(server))
-        return acts
+    def expire(self, sim: "Simulation", time: float, server: int) -> None:
+        sim.drop(server)
 
 
 POLICIES = {
@@ -345,27 +279,76 @@ class _LiveCopy:
 
 
 class Simulation:
-    """Stepwise driver; supports full-trace runs and adaptive request injection."""
+    """Stepwise driver; supports full-trace runs and adaptive request injection.
+
+    ``expiry`` maps each holder to its copy's expiry time. Policies read it
+    and change it only through ``transfer``, ``drop``, ``mark`` and ``hold``,
+    which act at the current event's time.
+    """
 
     def __init__(self, policy: Policy, instance: Instance):
         self._policy = policy
-        self._inst = instance
-        self._live: dict[int, _LiveCopy] = {}
+        self.instance = instance
+        g = instance.initial_server
+        self.expiry: dict[int, float] = {g: math.inf}
+        self._live: dict[int, _LiveCopy] = {g: _LiveCopy(g, 0.0, KIND_REGULAR, 0, None)}
         self._segments: list[CopyInterval] = []
         self._transfers: list[Transfer] = []
         self._serves: list[ServeRecord] = []
         self._injected: list[tuple[float, int]] = []
         self._finalized = False
-        g = instance.initial_server
-        self._live[g] = _LiveCopy(g, 0.0, KIND_REGULAR, 0, None)
-        policy.reset(instance)
-        for act in policy.setup_actions():
-            self._apply(0.0, act, request_index=0)
+        self._now = 0.0
+        self._request: int | None = None  # index of the request being served
+        self._record: ServeRecord | None = None  # how that request was served so far
+        policy.start(self)
 
-    # -- state inspection ---------------------------------------------------
+    # -- policy actions -----------------------------------------------------
 
-    def holders(self) -> set[int]:
-        return set(self._live)
+    def transfer(self, src: int, dst: int, purpose: str = PURPOSE_SERVE, kind: str = KIND_REGULAR) -> None:
+        """Copy the object from ``src`` to ``dst``; the new copy expires at ``inf``."""
+        time = self._now
+        copy = self._live.get(src)
+        if copy is None:
+            raise PolicyFault(time, f"transfer from server {src} which holds no copy")
+        if purpose == PURPOSE_SERVE and self._request is None:
+            raise PolicyFault(time, "serve transfer outside a request event")
+        if dst in self._live:
+            raise PolicyFault(time, f"transfer into server {dst} which already holds a copy")
+        if purpose == PURPOSE_SERVE:
+            if self._record is not None:
+                raise PolicyFault(time, f"request {self._request} served twice")
+            self._record = ServeRecord(
+                self._request, time, dst, MODE_TRANSFER, src, copy.kind, copy.origin, copy.switch
+            )
+        self._transfers.append(Transfer(time, src, dst, purpose))
+        if purpose == PURPOSE_RELOCATE:
+            origin = copy.origin
+            switch = time if kind in SPECIAL_KINDS else None
+        else:
+            origin = self._request or 0
+            switch = None
+        self._live[dst] = _LiveCopy(dst, time, kind, origin, switch)
+        self.expiry[dst] = math.inf
+
+    def drop(self, server: int) -> None:
+        if server not in self._live:
+            raise PolicyFault(self._now, f"drop at server {server} which holds no copy")
+        self._close_segment(server, self._now)
+        del self.expiry[server]
+
+    def mark(self, server: int, kind: str) -> None:
+        """Switch the kind of the copy at ``server`` in place (regular to special)."""
+        cur = self._live.get(server)
+        if cur is None:
+            raise PolicyFault(self._now, f"kind change at server {server} which holds no copy")
+        self._close_segment(server, self._now)
+        self._live[server] = _LiveCopy(server, self._now, kind, cur.origin, self._now)
+
+    def hold(self, server: int, until: float) -> None:
+        """Set the expiry time of the copy at ``server``."""
+        if server not in self.expiry:
+            raise PolicyFault(self._now, f"hold at server {server} which holds no copy")
+        self.expiry[server] = until
 
     # -- event processing ---------------------------------------------------
 
@@ -373,58 +356,26 @@ class Simulation:
         c = self._live.pop(server)
         self._segments.append(CopyInterval(c.server, c.start, end, c.kind, c.excluded))
 
-    def _apply(self, time: float, act, request_index: int | None = None) -> ServeRecord | None:
-        if isinstance(act, TransferAction):
-            src = self._live.get(act.src)
-            if src is None:
-                raise PolicyFault(time, f"transfer from server {act.src} which holds no copy")
-            record = None
-            if act.purpose == PURPOSE_SERVE:
-                if request_index is None:
-                    raise PolicyFault(time, "serve transfer outside a request event")
-                record = ServeRecord(
-                    request_index, time, act.dst, MODE_TRANSFER, act.src, src.kind, src.origin, src.switch
-                )
-            if act.dst in self._live:
-                raise PolicyFault(time, f"transfer into server {act.dst} which already holds a copy")
-            self._transfers.append(Transfer(time, act.src, act.dst, act.purpose))
-            if act.purpose == PURPOSE_RELOCATE:
-                origin = src.origin
-                switch = time if act.kind in SPECIAL_KINDS else None
-            else:
-                origin = request_index if request_index is not None else 0
-                switch = None
-            self._live[act.dst] = _LiveCopy(act.dst, time, act.kind, origin, switch)
-            return record
-        if isinstance(act, DropAction):
-            if act.server not in self._live:
-                raise PolicyFault(time, f"drop at server {act.server} which holds no copy")
-            self._close_segment(act.server, time)
-            return None
-        if isinstance(act, MarkAction):
-            cur = self._live.get(act.server)
-            if cur is None:
-                raise PolicyFault(time, f"kind change at server {act.server} which holds no copy")
-            self._close_segment(act.server, time)
-            self._live[act.server] = _LiveCopy(act.server, time, act.kind, cur.origin, time)
-            return None
-        raise PolicyFault(time, f"unknown action {act!r}")
-
     def run_alarms_before(self, limit: float) -> None:
         """Process all alarms strictly earlier than ``limit``."""
         while self.step_alarm(limit) is not None:
             pass
 
     def step_alarm(self, before: float = math.inf) -> float | None:
-        """Process the next alarm batch if it falls strictly before ``before``.
+        """Expire the copies due next if their time falls strictly before ``before``.
 
-        Returns the batch's time, or None when no such alarm is pending.
+        The policy's ``expire`` runs for each due server in server order,
+        skipping one whose expiry an earlier call changed. Returns the
+        alarm's time, or None when no such alarm is pending.
         """
-        alarm = self._policy.next_alarm()
-        if alarm is None or alarm >= before:
+        expiry = self.expiry
+        alarm = min(expiry.values(), default=math.inf)
+        if alarm >= before:
             return None
-        for act in self._policy.on_alarm(alarm):
-            self._apply(alarm, act)
+        self._now = alarm
+        for server in sorted(s for s, e in expiry.items() if e == alarm):
+            if expiry.get(server) == alarm:
+                self._policy.expire(self, alarm, server)
         return alarm
 
     def inject_request(self, time: float, server: int) -> ServeRecord:
@@ -432,35 +383,31 @@ class Simulation:
         self.run_alarms_before(time)
         index = len(self._injected) + 1
         self._injected.append((time, server))
-        record: ServeRecord | None = None
+        self._now, self._request, self._record = time, index, None
         held = self._live.get(server)
         if held is not None:
-            record = ServeRecord(index, time, server, MODE_LOCAL, None, held.kind, held.origin, held.switch)
+            self._record = ServeRecord(index, time, server, MODE_LOCAL, None, held.kind, held.origin, held.switch)
             if held.kind != KIND_REGULAR:
                 self._close_segment(server, time)
                 self._live[server] = _LiveCopy(server, time, KIND_REGULAR, index, None)
             else:
                 held.origin = index
-        for act in self._policy.on_request(time, server):
-            got = self._apply(time, act, request_index=index)
-            if got is not None:
-                if record is not None:
-                    raise PolicyFault(time, f"request {index} served twice")
-                record = got
+        self._policy.on_request(self, time, server)
+        record, self._request = self._record, None
         if record is None or record.server != server:
             raise PolicyFault(time, f"request {index} at server {server} left unserved")
         self._serves.append(record)
         return record
 
     def finalize(self) -> AnnotatedRun:
-        """Fire the policy's alarms until it is settled, then assemble the run.
+        """Expire copies until every expiry is ``inf``, then assemble the run.
 
         Copies alive at that point are recorded as held forever.
         """
         if self._finalized:
             raise RuntimeError("simulation already finalized")
         self._finalized = True
-        horizon, last_server = self._injected[-1] if self._injected else (0.0, self._inst.initial_server)
+        horizon, last_server = self._injected[-1] if self._injected else (0.0, self.instance.initial_server)
         if self._policy.uses_copy_exclusions:
             cur = self._live.get(last_server)
             if cur is not None and cur.kind == KIND_REGULAR:
@@ -472,21 +419,17 @@ class Simulation:
                     )
                 else:
                     cur.excluded = True
-        while not self._policy.settled():
-            self.step_alarm()
+        self.run_alarms_before(math.inf)
         for server in sorted(self._live):
             c = self._live[server]
             excluded = c.excluded or (self._policy.uses_copy_exclusions and c.kind in SPECIAL_KINDS)
             self._segments.append(CopyInterval(c.server, c.start, math.inf, c.kind, excluded))
         self._live.clear()
-        if self._inst.requests:
-            instance = self._inst
-        else:
+        self.expiry.clear()
+        instance = self.instance
+        if not instance.requests:
             instance = Instance.build(
-                [s.rate for s in self._inst.servers],
-                self._inst.transfer_cost,
-                self._inst.initial_server,
-                self._injected,
+                [s.rate for s in instance.servers], instance.transfer_cost, instance.initial_server, self._injected
             )
         schedule = ReplicationSchedule(
             instance,

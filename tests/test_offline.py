@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -157,8 +158,15 @@ def test_opt_costs_checks_its_arguments():
     for bad in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(R.InstanceFormatError, match="transfer cost"):
             R.opt_costs(inst, [1.0, bad])
-    with pytest.raises(R.BudgetExceeded):
+    with pytest.raises(R.BudgetExceeded, match="per transfer cost"):
         R.opt_costs(inst, [1.0, 2.0], budget=10)
+    # the budget bounds the work per transfer cost: one estimate fits, the pass's 3x does not
+    per_cost = (inst.m + 1) * (2 * inst.n + 2) * 2**inst.n
+    lams = [0.5, 1.0, 2.0]
+    expected = tuple(R.opt_restricted(replace(inst, transfer_cost=lam), reconstruct=False).opt_cost for lam in lams)
+    assert R.opt_costs(inst, lams, budget=per_cost) == expected
+    with pytest.raises(R.BudgetExceeded):
+        R.opt_costs(inst, lams, budget=per_cost - 1)
 
 
 def test_reconstruction_is_deterministic():

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import math
+import weakref
 
 import pytest
 
@@ -147,19 +149,19 @@ def test_rival_winddown_relocates_after_one_renewal():
 
 def test_rival_idle_copy_at_cheapest_server_waits_for_the_next_request():
     # the sole copy at server 1 renews about 6e5 times before the first request;
-    # those renewals must not cost one alarm each, and the copy's window end
+    # those renewals must not cost one expiry each, and the copy's window end
     # must still be the 600,001st renewal, where it is dropped
     class CountingAlarms(R.FixedRenewalPolicy):
         alarms = 0
 
-        def on_alarm(self, time):
+        def expire(self, sim, time, server):
             self.alarms += 1
-            return super().on_alarm(time)
+            super().expire(sim, time, server)
 
     policy = CountingAlarms()
     inst = R.Instance.build([1.0, 2.0], 1.0, 1, [(6e5 + 1, 2), (6e5 + 2, 1)])
     run, cost = R.simulate(policy, inst)
-    assert policy.alarms < 10
+    assert 0 < policy.alarms < 10
     assert cost.total == 600_005.0
     first = [c for c in run.schedule.copies if c.server == 1][0]
     assert (first.start, first.end) == (0.0, 600_001.0)
@@ -256,41 +258,106 @@ def test_window_rule_characterizes_local_regular_serves():
 
 
 class _TransferFromEmpty(R.ThresholdPolicy):
-    def on_request(self, time, server):
-        return [R.policies.TransferAction(self._inst.n, server)] if server != self._inst.n else []
+    def on_request(self, sim, time, server):
+        sim.transfer(self._inst.n, server)
 
 
 class _NeverServes(R.ThresholdPolicy):
-    def on_request(self, time, server):
-        self._expiry[server] = time + self._window(server)  # lies about holding
-        return []
+    def on_request(self, sim, time, server):
+        pass
 
 
 class _DropsNonHeld(R.ThresholdPolicy):
-    def on_request(self, time, server):
-        acts = super().on_request(time, server)
-        return acts + [R.policies.DropAction(self._inst.n)]
+    def on_request(self, sim, time, server):
+        super().on_request(sim, time, server)
+        sim.drop(self._inst.n)
 
 
 def test_policy_fault_on_bad_transfer():
-    inst = R.Instance.build([1.0, 2.0], 1.0, 1, [(1.0, 2)])
+    inst = R.Instance.build([1.0, 2.0, 3.0], 1.0, 1, [(1.0, 2)])
     with pytest.raises(R.PolicyFault) as err:
         R.simulate(_TransferFromEmpty(), inst)
-    assert "t=1" in str(err.value)
+    assert str(err.value) == "policy fault at t=1: transfer from server 3 which holds no copy"
 
 
 def test_policy_fault_on_unserved_request():
     inst = R.Instance.build([1.0, 2.0], 1.0, 1, [(5.0, 2)])
     with pytest.raises(R.PolicyFault) as err:
         R.simulate(_NeverServes(), inst)
-    assert "unserved" in str(err.value)
+    assert str(err.value) == "policy fault at t=5: request 1 at server 2 left unserved"
 
 
 def test_policy_fault_on_drop_of_non_held_copy():
     inst = R.Instance.build([1.0, 2.0, 3.0], 1.0, 1, [(0.1, 1)])
     with pytest.raises(R.PolicyFault) as err:
         R.simulate(_DropsNonHeld(), inst)
-    assert "holds no copy" in str(err.value)
+    assert str(err.value) == "policy fault at t=0.1: drop at server 3 which holds no copy"
+
+
+# hook replaced in alg1, server of the one request at t=0.5, the replacement, the fault
+DRIVER_CHECKS = {
+    "transfer-from-non-holder": (
+        "on_request", 2, lambda sim, t, s: sim.transfer(3, s), "t=0.5: transfer from server 3 which holds no copy"
+    ),
+    # a second serve of a locally served request: the holder check fires first
+    "transfer-into-holder": (
+        "on_request", 1, lambda sim, t, s: sim.transfer(1, s), "t=0.5: transfer into server 1 which already holds a copy"
+    ),
+    "serve-at-start": ("start", 2, lambda sim: sim.transfer(1, 2), "t=0: serve transfer outside a request event"),
+    "serve-at-expiry": ("expire", 2, lambda sim, t, s: sim.transfer(s, 3), "t=1: serve transfer outside a request event"),
+    "served-twice": (
+        "on_request", 2, lambda sim, t, s: [sim.transfer(1, s), sim.transfer(1, 3)], "t=0.5: request 1 served twice"
+    ),
+    "drop-at-non-holder": ("on_request", 1, lambda sim, t, s: sim.drop(3), "t=0.5: drop at server 3 which holds no copy"),
+    "mark-at-non-holder": (
+        "on_request", 1, lambda sim, t, s: sim.mark(3, "resident_special"),
+        "t=0.5: kind change at server 3 which holds no copy",
+    ),
+    "hold-at-non-holder": (
+        "on_request", 1, lambda sim, t, s: sim.hold(3, 9.0), "t=0.5: hold at server 3 which holds no copy"
+    ),
+    "unserved": ("on_request", 2, lambda sim, t, s: None, "t=0.5: request 1 at server 2 left unserved"),
+    "served-elsewhere": (
+        "on_request", 2, lambda sim, t, s: sim.transfer(1, 3), "t=0.5: request 1 at server 2 left unserved"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DRIVER_CHECKS))
+def test_driver_checks_every_action(case):
+    hook, server, action, message = DRIVER_CHECKS[case]
+    policy = R.ThresholdPolicy()
+    setattr(policy, hook, action)
+    inst = R.Instance.build([1.0, 2.0, 3.0], 1.0, 1, [(0.5, server)])
+    with pytest.raises(R.PolicyFault) as err:
+        R.simulate(policy, inst)
+    assert str(err.value) == f"policy fault at {message}"
+
+
+def test_runs_free_their_simulation_without_the_cycle_collector(monkeypatch):
+    # a policy that kept the simulation would form a cycle, so every run's
+    # copy, transfer and serve lists would wait for the cyclic collector
+    sims = []
+    init = R.Simulation.__init__
+
+    def spy(self, *args):
+        sims.append(weakref.ref(self))
+        init(self, *args)
+
+    monkeypatch.setattr(R.Simulation, "__init__", spy)
+    inst = R.gen_random(seed=11, n=3, m=12)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for name in ("alg1", "wang", "simple"):
+            R.simulate(name, inst)
+            assert sims[-1]() is None, name
+            R.run_adversary(name, mu=5.0)
+            assert sims[-1]() is None, name
+    finally:
+        if enabled:
+            gc.enable()
+    assert len(sims) == 6
 
 
 def test_event_log_format():

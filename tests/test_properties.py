@@ -1,4 +1,4 @@
-"""Property tests of the offline oracle over small random instances.
+"""Property tests of the offline oracle and the policies over small random instances.
 
 Half the drawn instances give every server the same rate, so many schedules
 tie exactly and the reconstruction's tie-breaking is exercised.
@@ -73,3 +73,40 @@ def test_optimum_bounds_every_policy(inst):
         assert cost.total >= opt - TOL, name
         if name == "alg1":
             assert cost.total <= R.competitive_bound(inst) * opt + TOL
+
+
+POLICY_NAMES = ("alg1", "wang", "simple")
+
+
+def _rebuilt(inst: R.Instance, rate_factor: float, lam_factor: float, time_factor: float) -> R.Instance:
+    return R.Instance.build(
+        [rate_factor * s.rate for s in inst.servers],
+        lam_factor * inst.transfer_cost,
+        inst.initial_server,
+        [(time_factor * r.time, r.server) for r in inst.requests],
+    )
+
+
+@given(instances(max_n=5, max_m=12))
+def test_doubling_prices_doubles_every_policy_cost_exactly(inst):
+    doubled = _rebuilt(inst, 2.0, 2.0, 1.0)
+    for name in POLICY_NAMES:
+        run, cost = R.simulate(name, inst)
+        run2, cost2 = R.simulate(name, doubled)
+        assert cost2.total == 2 * cost.total, name
+        assert run2.event_log() == run.event_log(), name
+
+
+@given(instances(max_n=5, max_m=12))
+def test_doubling_times_at_half_the_rates_keeps_every_policy_cost(inst):
+    stretched = _rebuilt(inst, 0.5, 1.0, 2.0)
+    for name in POLICY_NAMES:
+        run, cost = R.simulate(name, inst)
+        run2, cost2 = R.simulate(name, stretched)
+        assert cost2.total == cost.total, name
+        assert [(c.server, c.start, c.end, c.kind) for c in run2.schedule.copies] == [
+            (c.server, 2 * c.start, 2 * c.end, c.kind) for c in run.schedule.copies
+        ], name
+        assert [(t.time, t.src, t.dst) for t in run2.schedule.transfers] == [
+            (2 * t.time, t.src, t.dst) for t in run.schedule.transfers
+        ], name
