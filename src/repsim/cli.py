@@ -240,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--poisson-gap", type=float, default=50.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--policies", default="alg1,wang,simple")
-    p.add_argument("--oracle", default="restricted", choices=ORACLES)
+    p.add_argument("--oracle", default="full", choices=ORACLES)
     p.add_argument("--prefix", type=int)
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help=BUDGET_HELP)
     p.add_argument("--workers", type=int, default=1)

@@ -3,7 +3,7 @@
 The sweep mirrors the evaluation setup: 10 servers under one of four storage
 rate sets, requests from a real or synthetic trace assigned uniformly at
 random across servers, transfer costs swept over a grid, and every policy's
-cost normalized by the offline optimum (restricted oracle at trace scale).
+cost normalized by the offline optimum (the full oracle unless another is asked for).
 All transfer costs of one rate set share one oracle pass.
 """
 
@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import Instance
-from .offline import ORACLES, BudgetExceeded, DEFAULT_BUDGET, opt_costs
+from .offline import BudgetExceeded, DEFAULT_BUDGET, check_oracle, opt_costs
 from .policies import simulate
 
 RATE_SETS: dict[str, tuple[float, ...]] = {
@@ -44,36 +44,33 @@ def read_trace(path: str, column_map: dict[str, "str | int"], delimiter: str = "
     ``column_map`` maps the keys ``timestamp``, ``op`` and ``object_id`` to
     column names (header row) or 0-based positions (no header assumed).
     """
-    for key in ("timestamp", "op", "object_id"):
+    keys = ("timestamp", "op", "object_id")
+    for key in keys:
         if key not in column_map:
             raise ValueError(f"column_map is missing required key {key!r}")
-    positional = all(isinstance(v, int) for v in column_map.values())
     records: list[TraceRecord] = []
     with open(path, "r", encoding="utf-8") as fh:
-        if positional:
-            for lineno, row in enumerate(csv.reader(fh, delimiter=delimiter), start=1):
-                if not row:
-                    continue
-                try:
-                    picked = {k: row[v] for k, v in column_map.items()}
-                except IndexError:
-                    raise ValueError(f"{path}:line {lineno}: record has no column {max(column_map.values())}") from None
-                records.append(TraceRecord(float(picked["timestamp"]), picked["op"].strip(), picked["object_id"].strip()))
+        rows = enumerate(csv.reader(fh, delimiter=delimiter), start=1)
+        if all(isinstance(v, int) for v in column_map.values()):
+            cols = [column_map[key] for key in keys]
         else:
-            reader = csv.DictReader(fh, delimiter=delimiter)
-            if reader.fieldnames is None:
+            _, header = next(rows, (0, None))
+            if header is None:
                 raise ValueError(f"{path}: empty trace file")
+            position = {name: i for i, name in enumerate(header)}  # a repeated name means its last column
             for key, col in column_map.items():
-                if col not in reader.fieldnames:
-                    raise ValueError(f"{path}: column {col!r} (for {key}) not found in header {reader.fieldnames}")
-            for row in reader:
-                records.append(
-                    TraceRecord(
-                        float(row[column_map["timestamp"]]),
-                        str(row[column_map["op"]]).strip(),
-                        str(row[column_map["object_id"]]).strip(),
-                    )
-                )
+                if col not in position:
+                    raise ValueError(f"{path}: column {col!r} (for {key}) not found in header {header}")
+            cols = [position[column_map[key]] for key in keys]
+        t, op, obj = cols
+        last = column_map[keys[cols.index(max(cols))]]  # the column a short record lacks
+        for lineno, row in rows:
+            if not row:
+                continue
+            try:
+                records.append(TraceRecord(float(row[t]), row[op].strip(), row[obj].strip()))
+            except IndexError:
+                raise ValueError(f"{path}:line {lineno}: record has no column {last!r}") from None
     return records
 
 
@@ -144,7 +141,7 @@ class ExperimentSpec:
     n_servers: int = 10
     seed: int = 0
     policies: tuple[str, ...] = DEFAULT_POLICIES
-    oracle: str = "restricted"
+    oracle: str = "full"
     prefix: int | None = None
     budget: int = DEFAULT_BUDGET
 
@@ -154,8 +151,7 @@ class ExperimentSpec:
                 raise ValueError(f"rate set {name!r} has {len(rates)} rates for {self.n_servers} servers")
             for lam in self.lambda_values:
                 Instance.build(rates, lam, 1)  # rejects bad rates or lambdas before any cell runs
-        if self.oracle not in ORACLES:
-            raise ValueError(f"oracle must be 'full' or 'restricted', got {self.oracle!r}")
+        check_oracle(self.oracle)
 
 
 @dataclass(frozen=True)

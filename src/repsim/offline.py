@@ -7,13 +7,26 @@ The DP therefore sweeps requests in time order with one cost table indexed by
 holder subset. A step charges gap storage for the held set, a transfer when
 the requesting server holds no copy, and a transfer per extra copy created.
 Each change of holders is a bit pass that relaxes the subsets on one side of
-a server's bit from their partners on the other: (2n + 2) * 2^n evaluations
-per step in either mode. Transfer costs change no event, so the table has one
-column per transfer cost, and a sweep gets all of a rate set's optima from
-one pass (``opt_costs``); ``opt_full`` and ``opt_restricted`` are the
-one-column case.
+a server's bit from their partners on the other. Transfer costs change no
+event, so the table has one column per transfer cost, and a sweep gets all of
+a rate set's optima from one pass (``opt_costs``); ``opt_full`` and
+``opt_restricted`` are the one-column case.
 
-The restricted oracle is the full one with a creation mask: copies are
+After each step the table is monotone, ``dp[s] <= dp[t]`` for every nonempty
+``s`` within ``t`` (drops are free), and adding storage keeps it so. The full
+step is therefore a closed form: with ``S`` the table after storage and row 0
+set to the cheapest singleton row ("serve from the cheapest sole holder, then
+drop it"), let ``G[s] = min over p within s of S[p] + transfer * |s - p|``;
+the step's result is ``F[s] = G[s | q]`` for requester ``q``. ``G`` is n
+creation passes, the one over ``q``'s bit being the serve, and ``F`` copies
+the half with ``q`` into the half without it. The restricted step keeps an
+explicit serve, a keep-the-served-copy pass and n drop passes around its
+masked creation passes: its mask tests the priciest holder before the drops,
+so masking the closed form would be stricter and no longer exact. Both modes
+are charged the restricted step's (2n + 2) * 2^n evaluations per step, an
+upper bound for each.
+
+The restricted oracle is the explicit step with a creation mask: copies are
 created only at the requester, the cheapest server, and servers strictly
 cheaper than the priciest current holder. The pruning is safe: an extra copy
 only ever pays off by letting a costlier holder be dropped (parking the object
@@ -70,6 +83,12 @@ class DPSolution:
     prefix_costs: tuple[float, ...]  # prefix_costs[i] = optimum for the first i requests
 
 
+def check_oracle(oracle: str) -> None:
+    """Reject an oracle name that is not one of ``ORACLES``."""
+    if oracle not in ORACLES:
+        raise ValueError(f"oracle must be one of {ORACLES}, got {oracle!r}")
+
+
 def _bit(server: int) -> int:
     return 1 << (server - 1)
 
@@ -77,8 +96,10 @@ def _bit(server: int) -> int:
 def _check_budget(instance: Instance, budget: int) -> None:
     """Refuse a run whose work per transfer cost exceeds ``budget``.
 
-    A pass over K transfer costs does K times this work; the budget bounds
-    the work of each one.
+    The charge, (m + 1) * (2n + 2) * 2^n, is the restricted step's work and
+    an upper bound for the full step's, so both modes are refused alike. A
+    pass over K transfer costs does K times this work; the budget bounds the
+    work of each one.
     """
     n, m = instance.n, instance.m
     if n > 12:
@@ -142,7 +163,12 @@ def _solve(
     ``prefix``, else the final row only. With ``reconstruct`` (one transfer
     cost only) it also returns an optimal schedule. Every view, temporary and
     creation-cost array is built before the step loop, which then only calls
-    ufuncs on them in place.
+    ufuncs on them in place. A full step is the closed form of the module
+    docstring, with no serve add and no drop passes; a restricted step
+    serves, keeps the served copy, runs its masked creation passes and then
+    one drop pass per bit. While reconstructing, row 0's origin is the
+    cheapest singleton, so a step may move the object to holders that share
+    nothing with the ones before it.
     """
     _check_budget(instance, budget)
     n = instance.n
@@ -162,6 +188,7 @@ def _solve(
         # a copy at server b + 1 costs one transfer where the restricted rule allows it
         allowed = (priciest[b] > server.rate) | (b == 0 or not restricted)
         create.append(np.where(allowed, transfer[b][0], math.inf))
+    singles = 1 << np.arange(n)
     dp = np.full((size, cols), math.inf)
     dp[_bit(instance.initial_server)] = 0.0
     halves = _halves(dp)
@@ -199,14 +226,27 @@ def _solve(
         if reconstruct:
             np.copyto(origin, identity)
         q = server - 1
-        np.add(halves[q][0], transfer[q][0], out=halves[q][0], order="C")  # serve by inward transfer
-        relax(q, 1)  # keeping the served copy is free
+        if restricted:
+            np.add(halves[q][0], transfer[q][0], out=halves[q][0], order="C")  # serve by inward transfer
+            relax(q, 1)  # keeping the served copy is free
+        else:
+            # the closed form F[s] = G[s | q] of the module docstring: row 0 stands for
+            # "serve from the cheapest sole holder, then drop it", and the creation
+            # pass over bit q is the serve
+            np.min(dp[singles], axis=0, out=dp[0])
+            if reconstruct:
+                origin[0] = singles[np.argmin(dp[singles, 0])]
         for b in range(n):
             # sequential passes cover multi-copy creations; a restricted creation never
             # raises the priciest held rate, so every pass tests the same priciest holder
             relax(b, 1, create[b])
-        for b in range(n):
-            relax(b, 0)  # drops are free
+        if restricted:
+            for b in range(n):
+                relax(b, 0)  # drops are free
+        else:
+            np.copyto(halves[q][0], halves[q][1])  # dropping q is free
+            if reconstruct:
+                np.copyto(origin_halves[q][0], origin_halves[q][1])
         dp[0] = math.inf
         if prefix:
             np.min(dp, axis=0, out=optima[i])
@@ -298,8 +338,7 @@ def opt_costs(
     that transfer cost. The budget bounds the work per transfer cost, which
     is the same for every cost, so the pass is refused for all or for none.
     """
-    if oracle not in ORACLES:
-        raise ValueError(f"oracle must be one of {ORACLES}, got {oracle!r}")
+    check_oracle(oracle)
     for cost in transfer_costs:
         Instance(instance.servers, float(cost), instance.initial_server, ())  # rejects a bad transfer cost
     optima, _ = _solve(instance, transfer_costs, oracle == "restricted", budget, False, False)

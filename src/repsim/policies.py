@@ -291,6 +291,7 @@ class Simulation:
         self.instance = instance
         g = instance.initial_server
         self.expiry: dict[int, float] = {g: math.inf}
+        self._alarm = math.inf  # a lower bound on every expiry time; only ``hold`` lowers one
         self._live: dict[int, _LiveCopy] = {g: _LiveCopy(g, 0.0, KIND_REGULAR, 0, None)}
         self._segments: list[CopyInterval] = []
         self._transfers: list[Transfer] = []
@@ -349,6 +350,8 @@ class Simulation:
         if server not in self.expiry:
             raise PolicyFault(self._now, f"hold at server {server} which holds no copy")
         self.expiry[server] = until
+        if until < self._alarm:
+            self._alarm = until
 
     # -- event processing ---------------------------------------------------
 
@@ -368,8 +371,10 @@ class Simulation:
         skipping one whose expiry an earlier call changed. Returns the
         alarm's time, or None when no such alarm is pending.
         """
+        if self._alarm >= before:
+            return None
         expiry = self.expiry
-        alarm = min(expiry.values(), default=math.inf)
+        alarm = self._alarm = min(expiry.values(), default=math.inf)
         if alarm >= before:
             return None
         self._now = alarm

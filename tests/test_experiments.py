@@ -56,6 +56,15 @@ def test_ingest_missing_column(tmp_path):
     assert "when" in str(err.value)
 
 
+def test_ingest_short_record_is_located(tmp_path):
+    path = _write(tmp_path, "trace.csv", ["ts,op,obj", "0,READ,X", "", "1,READ"])
+    with pytest.raises(ValueError, match=r"line 4: record has no column 'obj'"):
+        R.ingest_trace(path, "X", CM)
+    path = _write(tmp_path, "short.csv", ["0|READ|X", "4|READ"])
+    with pytest.raises(ValueError, match=r"line 2: record has no column 2"):
+        R.ingest_trace(path, "X", {"timestamp": 0, "op": 1, "object_id": 2}, delimiter="|")
+
+
 def test_ingest_no_matches(tmp_path):
     path = _write(tmp_path, "trace.csv", ["ts,op,obj", "0,READ,X"])
     with pytest.raises(ValueError) as err:

@@ -9,6 +9,7 @@ import pytest
 
 import repsim as R
 from conftest import brute_force_optimum
+from reference_oracle import full_prefix_optima
 
 TOL = 1e-9
 
@@ -141,12 +142,38 @@ def test_budget_refusal_names_the_bound():
 
 
 def test_full_oracle_fits_the_default_budget_at_scale():
-    # both modes run the same O(n 2^n) passes per step, so the full oracle is
-    # charged like the restricted one and is not refused for 10 servers
+    # the full oracle is charged the restricted step's work, an upper bound on
+    # its own O(n 2^n) passes per step, and is not refused for 10 servers
     inst = R.gen_random(seed=5, n=10, m=5_000, rate_range=(1.0, 4.0), horizon=5_000.0)
     full = R.opt_full(inst, reconstruct=False)
     assert full.opt_cost == R.opt_restricted(inst, reconstruct=False).opt_cost
     assert len(full.prefix_costs) == inst.m + 1
+
+
+def test_full_oracle_equals_the_reference_step_on_a_trace_prefix():
+    times = R.gen_poisson_trace(42, 11_683, 50.0)[:2000]
+    assigned = R.assign_servers(times, 10, 42)
+    lams = [50.0, 400.0, 1200.0]
+    for rate_set in ("set1", "set4"):
+        inst = R.Instance.build(R.RATE_SETS[rate_set], lams[0], 1, assigned)
+        expected = full_prefix_optima(inst, lams)
+        assert R.opt_costs(inst, lams, "full") == tuple(expected[-1].tolist()), rate_set
+        for lam, column in zip(lams, expected.T):
+            sol = R.opt_full(replace(inst, transfer_cost=lam), reconstruct=False)
+            assert sol.prefix_costs == tuple(column.tolist()), (rate_set, lam)
+
+
+def test_full_oracle_serves_from_a_pricey_sole_holder_and_drops_it_at_once():
+    # the sole copy sits at server 2 (twice the cheapest rate) when server 3
+    # asks; moving it to server 3 earlier or keeping server 1 both cost more
+    inst = R.Instance.build([1.0, 2.0, 8.0], 1.0, 1, [(0.4, 2), (0.8, 2), (1.2, 2), (1.4, 3), (1.5, 3)])
+    sol = R.opt_full(inst)
+    assert sol.opt_cost == brute_force_optimum(inst)
+    assert R.validate_schedule(sol.schedule) == []
+    assert R.validate_offline_structure(sol.schedule) == []
+    assert abs(R.compute_cost(sol.schedule).total - sol.opt_cost) <= TOL
+    assert R.Transfer(1.4, 2, 3, "serve_request") in sol.schedule.transfers
+    assert [(c.start, c.end) for c in sol.schedule.copies if c.server == 2] == [(0.4, 1.4)]
 
 
 def test_opt_costs_checks_its_arguments():

@@ -10,6 +10,7 @@ import pytest
 
 import repsim as R
 from conftest import fig3_instance
+from repsim.policies import Policy
 
 TOL = 1e-9
 
@@ -332,6 +333,36 @@ def test_driver_checks_every_action(case):
     with pytest.raises(R.PolicyFault) as err:
         R.simulate(policy, inst)
     assert str(err.value) == f"policy fault at {message}"
+
+
+class _HoldsBelowTheAlarm(Policy):
+    """Holds the initial copy to t=10, then a new copy to t=3, below the alarm the driver has cached."""
+
+    def __init__(self):
+        self.log = []
+
+    def start(self, sim):
+        sim.hold(1, 10.0)
+
+    def on_request(self, sim, time, server):
+        self.log.append(("request", time, server))
+        if server not in sim.expiry:
+            sim.transfer(1, server)
+            sim.hold(server, 3.0)
+
+    def expire(self, sim, time, server):
+        self.log.append(("expire", time, server))
+        if len(sim.expiry) > 1:
+            sim.drop(server)
+        else:
+            sim.hold(server, math.inf)
+
+
+def test_hold_below_the_cached_alarm_still_expires_in_time_order():
+    policy = _HoldsBelowTheAlarm()
+    run, _ = R.simulate(policy, R.Instance.build([1.0, 2.0], 1.0, 1, [(1.0, 2), (4.0, 1)]))
+    assert policy.log == [("request", 1.0, 2), ("expire", 3.0, 2), ("request", 4.0, 1), ("expire", 10.0, 1)]
+    assert [(c.server, c.start, c.end) for c in run.schedule.copies] == [(1, 0.0, math.inf), (2, 1.0, 3.0)]
 
 
 def test_runs_free_their_simulation_without_the_cycle_collector(monkeypatch):

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import repsim as R
 from conftest import instances
+from reference_oracle import full_prefix_optima
 
 TOL = 1e-9
 
@@ -54,6 +55,14 @@ def test_batched_optima_equal_single_cost_optima(inst, lams):
     for oracle, solver in (("full", R.opt_full), ("restricted", R.opt_restricted)):
         expected = tuple(solver(replace(inst, transfer_cost=lam), reconstruct=False).opt_cost for lam in lams)
         assert R.opt_costs(inst, lams, oracle) == expected
+
+
+@given(instances(max_n=5), transfer_cost_lists())
+def test_full_oracle_equals_the_reference_step_bit_for_bit(inst, lams):
+    expected = full_prefix_optima(inst, lams)
+    assert R.opt_costs(inst, lams, "full") == tuple(expected[-1].tolist())
+    for lam, column in zip(lams, expected.T):
+        assert R.opt_full(replace(inst, transfer_cost=lam)).prefix_costs == tuple(column.tolist())
 
 
 @given(instances(max_n=5))
