@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import csv
 import io
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -38,19 +38,20 @@ class TraceRecord:
     object_id: str
 
 
-def read_trace(path: str, column_map: dict[str, "str | int"], delimiter: str = ",") -> list[TraceRecord]:
-    """Parse a delimited text trace into records using a user-supplied column map.
+def _trace_rows(path: str, column_map: dict[str, "str | int"], delimiter: str):
+    """Each record of a delimited trace as ``(timestamp, op, object_id)``, in file order.
 
-    ``column_map`` maps the keys ``timestamp``, ``op`` and ``object_id`` to
-    column names (header row) or 0-based positions (no header assumed).
+    The one row loop behind ``read_trace`` and ``ingest_trace``. Blank lines
+    are skipped; a record that lacks a column or whose timestamp is not a
+    finite number is reported by file and line.
     """
     keys = ("timestamp", "op", "object_id")
     for key in keys:
         if key not in column_map:
             raise ValueError(f"column_map is missing required key {key!r}")
-    records: list[TraceRecord] = []
     with open(path, "r", encoding="utf-8") as fh:
-        rows = enumerate(csv.reader(fh, delimiter=delimiter), start=1)
+        reader = csv.reader(fh, delimiter=delimiter)
+        rows = ((reader.line_num, row) for row in reader)  # a quoted field may span lines
         if all(isinstance(v, int) for v in column_map.values()):
             cols = [column_map[key] for key in keys]
         else:
@@ -68,10 +69,25 @@ def read_trace(path: str, column_map: dict[str, "str | int"], delimiter: str = "
             if not row:
                 continue
             try:
-                records.append(TraceRecord(float(row[t]), row[op].strip(), row[obj].strip()))
+                text, op_text, obj_text = row[t], row[op], row[obj]
             except IndexError:
                 raise ValueError(f"{path}:line {lineno}: record has no column {last!r}") from None
-    return records
+            try:
+                stamp = float(text)
+            except ValueError:
+                raise ValueError(f"{path}:line {lineno}: timestamp {text!r} is not a number") from None
+            if not math.isfinite(stamp):
+                raise ValueError(f"{path}:line {lineno}: timestamp {text!r} is not finite")
+            yield stamp, op_text.strip(), obj_text.strip()
+
+
+def read_trace(path: str, column_map: dict[str, "str | int"], delimiter: str = ",") -> list[TraceRecord]:
+    """Parse a delimited text trace into records using a user-supplied column map.
+
+    ``column_map`` maps the keys ``timestamp``, ``op`` and ``object_id`` to
+    column names (header row) or 0-based positions (no header assumed).
+    """
+    return [TraceRecord(*record) for record in _trace_rows(path, column_map, delimiter)]
 
 
 def ingest_trace(
@@ -83,20 +99,21 @@ def ingest_trace(
 ) -> list[float]:
     """Extract read times of one object, rebased to the trace start.
 
-    One second of source time becomes one time unit, with t=0 at the first
-    record of the file. Each retained time is bumped by 1e-6 times its
-    1-based position within its group of equal timestamps, which both breaks
-    exact ties and shifts a read at the very start off the reserved t=0.
+    The trace is read as by ``read_trace``. One second of source time becomes
+    one time unit, with t=0 at the first record of the file. Each retained
+    time is bumped by 1e-6 times its 1-based position within its group of
+    equal timestamps, which both breaks exact ties and shifts a read at the
+    very start off the reserved t=0.
     """
-    records = read_trace(path, column_map, delimiter)
-    if not records:
+    t0 = None
+    kept: list[float] = []
+    for stamp, op, obj in _trace_rows(path, column_map, delimiter):
+        if t0 is None:
+            t0 = stamp
+        if obj == object_id and any(tok in op.upper() for tok in read_ops):
+            kept.append(stamp - t0)
+    if t0 is None:
         raise ValueError(f"{path}: no records parsed")
-    t0 = records[0].timestamp
-    kept = [
-        r.timestamp - t0
-        for r in records
-        if r.object_id == object_id and any(tok in r.op.upper() for tok in read_ops)
-    ]
     if not kept:
         raise ValueError(f"{path}: no read records for object {object_id!r}")
     kept.sort()
@@ -176,7 +193,7 @@ def _run_group(args) -> list[SweepRow]:
         optima = (None,) * len(lams)
     rows = []
     for k, (lam, opt) in enumerate(zip(lams, optima)):
-        inst = first if k == 0 else Instance.build(rates, lam, 1, assigned)
+        inst = first if k == 0 else replace(first, transfer_cost=float(lam))  # shares the request objects
         for pol in policies:
             _, cost = simulate(pol, inst)
             ratio = cost.total / opt if opt else None
@@ -207,6 +224,8 @@ def run_sweep(spec: ExperimentSpec, workers: int = 1) -> list[SweepRow]:
     ]
     rows: list[SweepRow] = []
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # here, not at start-up: only a pool needs it
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for batch in pool.map(_run_group, groups):
                 rows.extend(batch)

@@ -179,7 +179,13 @@ def competitive_bound(instance: Instance) -> float:
     return max(2.0, min(max_min_rate_ratio(instance), 3.0))
 
 
-@dataclass(frozen=True)
+# The two schedule records below write their own ``__init__``: the one a frozen
+# dataclass generates looks ``object.__setattr__`` up again for every field,
+# and a policy run makes one record per copy and per transfer.
+_set_field = object.__setattr__
+
+
+@dataclass(frozen=True, init=False)
 class CopyInterval:
     """A copy held at ``server`` over [start, end], with its copy kind.
 
@@ -193,23 +199,32 @@ class CopyInterval:
     kind: str = KIND_REGULAR
     excluded: bool = False
 
-    def __post_init__(self) -> None:
-        if self.end < self.start - TOL:
-            raise ValueError(f"interval end {self.end} precedes start {self.start}")
-        if self.kind not in COPY_KINDS:
-            raise ValueError(f"unknown copy kind {self.kind!r}")
+    def __init__(self, server: int, start: float, end: float, kind: str = KIND_REGULAR, excluded: bool = False):
+        if end < start - TOL:
+            raise ValueError(f"interval end {end} precedes start {start}")
+        if kind not in COPY_KINDS:
+            raise ValueError(f"unknown copy kind {kind!r}")
+        _set_field(self, "server", server)
+        _set_field(self, "start", start)
+        _set_field(self, "end", end)
+        _set_field(self, "kind", kind)
+        _set_field(self, "excluded", excluded)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Transfer:
     time: float
     src: int
     dst: int
     purpose: str = PURPOSE_SERVE
 
-    def __post_init__(self) -> None:
-        if self.src == self.dst:
+    def __init__(self, time: float, src: int, dst: int, purpose: str = PURPOSE_SERVE):
+        if src == dst:
             raise ValueError("transfer source and destination must differ")
+        _set_field(self, "time", time)
+        _set_field(self, "src", src)
+        _set_field(self, "dst", dst)
+        _set_field(self, "purpose", purpose)
 
 
 @dataclass(frozen=True)
@@ -346,12 +361,15 @@ def compute_cost(schedule: ReplicationSchedule, horizon: float | None = None) ->
         horizon = inst.horizon
     if horizon < 0:
         raise ValueError(f"horizon must be nonnegative, got {horizon}")
-    per_server = {s.index: 0.0 for s in inst.servers}
+    rates = {s.index: s.rate for s in inst.servers}
+    per_server = dict.fromkeys(rates, 0.0)
     for c in schedule.copies:
-        lo = max(c.start, 0.0)
-        hi = min(c.end, horizon)
+        # max(start, 0.0) and min(end, horizon), written out: the builtins double the loop's time
+        lo = 0.0 if c.start < 0.0 else c.start
+        end = c.end
+        hi = horizon if horizon < end else end
         if hi > lo:
-            per_server[c.server] += inst.rate(c.server) * (hi - lo)
+            per_server[c.server] += rates[c.server] * (hi - lo)
     storage = sum(per_server.values())
     count = sum(1 for t in schedule.transfers if t.time <= horizon + TOL)
     transfer = inst.transfer_cost * count

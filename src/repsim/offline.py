@@ -329,7 +329,7 @@ def opt_restricted(instance: Instance, budget: int = DEFAULT_BUDGET, reconstruct
 
 
 def opt_costs(
-    instance: Instance, transfer_costs: Sequence[float], oracle: str = "restricted", budget: int = DEFAULT_BUDGET
+    instance: Instance, transfer_costs: Sequence[float], oracle: str = "full", budget: int = DEFAULT_BUDGET
 ) -> tuple[float, ...]:
     """The optimum of ``instance`` under each transfer cost, from one DP pass.
 

@@ -23,6 +23,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from operator import attrgetter, countOf
+from typing import NamedTuple
 
 from .model import (
     KIND_REGULAR,
@@ -70,12 +73,14 @@ class Policy:
 
     def start(self, sim: "Simulation") -> None:
         """Begin a run at time 0: the initial copy holds one window."""
-        self._inst = sim.instance
+        self._begin(sim)
         g = self._inst.initial_server
-        sim.hold(g, self._window(g))
+        sim.hold(g, self._window[g])
 
-    def _window(self, server: int) -> float:
-        return self._inst.transfer_cost / self._inst.rate(server)
+    def _begin(self, sim: "Simulation") -> None:
+        """Take the run's instance and each server's window, transfer cost / rate."""
+        self._inst = inst = sim.instance
+        self._window = {s.index: inst.transfer_cost / s.rate for s in inst.servers}
 
     def on_request(self, sim: "Simulation", time: float, server: int) -> None:
         """Serve a request at ``server``; it must hold a copy afterwards."""
@@ -112,10 +117,10 @@ class ThresholdPolicy(Policy):
         if server not in sim.expiry:
             src = min(sim.expiry)
             sim.transfer(src, server)
-            if time - self._last_request.get(src, -math.inf) >= self._window(src) - TOL:
+            if time - self._last_request.get(src, -math.inf) >= self._window[src] - TOL:
                 # outward transfer from a special (or just-expired) copy
                 sim.drop(src)
-        sim.hold(server, time + self._window(server))
+        sim.hold(server, time + self._window[server])
         self._last_request[server] = time
 
     def expire(self, sim: "Simulation", time: float, server: int) -> None:
@@ -152,7 +157,7 @@ class FixedRenewalPolicy(Policy):
             if sim.expiry.get(1) == math.inf:
                 sim.hold(1, self._idle_expiry(time))
             sim.transfer(min(sim.expiry), server)
-        sim.hold(server, time + self._window(server))
+        sim.hold(server, time + self._window[server])
         self._renewed.discard(server)
 
     def _idle_expiry(self, time: float) -> float:
@@ -163,7 +168,7 @@ class FixedRenewalPolicy(Policy):
         ``time``. The same chain of additions as one expiry per window keeps
         every end bit for bit.
         """
-        end, window = self._idle_end, self._window(1)
+        end, window = self._idle_end, self._window[1]
         while end < time:
             end += window
         return end
@@ -175,16 +180,16 @@ class FixedRenewalPolicy(Policy):
         elif server == 1:
             # a sole copy at the cheapest server renews forever without acting, so
             # it waits for the next request instead of expiring once per window
-            self._idle_end = time + self._window(1)
+            self._idle_end = time + self._window[1]
             sim.hold(1, math.inf)
         elif server not in self._renewed:
             self._renewed.add(server)
-            sim.hold(server, time + self._window(server))
+            sim.hold(server, time + self._window[server])
         else:
             self._renewed.discard(server)
             sim.transfer(server, 1, PURPOSE_RELOCATE)
             sim.drop(server)
-            sim.hold(1, time + self._window(1))
+            sim.hold(1, time + self._window[1])
 
 
 class AnchorPolicy(Policy):
@@ -199,7 +204,7 @@ class AnchorPolicy(Policy):
     name = "simple"
 
     def start(self, sim: "Simulation") -> None:
-        self._inst = sim.instance
+        self._begin(sim)
         g = self._inst.initial_server
         if g != 1:
             sim.transfer(g, 1, PURPOSE_CREATE)
@@ -210,7 +215,7 @@ class AnchorPolicy(Policy):
             return
         if server not in sim.expiry:
             sim.transfer(1, server)
-        sim.hold(server, time + self._window(server))
+        sim.hold(server, time + self._window[server])
 
     def expire(self, sim: "Simulation", time: float, server: int) -> None:
         sim.drop(server)
@@ -234,8 +239,7 @@ def make_policy(name: str) -> Policy:
 # Driver
 
 
-@dataclass(frozen=True)
-class ServeRecord:
+class ServeRecord(NamedTuple):
     """How one request was served: mode, source, and the providing copy."""
 
     index: int
@@ -248,29 +252,44 @@ class ServeRecord:
     switch_time: float | None  # instant the providing copy turned special
 
 
+_COPY_ORDER = attrgetter("start", "server", "end")
+_TRANSFER_ORDER = attrgetter("time", "src", "dst")
+
+
 @dataclass(frozen=True)
 class AnnotatedRun:
-    """A schedule plus per-request serving annotations from one policy run."""
+    """A schedule plus per-request serving annotations from one policy run.
+
+    ``serve_rows`` holds one plain tuple of ``ServeRecord`` fields per
+    request, as the driver records them. ``serves`` makes the records on
+    first use, so a run that is only costed, as in every sweep cell, never
+    builds them.
+    """
 
     schedule: ReplicationSchedule
-    serves: tuple[ServeRecord, ...]
+    serve_rows: tuple[tuple, ...]
     policy_name: str
+
+    @cached_property
+    def serves(self) -> tuple[ServeRecord, ...]:
+        return tuple(map(ServeRecord._make, self.serve_rows))
 
     def event_log(self) -> str:
         """Line-oriented export: COPY / XFER / SERVE records."""
         lines = []
-        for c in sorted(self.schedule.copies, key=lambda c: (c.start, c.server, c.end)):
+        for c in sorted(self.schedule.copies, key=_COPY_ORDER):
             lines.append(f"COPY {c.server} {c.start:.10g} {c.end:.10g} {c.kind}")
-        for t in sorted(self.schedule.transfers, key=lambda t: (t.time, t.src, t.dst)):
+        for t in sorted(self.schedule.transfers, key=_TRANSFER_ORDER):
             lines.append(f"XFER {t.time:.10g} {t.src} {t.dst} {t.purpose}")
         for s in self.serves:
             lines.append(f"SERVE {s.index} {s.time:.10g} {s.server} {s.mode}")
         return "\n".join(lines) + ("\n" if lines else "")
 
 
-@dataclass
+@dataclass(slots=True)
 class _LiveCopy:
-    server: int
+    """The copy a server holds now, since ``start``."""
+
     start: float
     kind: str
     origin: int  # request index whose service created or last renewed the copy
@@ -292,15 +311,14 @@ class Simulation:
         g = instance.initial_server
         self.expiry: dict[int, float] = {g: math.inf}
         self._alarm = math.inf  # a lower bound on every expiry time; only ``hold`` lowers one
-        self._live: dict[int, _LiveCopy] = {g: _LiveCopy(g, 0.0, KIND_REGULAR, 0, None)}
+        self._live: dict[int, _LiveCopy] = {g: _LiveCopy(0.0, KIND_REGULAR, 0, None)}
         self._segments: list[CopyInterval] = []
         self._transfers: list[Transfer] = []
-        self._serves: list[ServeRecord] = []
-        self._injected: list[tuple[float, int]] = []
+        self._serves: list[tuple] = []  # a ServeRecord row per delivered request, so also the request log
         self._finalized = False
         self._now = 0.0
         self._request: int | None = None  # index of the request being served
-        self._record: ServeRecord | None = None  # how that request was served so far
+        self._record: tuple | None = None  # how that request was served so far, as a ServeRecord row
         policy.start(self)
 
     # -- policy actions -----------------------------------------------------
@@ -308,27 +326,24 @@ class Simulation:
     def transfer(self, src: int, dst: int, purpose: str = PURPOSE_SERVE, kind: str = KIND_REGULAR) -> None:
         """Copy the object from ``src`` to ``dst``; the new copy expires at ``inf``."""
         time = self._now
-        copy = self._live.get(src)
+        live = self._live
+        copy = live.get(src)
         if copy is None:
             raise PolicyFault(time, f"transfer from server {src} which holds no copy")
-        if purpose == PURPOSE_SERVE and self._request is None:
+        request = self._request
+        if purpose == PURPOSE_SERVE and request is None:
             raise PolicyFault(time, "serve transfer outside a request event")
-        if dst in self._live:
+        if dst in live:
             raise PolicyFault(time, f"transfer into server {dst} which already holds a copy")
         if purpose == PURPOSE_SERVE:
             if self._record is not None:
-                raise PolicyFault(time, f"request {self._request} served twice")
-            self._record = ServeRecord(
-                self._request, time, dst, MODE_TRANSFER, src, copy.kind, copy.origin, copy.switch
-            )
+                raise PolicyFault(time, f"request {request} served twice")
+            self._record = (request, time, dst, MODE_TRANSFER, src, copy.kind, copy.origin, copy.switch)
         self._transfers.append(Transfer(time, src, dst, purpose))
         if purpose == PURPOSE_RELOCATE:
-            origin = copy.origin
-            switch = time if kind in SPECIAL_KINDS else None
+            live[dst] = _LiveCopy(time, kind, copy.origin, time if kind in SPECIAL_KINDS else None)
         else:
-            origin = self._request or 0
-            switch = None
-        self._live[dst] = _LiveCopy(dst, time, kind, origin, switch)
+            live[dst] = _LiveCopy(time, kind, request or 0, None)
         self.expiry[dst] = math.inf
 
     def drop(self, server: int) -> None:
@@ -343,13 +358,17 @@ class Simulation:
         if cur is None:
             raise PolicyFault(self._now, f"kind change at server {server} which holds no copy")
         self._close_segment(server, self._now)
-        self._live[server] = _LiveCopy(server, self._now, kind, cur.origin, self._now)
+        self._live[server] = _LiveCopy(self._now, kind, cur.origin, self._now)
 
     def hold(self, server: int, until: float) -> None:
         """Set the expiry time of the copy at ``server``."""
-        if server not in self.expiry:
+        expiry = self.expiry
+        if server not in expiry:
             raise PolicyFault(self._now, f"hold at server {server} which holds no copy")
-        self.expiry[server] = until
+        if not until >= self._now:
+            problem = "not a time" if until != until else "before the current time"
+            raise PolicyFault(self._now, f"hold at server {server} to t={until:g}, {problem}")
+        expiry[server] = until
         if until < self._alarm:
             self._alarm = until
 
@@ -357,7 +376,7 @@ class Simulation:
 
     def _close_segment(self, server: int, end: float) -> None:
         c = self._live.pop(server)
-        self._segments.append(CopyInterval(c.server, c.start, end, c.kind, c.excluded))
+        self._segments.append(CopyInterval(server, c.start, end, c.kind, c.excluded))
 
     def run_alarms_before(self, limit: float) -> None:
         """Process all alarms strictly earlier than ``limit``."""
@@ -374,35 +393,40 @@ class Simulation:
         if self._alarm >= before:
             return None
         expiry = self.expiry
-        alarm = self._alarm = min(expiry.values(), default=math.inf)
+        alarm = self._alarm = min(expiry.values()) if expiry else math.inf
         if alarm >= before:
             return None
         self._now = alarm
-        for server in sorted(s for s, e in expiry.items() if e == alarm):
+        if countOf(expiry.values(), alarm) == 1:  # the common case: no list, no sort
+            for server, end in expiry.items():
+                if end == alarm:
+                    break
+            self._policy.expire(self, alarm, server)
+            return alarm
+        for server in sorted(s for s, end in expiry.items() if end == alarm):
             if expiry.get(server) == alarm:
                 self._policy.expire(self, alarm, server)
         return alarm
 
-    def inject_request(self, time: float, server: int) -> ServeRecord:
+    def inject_request(self, time: float, server: int) -> None:
         """Deliver one request after draining earlier alarms."""
-        self.run_alarms_before(time)
-        index = len(self._injected) + 1
-        self._injected.append((time, server))
+        if self._alarm < time:
+            self.run_alarms_before(time)
+        index = len(self._serves) + 1
         self._now, self._request, self._record = time, index, None
         held = self._live.get(server)
         if held is not None:
-            self._record = ServeRecord(index, time, server, MODE_LOCAL, None, held.kind, held.origin, held.switch)
+            self._record = (index, time, server, MODE_LOCAL, None, held.kind, held.origin, held.switch)
             if held.kind != KIND_REGULAR:
                 self._close_segment(server, time)
-                self._live[server] = _LiveCopy(server, time, KIND_REGULAR, index, None)
+                self._live[server] = _LiveCopy(time, KIND_REGULAR, index, None)
             else:
                 held.origin = index
         self._policy.on_request(self, time, server)
         record, self._request = self._record, None
-        if record is None or record.server != server:
+        if record is None or record[2] != server:  # the row's server field
             raise PolicyFault(time, f"request {index} at server {server} left unserved")
         self._serves.append(record)
-        return record
 
     def finalize(self) -> AnnotatedRun:
         """Expire copies until every expiry is ``inf``, then assemble the run.
@@ -412,36 +436,38 @@ class Simulation:
         if self._finalized:
             raise RuntimeError("simulation already finalized")
         self._finalized = True
-        horizon, last_server = self._injected[-1] if self._injected else (0.0, self.instance.initial_server)
+        serves = self._serves
+        horizon, last_server = serves[-1][1:3] if serves else (0.0, self.instance.initial_server)
         if self._policy.uses_copy_exclusions:
             cur = self._live.get(last_server)
             if cur is not None and cur.kind == KIND_REGULAR:
                 # split so the post-final window is a separate, excluded record
                 if cur.start < horizon - TOL:
                     self._close_segment(last_server, horizon)
-                    self._live[last_server] = _LiveCopy(
-                        last_server, horizon, KIND_REGULAR, cur.origin, None, excluded=True
-                    )
+                    self._live[last_server] = _LiveCopy(horizon, KIND_REGULAR, cur.origin, None, excluded=True)
                 else:
                     cur.excluded = True
         self.run_alarms_before(math.inf)
         for server in sorted(self._live):
             c = self._live[server]
             excluded = c.excluded or (self._policy.uses_copy_exclusions and c.kind in SPECIAL_KINDS)
-            self._segments.append(CopyInterval(c.server, c.start, math.inf, c.kind, excluded))
+            self._segments.append(CopyInterval(server, c.start, math.inf, c.kind, excluded))
         self._live.clear()
         self.expiry.clear()
         instance = self.instance
         if not instance.requests:
             instance = Instance.build(
-                [s.rate for s in instance.servers], instance.transfer_cost, instance.initial_server, self._injected
+                [s.rate for s in instance.servers],
+                instance.transfer_cost,
+                instance.initial_server,
+                [row[1:3] for row in serves],
             )
         schedule = ReplicationSchedule(
             instance,
-            tuple(sorted(self._segments, key=lambda c: (c.start, c.server, c.end))),
-            tuple(sorted(self._transfers, key=lambda t: (t.time, t.src, t.dst))),
+            tuple(sorted(self._segments, key=_COPY_ORDER)),
+            tuple(sorted(self._transfers, key=_TRANSFER_ORDER)),
         )
-        return AnnotatedRun(schedule, tuple(self._serves), self._policy.name)
+        return AnnotatedRun(schedule, tuple(serves), self._policy.name)
 
 
 def simulate(policy: "Policy | str", instance: Instance) -> tuple[AnnotatedRun, CostBreakdown]:

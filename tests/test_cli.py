@@ -228,6 +228,31 @@ def test_sweep_rejects_bad_lambda_grid(capsys, bounds, flag):
     assert err.startswith("error: ") and flag in err
 
 
+@pytest.mark.parametrize(
+    "stamp, problem",
+    [
+        ("abc", "timestamp 'abc' is not a number"),
+        ("", "timestamp '' is not a number"),
+        ("nan", "timestamp 'nan' is not finite"),
+        ("-inf", "timestamp '-inf' is not finite"),
+    ],
+)
+def test_sweep_locates_a_bad_trace_timestamp(tmp_path, capsys, stamp, problem):
+    # the bad record is another object's, between two good reads of the target
+    trace = tmp_path / "trace.csv"
+    trace.write_text(f"timestamp,op,object_id\n1,READ,X\n\n{stamp},PUT,Y\n3,READ,X\n", encoding="utf-8")
+    code, out, err = _run(
+        [
+            "sweep", "--trace", str(trace), "--object-id", "X", "--rates", "1,2",
+            "--lambda-min", "2", "--lambda-max", "2", "--lambda-step", "1",
+        ],
+        capsys,
+    )
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {trace}:line 4: {problem}\n"
+
+
 def test_identical_argv_byte_identical_output(capsys):
     argv = [
         "sweep", "--rates", "1,2", "--lambda-min", "2", "--lambda-max", "2",

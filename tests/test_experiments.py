@@ -3,11 +3,16 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import repsim as R
+from repsim.experiments import TraceRecord, read_trace
 
 CM = {"timestamp": "ts", "op": "op", "object_id": "obj"}
 
@@ -63,6 +68,15 @@ def test_ingest_short_record_is_located(tmp_path):
     path = _write(tmp_path, "short.csv", ["0|READ|X", "4|READ"])
     with pytest.raises(ValueError, match=r"line 2: record has no column 2"):
         R.ingest_trace(path, "X", {"timestamp": 0, "op": 1, "object_id": 2}, delimiter="|")
+
+
+def test_read_trace_records_and_a_bad_timestamp_by_file_line(tmp_path):
+    # the first record's quoted op spans lines 2-3, so the next record is on line 4
+    path = _write(tmp_path, "trace.csv", ["ts,op,obj", '1,"READ', '",X', "2, GET , Y"])
+    assert read_trace(path, CM) == [TraceRecord(1.0, "READ", "X"), TraceRecord(2.0, "GET", "Y")]
+    path = _write(tmp_path, "bad.csv", ["ts,op,obj", '1,"READ', '",X', "abc,READ,X"])
+    with pytest.raises(ValueError, match=r"bad.csv:line 4: timestamp 'abc' is not a number"):
+        R.ingest_trace(path, "X", CM)
 
 
 def test_ingest_no_matches(tmp_path):
@@ -172,6 +186,14 @@ def test_sweep_worker_pool_matches_serial():
     serial = R.run_sweep(spec, workers=1)
     for workers in (2, 3):  # three workers get more chunks than there are transfer costs
         assert R.run_sweep(spec, workers=workers) == serial
+
+
+def test_import_leaves_the_process_pool_out():
+    # the pool module is imported by a sweep with workers > 1, not at start-up
+    probe = "import sys, repsim; print('concurrent.futures.process' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(R.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout == "False\n"
 
 
 def test_spec_validation():

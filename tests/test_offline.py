@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import replace
 
@@ -187,10 +188,12 @@ def test_opt_costs_checks_its_arguments():
             R.opt_costs(inst, [1.0, bad])
     with pytest.raises(R.BudgetExceeded, match="per transfer cost"):
         R.opt_costs(inst, [1.0, 2.0], budget=10)
-    # the budget bounds the work per transfer cost: one estimate fits, the pass's 3x does not
+    # the budget bounds the work per transfer cost: one estimate fits, the pass's 3x does not;
+    # the default oracle is the full one, as in the sweep (both oracles agree on the optima)
+    assert inspect.signature(R.opt_costs).parameters["oracle"].default == "full"
     per_cost = (inst.m + 1) * (2 * inst.n + 2) * 2**inst.n
     lams = [0.5, 1.0, 2.0]
-    expected = tuple(R.opt_restricted(replace(inst, transfer_cost=lam), reconstruct=False).opt_cost for lam in lams)
+    expected = tuple(R.opt_full(replace(inst, transfer_cost=lam), reconstruct=False).opt_cost for lam in lams)
     assert R.opt_costs(inst, lams, budget=per_cost) == expected
     with pytest.raises(R.BudgetExceeded):
         R.opt_costs(inst, lams, budget=per_cost - 1)

@@ -317,6 +317,12 @@ DRIVER_CHECKS = {
     "hold-at-non-holder": (
         "on_request", 1, lambda sim, t, s: sim.hold(3, 9.0), "t=0.5: hold at server 3 which holds no copy"
     ),
+    "hold-into-the-past": (
+        "on_request", 1, lambda sim, t, s: sim.hold(s, 0.25), "t=0.5: hold at server 1 to t=0.25, before the current time"
+    ),
+    "hold-to-nan": (
+        "on_request", 1, lambda sim, t, s: sim.hold(s, math.nan), "t=0.5: hold at server 1 to t=nan, not a time"
+    ),
     "unserved": ("on_request", 2, lambda sim, t, s: None, "t=0.5: request 1 at server 2 left unserved"),
     "served-elsewhere": (
         "on_request", 2, lambda sim, t, s: sim.transfer(1, 3), "t=0.5: request 1 at server 2 left unserved"
@@ -363,6 +369,57 @@ def test_hold_below_the_cached_alarm_still_expires_in_time_order():
     run, _ = R.simulate(policy, R.Instance.build([1.0, 2.0], 1.0, 1, [(1.0, 2), (4.0, 1)]))
     assert policy.log == [("request", 1.0, 2), ("expire", 3.0, 2), ("request", 4.0, 1), ("expire", 10.0, 1)]
     assert [(c.server, c.start, c.end) for c in run.schedule.copies] == [(1, 0.0, math.inf), (2, 1.0, 3.0)]
+
+
+class _TwoExpireAtOnce(Policy):
+    """Copies at servers 3 and 2 (made in that order) both expire at t=2.
+
+    With ``rehold`` the expiry of server 2 first holds server 3 on to t=4.
+    """
+
+    def __init__(self, rehold: bool):
+        self.rehold = rehold
+        self.log = []
+
+    def start(self, sim):
+        sim.hold(1, 5.0)
+
+    def on_request(self, sim, time, server):
+        if server not in sim.expiry:
+            sim.transfer(1, server)
+            sim.hold(server, 2.0)
+
+    def expire(self, sim, time, server):
+        self.log.append((time, server))
+        if self.rehold and server == 2:
+            sim.hold(3, 4.0)
+        if len(sim.expiry) > 1:
+            sim.drop(server)
+        else:
+            sim.hold(server, math.inf)
+
+
+@pytest.mark.parametrize("rehold, fired", [(False, [(2.0, 2), (2.0, 3)]), (True, [(2.0, 2), (4.0, 3)])])
+def test_simultaneous_expiries_fire_in_server_order(rehold, fired):
+    policy = _TwoExpireAtOnce(rehold)
+    run, _ = R.simulate(policy, R.Instance.build([1.0, 2.0, 3.0], 1.0, 1, [(1.0, 3), (1.5, 2), (6.0, 1)]))
+    assert policy.log == fired + [(5.0, 1)]
+    assert [(c.server, c.end) for c in run.schedule.copies if c.server != 1] == [(3, fired[1][0]), (2, 2.0)]
+
+
+def test_serve_records_are_immutable_hashable_and_keep_their_fields():
+    run, _ = R.simulate("alg1", fig3_instance())
+    rec = run.serves[0]
+    assert R.ServeRecord._fields == (
+        "index", "time", "server", "mode", "source", "copy_kind", "provider", "switch_time"
+    )
+    with pytest.raises(AttributeError):
+        rec.mode = "local"
+    assert rec == R.ServeRecord(*rec) and hash(rec) == hash(R.ServeRecord(*rec))
+    assert len(set(run.serves)) == len(run.serves)
+    # the records are made once, from the driver's rows
+    assert run.serves is run.serves
+    assert run.serves == run.serve_rows and {type(r) for r in run.serves} == {R.ServeRecord}
 
 
 def test_runs_free_their_simulation_without_the_cycle_collector(monkeypatch):
