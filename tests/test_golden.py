@@ -1,8 +1,10 @@
 """Golden outputs: CLI results pinned byte for byte by sha256 digest.
 
 The digests cover the event logs of all three policies, the allocation CSV,
-a small trace sweep, the adaptive adversary and the three policies' event
-logs and exact costs on a trace-scale instance. A change that only
+a small trace sweep, the adaptive adversary, the three policies' event logs
+and exact costs on a trace-scale instance, and both oracles' optimal
+schedules: through the CLI on every golden instance, and with every bit of
+the optimum and the prefix optima on the trace-scale instance. A change that only
 restructures code must leave every digest unchanged; a change that means to
 alter behaviour re-records them and says why.
 """
@@ -19,6 +21,7 @@ import repsim as R
 import repsim.cli as cli
 
 POLICY_NAMES = ("alg1", "wang", "simple")
+ORACLE_SOLVERS = {"full": R.opt_full, "restricted": R.opt_restricted}
 
 GOLDEN = {
     "simulate.alg1": "35bf261948a097666a6564513464395b9e0a9b0b527327660dbd6160fa6edb7e",
@@ -29,6 +32,9 @@ GOLDEN = {
     "sweep": "6f0eb1aa2cea573ab0ce8b70cd1251d775b260a46c18b0848600c1a2f64c5403",
     "sweep.default_grid": "edd76c310bb1ecddfbcffc0b38c9890c52f567fa4f5cc819c8638b8614ba40df",
     "simulate.trace": "cbb114ab4ab750679f7c319fdf877c952c54e5c7e5c4776087c4a88a7ab58ccf",
+    "opt.full": "6a5b8311130ff3c0bb5c6c339b457baac32528e51d946e88b6eafb5d316e9a93",
+    "opt.restricted": "f4e7677d7090d34b716647ee0d8f6b3f4eba2916e615746574cfc506c4c4566a",
+    "opt.trace": "d5fecb1015f64a6a49c87740a957c182090d285efb9f1393b96a7a25a268851a",
 }
 DEFAULT_GRID_PREFIX = ["sweep", "--prefix", "300"]  # every rate set x the default lambda grid
 
@@ -124,16 +130,34 @@ def test_golden_adversary():
     assert _sha(outputs) == GOLDEN["adversary"]
 
 
-def test_golden_trace_scale_runs():
-    # 2,000 requests of the seeded Poisson trace on 10 servers (set4, lambda 400);
-    # repr keeps every bit of each total, which the CLI outputs round to .10g
+@pytest.fixture(scope="module")
+def trace_instance() -> R.Instance:
+    # 2,000 requests of the seeded Poisson trace on 10 servers (set4, lambda 400)
     times = R.gen_poisson_trace(42, 11_683, 50.0)[:2000]
-    inst = R.Instance.build(R.RATE_SETS["set4"], 400.0, 1, R.assign_servers(times, 10, 42))
+    return R.Instance.build(R.RATE_SETS["set4"], 400.0, 1, R.assign_servers(times, 10, 42))
+
+
+def test_golden_trace_scale_runs(trace_instance):
+    # repr keeps every bit of each total, which the CLI outputs round to .10g
     outputs = []
     for name in POLICY_NAMES:
-        run, cost = R.simulate(name, inst)
+        run, cost = R.simulate(name, trace_instance)
         outputs += [run.event_log(), repr(cost.total)]
     assert _sha(outputs) == GOLDEN["simulate.trace"]
+
+
+@pytest.mark.parametrize("oracle", ORACLE_SOLVERS)
+def test_golden_optimal_schedules(instance_files, oracle):
+    outputs = [_ok(["opt", "--oracle", oracle, "--instance", p, "--events"]) for p in instance_files]
+    assert _sha(outputs) == GOLDEN[f"opt.{oracle}"]
+
+
+def test_golden_trace_scale_optima(trace_instance):
+    outputs = []
+    for solver in ORACLE_SOLVERS.values():
+        sol = solver(trace_instance)
+        outputs += [repr(sol.opt_cost), repr(sol.prefix_costs), repr(sol.schedule.copies), repr(sol.schedule.transfers)]
+    assert _sha(outputs) == GOLDEN["opt.trace"]
 
 
 def test_golden_sweep_csv():
