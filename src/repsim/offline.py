@@ -36,10 +36,15 @@ rate. Creating only at the requester or the cheapest server, with no rate
 condition, is NOT enough; pre-positioning at a mid-priced server beats it by
 a positive margin.
 
-For a schedule the forward pass records, per step, the subset each subset was
-reached from, moving it only where a candidate is strictly cheaper. The
-backtrack walks these choices back from the first cheapest final subset, so
-on exact ties the schedule is the first strictly cheaper path in pass order.
+For a schedule the forward pass records one move bit per pass and entry it
+relaxes: set where the candidate from across the pass's bit is strictly
+cheaper, the only entries the minimum changes. A step's bits are packed into
+one row, (2n + 1) * 2^(n-1) bits for a restricted step and n * 2^(n-1) for a
+full one, which also keeps its cheapest singleton; the full step's half copy
+is unconditional and needs none. The backtrack walks the first cheapest final
+subset back through each step's passes in reverse, one bit lookup per pass,
+so on exact ties the schedule is the first strictly cheaper path in pass
+order.
 """
 
 from __future__ import annotations
@@ -129,6 +134,11 @@ def _subset_tables(instance: Instance) -> tuple[np.ndarray, np.ndarray]:
 _SHORT_RUN = 4  # views made of runs this short or shorter put the axis across runs last
 
 
+def _runs_last(view: np.ndarray) -> np.ndarray:
+    """A ``(runs, run, columns)`` view, with the axis across runs last when runs are short."""
+    return view.transpose(1, 2, 0) if view.shape[1] * view.shape[2] <= _SHORT_RUN else view
+
+
 def _halves(table: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     """Per bit ``b``, views of the rows of ``table`` whose subset lacks and has bit ``b``.
 
@@ -142,10 +152,7 @@ def _halves(table: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     out = []
     for b in range(size.bit_length() - 1):
         side = table.reshape(size >> (b + 1), 2, 1 << b, cols)
-        lo, hi = side[:, 0], side[:, 1]
-        if (1 << b) * cols <= _SHORT_RUN:
-            lo, hi = lo.transpose(1, 2, 0), hi.transpose(1, 2, 0)
-        out.append((lo, hi))
+        out.append((_runs_last(side[:, 0]), _runs_last(side[:, 1])))
     return out
 
 
@@ -166,9 +173,14 @@ def _solve(
     ufuncs on them in place. A full step is the closed form of the module
     docstring, with no serve add and no drop passes; a restricted step
     serves, keeps the served copy, runs its masked creation passes and then
-    one drop pass per bit. While reconstructing, row 0's origin is the
-    cheapest singleton, so a step may move the object to holders that share
-    nothing with the ones before it.
+    one drop pass per bit. A creation pass whose mask forbids every entry
+    would change nothing and is not run.
+
+    While reconstructing, each pass also writes one move bit per entry on its
+    destination side into its slot of ``moves``, and each step packs the
+    slots into one row of ``record``. A full step also records the cheapest
+    singleton, which row 0 stands for, so a step may move the object to
+    holders that share nothing with the ones before it.
     """
     _check_budget(instance, budget)
     n = instance.n
@@ -183,11 +195,18 @@ def _solve(
     ratesum = table(ratesum)  # a full table keeps the storage pass contiguous
     transfer = _halves(np.tile(np.asarray(transfer_costs, dtype=float), (size, 1)))
     priciest = [lo for lo, _ in _halves(table(maxrate))]
-    create = []
+    # a step's relax passes in order, as (bit, side written, creation cost) with bit None for
+    # the requester's; pass k records its move bits in row k of ``moves``
+    passes: list[tuple[int | None, int, np.ndarray | None]] = [(None, 1, None)] if restricted else []
     for b, server in enumerate(instance.servers):
-        # a copy at server b + 1 costs one transfer where the restricted rule allows it
+        # a copy at server b + 1 costs one transfer where the restricted rule allows it;
+        # sequential passes cover multi-copy creations, and a restricted creation never
+        # raises the priciest held rate, so every pass tests the same priciest holder
         allowed = (priciest[b] > server.rate) | (b == 0 or not restricted)
-        create.append(np.where(allowed, transfer[b][0], math.inf))
+        if allowed.any():  # a pass whose mask forbids every entry would change nothing
+            passes.append((b, 1, np.where(allowed, transfer[b][0], math.inf)))
+    if restricted:
+        passes += [(b, 0, None) for b in range(n)]  # drops are free
     singles = 1 << np.arange(n)
     dp = np.full((size, cols), math.inf)
     dp[_bit(instance.initial_server)] = 0.0
@@ -196,83 +215,112 @@ def _solve(
     storage = np.empty_like(dp)
     optima = np.empty((len(events) if prefix else 1, cols))
     if reconstruct:
-        # came[i][s]: the subset held before step i that subset s after it was reached from
-        came = np.empty((len(events), size), dtype=np.int16)
-        origin = np.empty((size, 1), dtype=np.int16)
-        identity = np.arange(size, dtype=np.int16)[:, None]
-        origin_halves = _halves(origin)
-        better = [np.empty(lo.shape, dtype=bool) for lo, _ in halves]
+        moves = np.zeros((len(passes), size >> 1), dtype=bool)
+        record = np.empty((len(events), (moves.size + 7) // 8), dtype=np.uint8)
+        cheapest = np.zeros(len(events), dtype=np.int64)
 
-    def relax(b: int, into: int, cost: np.ndarray | None = None) -> None:
+    def slot(k: int, b: int) -> np.ndarray | None:
+        """Pass ``k``'s move bits over bit ``b``, shaped like that bit's halves."""
+        return _runs_last(moves[k].reshape(size >> (b + 1), 1 << b, 1)) if reconstruct else None
+
+    keep = [slot(0, b) for b in range(n)] if restricted else []  # keeping the served copy is free
+    fixed = [(b, into, cost, slot(k, b)) for k, (b, into, cost) in enumerate(passes) if b is not None]
+
+    def relax(b: int, into: int, cost: np.ndarray | None, moved: np.ndarray | None) -> None:
         """Relax the subsets with bit ``b`` equal to ``into`` from their partners across it.
 
-        While reconstructing, an entry and its origin move only where the
-        candidate is strictly cheaper; otherwise this is a plain minimum.
+        With ``moved``, it also records where the candidate is strictly
+        cheaper, the only entries the minimum changes.
         """
         dst, src = halves[b][into], halves[b][1 - into]
         if cost is not None:
             src = np.add(src, cost, out=scratch[b], order="C")
-        if not reconstruct:
-            np.minimum(dst, src, out=dst, order="C")
-            return
-        moved = np.less(src, dst, out=better[b], order="C")
-        np.copyto(dst, src, where=moved)
-        np.copyto(origin_halves[b][into], origin_halves[b][1 - into], where=moved)
+        if moved is not None:
+            np.less(src, dst, out=moved, order="C")
+        np.minimum(dst, src, out=dst, order="C")
 
     prev_t = 0.0
     for i, (time, server) in enumerate(events):
         dp += np.multiply(ratesum, time - prev_t, out=storage)
         prev_t = time
-        if reconstruct:
-            np.copyto(origin, identity)
         q = server - 1
         if restricted:
             np.add(halves[q][0], transfer[q][0], out=halves[q][0], order="C")  # serve by inward transfer
-            relax(q, 1)  # keeping the served copy is free
+            relax(q, 1, None, keep[q])
         else:
             # the closed form F[s] = G[s | q] of the module docstring: row 0 stands for
             # "serve from the cheapest sole holder, then drop it", and the creation
             # pass over bit q is the serve
             np.min(dp[singles], axis=0, out=dp[0])
             if reconstruct:
-                origin[0] = singles[np.argmin(dp[singles, 0])]
-        for b in range(n):
-            # sequential passes cover multi-copy creations; a restricted creation never
-            # raises the priciest held rate, so every pass tests the same priciest holder
-            relax(b, 1, create[b])
-        if restricted:
-            for b in range(n):
-                relax(b, 0)  # drops are free
-        else:
+                cheapest[i] = singles[np.argmin(dp[singles, 0])]
+        for b, into, cost, moved in fixed:
+            relax(b, into, cost, moved)
+        if not restricted:
             np.copyto(halves[q][0], halves[q][1])  # dropping q is free
-            if reconstruct:
-                np.copyto(origin_halves[q][0], origin_halves[q][1])
         dp[0] = math.inf
         if prefix:
             np.min(dp, axis=0, out=optima[i])
         if reconstruct:
-            came[i] = origin[:, 0]
+            record[i] = np.packbits(moves, bitorder="little")
     if not prefix:
         np.min(dp, axis=0, out=optima[0])
-
-    schedule = _reconstruct(instance, events, came, int(np.argmin(dp[:, 0]))) if reconstruct else None
-    return optima, schedule
+    if not reconstruct:
+        return optima, None
+    order = [(b, into) for b, into, _ in passes]
+    singletons = None if restricted else cheapest.tolist()
+    return optima, _reconstruct(instance, events, record, order, singletons, int(np.argmin(dp[:, 0])))
 
 
 def _reconstruct(
-    instance: Instance, events: list[tuple[float, int]], came: np.ndarray, final_state: int
+    instance: Instance,
+    events: list[tuple[float, int]],
+    record: np.ndarray,
+    passes: list[tuple[int | None, int]],
+    cheapest: list[int] | None,
+    final_state: int,
 ) -> ReplicationSchedule:
-    n = instance.n
+    """The schedule that walks ``final_state`` back through each step's recorded moves.
+
+    ``record[i]`` packs step ``i``'s move bits, little-endian, one slot of
+    2^(n-1) bits per pass in the order of ``passes``; an entry's bit sits at
+    its subset's index with the pass's bit removed. Walked in reverse, a pass
+    over bit ``b`` into side ``into`` moved a subset with that bit equal to
+    ``into`` exactly when its bit is set, and then the subset came from its
+    partner across ``b``. Each step costs one lookup per pass, whatever the
+    number of subsets. Full steps (``cheapest`` given) end with the copy of
+    the requester's half into the half without it, which needs no bits, and
+    their row 0 is the cheapest singleton ``cheapest[i]``.
+    """
+    half = 1 << (instance.n - 1)
+    bits = memoryview(record.reshape(-1))
+    row_bits = 8 * record.shape[1]
+    backwards = [(k * half, b, into) for k, (b, into) in enumerate(passes)][::-1]
     holder_seq = [0] * len(events)
-    holder_seq[-1] = final_state
+    state = final_state
     for i in range(len(events) - 1, 0, -1):
-        holder_seq[i - 1] = int(came[i, holder_seq[i]])
+        holder_seq[i] = state
+        q = events[i][1] - 1
+        if cheapest is not None:
+            state |= 1 << q
+        base = i * row_bits
+        for offset, b, into in backwards:
+            if b is None:
+                b = q
+            if (state >> b & 1) == into:
+                low = (1 << b) - 1
+                at = base + offset + ((state >> 1) & ~low | state & low)
+                if bits[at >> 3] >> (at & 7) & 1:
+                    state ^= 1 << b
+        if not state:
+            state = cheapest[i]
+    holder_seq[0] = state
 
     copies: list[CopyInterval] = []
     transfers: list[Transfer] = []
     times = [t for t, _ in events]
     last = len(events) - 1
-    for server in range(1, n + 1):
+    for server in range(1, instance.n + 1):
         bit = _bit(server)
         i = 0
         while i <= last:
@@ -288,18 +336,21 @@ def _reconstruct(
     if not holder_seq[0] & _bit(instance.initial_server):
         # initial copy dropped right after the time-0 adjustment
         copies.append(CopyInterval(instance.initial_server, 0.0, 0.0, KIND_OFFLINE))
+    prev_mask = _bit(instance.initial_server)
     for i, (time, server) in enumerate(events):
         qbit = _bit(server)
-        prev_mask = holder_seq[i - 1] if i > 0 else _bit(instance.initial_server)
-        src = min(s for s in range(1, n + 1) if prev_mask & _bit(s))
+        mask = holder_seq[i]
+        src = (prev_mask & -prev_mask).bit_length()  # the lowest-numbered holder
         if i > 0 and not prev_mask & qbit:
             transfers.append(Transfer(time, src, server, PURPOSE_SERVE))
-            if not holder_seq[i] & qbit:
+            if not mask & qbit:
                 copies.append(CopyInterval(server, time, time, KIND_OFFLINE))
-        created = holder_seq[i] & ~(prev_mask | qbit)
-        for s in range(1, n + 1):
-            if created & _bit(s):
-                transfers.append(Transfer(time, src, s, PURPOSE_CREATE))
+        created = mask & ~(prev_mask | qbit)
+        while created:
+            low = created & -created
+            transfers.append(Transfer(time, src, low.bit_length(), PURPOSE_CREATE))
+            created ^= low
+        prev_mask = mask
     return ReplicationSchedule(
         instance,
         tuple(sorted(copies, key=lambda c: (c.start, c.server, c.end))),

@@ -1,10 +1,19 @@
-"""Reference full-oracle step: the DP with explicit serve, keep, creation and drop passes.
+"""Reference oracles that the program's kernel must match bit for bit.
 
-Each step adds gap storage, charges subsets without the requester one
-inward transfer, keeps the served copy for free, runs one creation pass per
-server bit and then one drop pass per server bit. The program's full oracle
-replaces the serve, keep and drop passes with a closed form over a monotone
-table; tests require both to give equal prefix optima, bit for bit.
+``full_prefix_optima`` is the full-oracle step with explicit serve, keep,
+creation and drop passes: each step adds gap storage, charges subsets
+without the requester one inward transfer, keeps the served copy for free,
+runs one creation pass per server bit and then one drop pass per server bit.
+The program's full oracle replaces the serve, keep and drop passes with a
+closed form over a monotone table; tests require both to give equal prefix
+optima, bit for bit.
+
+``reference_schedule`` runs the program's passes (the closed-form full step
+or the masked restricted step) with an int16 "came from" table: per step,
+the subset each subset was reached from, moved only where a candidate is
+strictly cheaper. The backtrack follows these origins from the first
+cheapest final subset. The program records one move bit per pass instead;
+tests require both to give the same schedule, bit for bit.
 """
 
 from __future__ import annotations
@@ -14,7 +23,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from repsim.model import Instance
+from repsim.model import KIND_OFFLINE, PURPOSE_CREATE, PURPOSE_SERVE, CopyInterval, Instance, ReplicationSchedule, Transfer
 from repsim.offline import _bit, _halves, _subset_tables
 
 
@@ -55,3 +64,104 @@ def full_prefix_optima(instance: Instance, transfer_costs: Sequence[float]) -> n
         dp[0] = math.inf
         optima[i] = dp.min(axis=0)
     return optima
+
+
+def reference_schedule(instance: Instance, restricted: bool) -> tuple[float, ReplicationSchedule]:
+    """The optimum and its schedule, from an int16 came-from table per step."""
+    n = instance.n
+    size = 1 << n
+    events = [(0.0, instance.initial_server)] + [(r.time, r.server) for r in instance.requests]
+    ratesum, maxrate = _subset_tables(instance)
+    ratesum = ratesum[:, None]
+    transfer = _halves(np.full((size, 1), instance.transfer_cost))
+    priciest = [lo for lo, _ in _halves(maxrate[:, None])]
+    create = []
+    for b, server in enumerate(instance.servers):
+        allowed = (priciest[b] > server.rate) | (b == 0 or not restricted)
+        create.append(np.where(allowed, transfer[b][0], math.inf))
+    singles = 1 << np.arange(n)
+    dp = np.full((size, 1), math.inf)
+    dp[_bit(instance.initial_server)] = 0.0
+    halves = _halves(dp)
+    came = np.empty((len(events), size), dtype=np.int16)
+    origin = np.empty((size, 1), dtype=np.int16)
+    identity = np.arange(size, dtype=np.int16)[:, None]
+    origin_halves = _halves(origin)
+
+    def relax(b: int, into: int, cost: np.ndarray | None = None) -> None:
+        dst, src = halves[b][into], halves[b][1 - into]
+        if cost is not None:
+            src = src + cost
+        moved = src < dst
+        np.copyto(dst, src, where=moved)
+        np.copyto(origin_halves[b][into], origin_halves[b][1 - into], where=moved)
+
+    prev_t = 0.0
+    for i, (time, server) in enumerate(events):
+        dp += ratesum * (time - prev_t)
+        prev_t = time
+        np.copyto(origin, identity)
+        q = server - 1
+        if restricted:
+            np.add(halves[q][0], transfer[q][0], out=halves[q][0])
+            relax(q, 1)
+        else:
+            dp[0] = dp[singles].min(axis=0)
+            origin[0] = singles[np.argmin(dp[singles, 0])]
+        for b in range(n):
+            relax(b, 1, create[b])
+        if restricted:
+            for b in range(n):
+                relax(b, 0)
+        else:
+            np.copyto(halves[q][0], halves[q][1])
+            np.copyto(origin_halves[q][0], origin_halves[q][1])
+        dp[0] = math.inf
+        came[i] = origin[:, 0]
+
+    holder_seq = [0] * len(events)
+    holder_seq[-1] = int(np.argmin(dp[:, 0]))
+    for i in range(len(events) - 1, 0, -1):
+        holder_seq[i - 1] = int(came[i, holder_seq[i]])
+    return float(dp.min()), _schedule(instance, events, holder_seq)
+
+
+def _schedule(instance: Instance, events: list[tuple[float, int]], holder_seq: list[int]) -> ReplicationSchedule:
+    """The schedule that holds ``holder_seq[i]`` after event ``i``."""
+    n = instance.n
+    copies: list[CopyInterval] = []
+    transfers: list[Transfer] = []
+    times = [t for t, _ in events]
+    last = len(events) - 1
+    for server in range(1, n + 1):
+        bit = _bit(server)
+        i = 0
+        while i <= last:
+            if holder_seq[i] & bit:
+                j = i
+                while j < last and holder_seq[j + 1] & bit:
+                    j += 1
+                end = times[j + 1] if j < last else times[last]
+                copies.append(CopyInterval(server, times[i], end, KIND_OFFLINE))
+                i = j + 1
+            else:
+                i += 1
+    if not holder_seq[0] & _bit(instance.initial_server):
+        copies.append(CopyInterval(instance.initial_server, 0.0, 0.0, KIND_OFFLINE))
+    for i, (time, server) in enumerate(events):
+        qbit = _bit(server)
+        prev_mask = holder_seq[i - 1] if i > 0 else _bit(instance.initial_server)
+        src = min(s for s in range(1, n + 1) if prev_mask & _bit(s))
+        if i > 0 and not prev_mask & qbit:
+            transfers.append(Transfer(time, src, server, PURPOSE_SERVE))
+            if not holder_seq[i] & qbit:
+                copies.append(CopyInterval(server, time, time, KIND_OFFLINE))
+        created = holder_seq[i] & ~(prev_mask | qbit)
+        for s in range(1, n + 1):
+            if created & _bit(s):
+                transfers.append(Transfer(time, src, s, PURPOSE_CREATE))
+    return ReplicationSchedule(
+        instance,
+        tuple(sorted(copies, key=lambda c: (c.start, c.server, c.end))),
+        tuple(sorted(transfers, key=lambda t: (t.time, t.src, t.dst))),
+    )

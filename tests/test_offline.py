@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import inspect
 import math
+import tracemalloc
 from dataclasses import replace
 
 import pytest
 
 import repsim as R
 from conftest import brute_force_optimum
-from reference_oracle import full_prefix_optima
+from reference_oracle import full_prefix_optima, reference_schedule
 
 TOL = 1e-9
 
@@ -162,6 +163,36 @@ def test_full_oracle_equals_the_reference_step_on_a_trace_prefix():
         for lam, column in zip(lams, expected.T):
             sol = R.opt_full(replace(inst, transfer_cost=lam), reconstruct=False)
             assert sol.prefix_costs == tuple(column.tolist()), (rate_set, lam)
+
+
+def _trace_prefix_instance(rate_set: str, lam: float, m: int) -> R.Instance:
+    times = R.gen_poisson_trace(42, 11_683, 50.0)[:m]
+    return R.Instance.build(R.RATE_SETS[rate_set], lam, 1, R.assign_servers(times, 10, 42))
+
+
+def test_reconstructed_schedules_equal_the_came_from_reference_on_a_trace_prefix():
+    # set1 has equal rates, so ties abound and nine of the ten restricted creation passes never run
+    for rate_set in ("set1", "set4"):
+        for lam in (50.0, 1200.0):
+            inst = _trace_prefix_instance(rate_set, lam, 800)
+            for restricted, solver in ((False, R.opt_full), (True, R.opt_restricted)):
+                sol = solver(inst)
+                assert (sol.opt_cost, sol.schedule) == reference_schedule(inst, restricted), (rate_set, lam)
+
+
+def test_reconstruction_memory_is_the_move_record_plus_a_fixed_slack():
+    # one move bit per pass and destination entry: at most (2n + 1) 2^(n - 1) bits per step
+    inst = _trace_prefix_instance("set4", 400.0, 2000)
+    n = inst.n
+    record = (inst.m + 1) * (2 * n + 1) * 2 ** (n - 1) // 8
+    R.opt_restricted(inst)  # first-call allocations are not the oracle's
+    tracemalloc.start()
+    try:
+        R.opt_restricted(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= record + (1 << 20), (peak, record)
 
 
 def test_full_oracle_serves_from_a_pricey_sole_holder_and_drops_it_at_once():

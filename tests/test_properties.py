@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import repsim as R
 from conftest import instances
-from reference_oracle import full_prefix_optima
+from reference_oracle import full_prefix_optima, reference_schedule
 
 TOL = 1e-9
 
@@ -72,6 +72,13 @@ def test_reconstructed_schedules_are_valid_and_optimal(inst):
         assert R.validate_schedule(sol.schedule) == []
         assert R.validate_offline_structure(sol.schedule) == []
         assert abs(R.compute_cost(sol.schedule).total - sol.opt_cost) <= TOL
+
+
+@given(instances(max_n=5))
+def test_reconstructed_schedules_equal_the_came_from_reference(inst):
+    for restricted, solver in ((False, R.opt_full), (True, R.opt_restricted)):
+        sol = solver(inst)
+        assert (sol.opt_cost, sol.schedule) == reference_schedule(inst, restricted), restricted
 
 
 @given(instances())
