@@ -39,6 +39,7 @@ from .model import (
     CopyInterval,
     CostBreakdown,
     Instance,
+    InstanceFormatError,
     ReplicationSchedule,
     Transfer,
     compute_cost,
@@ -315,6 +316,8 @@ class Simulation:
         self._segments: list[CopyInterval] = []
         self._transfers: list[Transfer] = []
         self._serves: list[tuple] = []  # a ServeRecord row per delivered request, so also the request log
+        self._servers = frozenset(range(1, instance.n + 1))
+        self._last = 0.0  # the previous request's time; the synthetic request is at 0
         self._finalized = False
         self._now = 0.0
         self._request: int | None = None  # index of the request being served
@@ -409,10 +412,18 @@ class Simulation:
         return alarm
 
     def inject_request(self, time: float, server: int) -> None:
-        """Deliver one request after draining earlier alarms."""
+        """Deliver one request after draining earlier alarms.
+
+        A request must come strictly after the previous one, at a finite
+        time and at a server of the instance; otherwise it is rejected here,
+        before any alarm runs.
+        """
+        index = len(self._serves) + 1
+        if not self._last < time < math.inf or server not in self._servers:
+            self._reject(index, time, server)
+        self._last = time
         if self._alarm < time:
             self.run_alarms_before(time)
-        index = len(self._serves) + 1
         self._now, self._request, self._record = time, index, None
         held = self._live.get(server)
         if held is not None:
@@ -427,6 +438,17 @@ class Simulation:
         if record is None or record[2] != server:  # the row's server field
             raise PolicyFault(time, f"request {index} at server {server} left unserved")
         self._serves.append(record)
+
+    def _reject(self, index: int, time: float, server: int) -> None:
+        if server not in self._servers:
+            problem = f"server is not an integer in 1..{self.instance.n}"
+        elif not time < math.inf:
+            problem = "time is not finite"
+        else:
+            problem = "time does not strictly increase"
+        raise InstanceFormatError(
+            f"request {index} at t={time:g}, server {server!r} (previous request at t={self._last:g}): {problem}"
+        )
 
     def finalize(self) -> AnnotatedRun:
         """Expire copies until every expiry is ``inf``, then assemble the run.

@@ -407,6 +407,27 @@ def test_simultaneous_expiries_fire_in_server_order(rehold, fired):
     assert [(c.server, c.end) for c in run.schedule.copies if c.server != 1] == [(3, fired[1][0]), (2, 2.0)]
 
 
+@pytest.mark.parametrize(
+    "requests, problem",
+    [
+        ([(5.0, 2), (3.0, 2)], "request 2 at t=3, server 2 (previous request at t=5): time does not strictly increase"),
+        ([(5.0, 1), (5.0, 1)], "request 2 at t=5, server 1 (previous request at t=5): time does not strictly increase"),
+        ([(5.0, 1), (6.0, 3)], "request 2 at t=6, server 3 (previous request at t=5): server is not an integer in 1..2"),
+    ],
+    ids=["earlier", "tied", "no-such-server"],
+)
+def test_injected_requests_are_checked_at_injection(requests, problem):
+    sim = R.Simulation(R.make_policy("alg1"), R.Instance.build([1.0, 2.0], 1.0, 1, []))
+    *ok, (time, server) = requests
+    for t, s in ok:
+        sim.inject_request(t, s)
+    expiry = dict(sim.expiry)
+    with pytest.raises(R.InstanceFormatError) as err:
+        sim.inject_request(time, server)
+    assert str(err.value) == problem
+    assert sim.expiry == expiry  # rejected before any alarm ran
+
+
 def test_serve_records_are_immutable_hashable_and_keep_their_fields():
     run, _ = R.simulate("alg1", fig3_instance())
     rec = run.serves[0]
