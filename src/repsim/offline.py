@@ -174,13 +174,10 @@ def _solve(
     docstring, with no serve add and no drop passes; a restricted step
     serves, keeps the served copy, runs its masked creation passes and then
     one drop pass per bit. A creation pass whose mask forbids every entry
-    would change nothing and is not run.
-
-    While reconstructing, each pass also writes one move bit per entry on its
-    destination side into its slot of ``moves``, and each step packs the
-    slots into one row of ``record``. A full step also records the cheapest
-    singleton, which row 0 stands for, so a step may move the object to
-    holders that share nothing with the ones before it.
+    would change nothing and is not run. While reconstructing, each step
+    packs its passes' move bits into one row of ``record``, and a full step
+    also records the cheapest singleton that row 0 stands for, so a step may
+    move the object to holders that share nothing with the ones before it.
     """
     _check_budget(instance, budget)
     n = instance.n
@@ -282,15 +279,12 @@ def _reconstruct(
 ) -> ReplicationSchedule:
     """The schedule that walks ``final_state`` back through each step's recorded moves.
 
-    ``record[i]`` packs step ``i``'s move bits, little-endian, one slot of
-    2^(n-1) bits per pass in the order of ``passes``; an entry's bit sits at
-    its subset's index with the pass's bit removed. Walked in reverse, a pass
-    over bit ``b`` into side ``into`` moved a subset with that bit equal to
-    ``into`` exactly when its bit is set, and then the subset came from its
-    partner across ``b``. Each step costs one lookup per pass, whatever the
-    number of subsets. Full steps (``cheapest`` given) end with the copy of
-    the requester's half into the half without it, which needs no bits, and
-    their row 0 is the cheapest singleton ``cheapest[i]``.
+    ``record[i]`` packs step ``i``'s move bits little-endian, 2^(n-1) per
+    pass in the order of ``passes``, each at its subset's index with the
+    pass's bit removed. A subset on a pass's destination side whose bit is
+    set came from its partner across the pass's bit. Full steps
+    (``cheapest`` given) end with the requester's half copied into the half
+    without it, and their row 0 is the singleton ``cheapest[i]``.
     """
     half = 1 << (instance.n - 1)
     bits = memoryview(record.reshape(-1))

@@ -419,8 +419,16 @@ class Simulation:
         before any alarm runs.
         """
         index = len(self._serves) + 1
-        if not self._last < time < math.inf or server not in self._servers:
-            self._reject(index, time, server)
+        if not self._last < time < math.inf or type(server) is not int or server not in self._servers:
+            if type(server) is not int or server not in self._servers:
+                problem = f"server is not an int in 1..{self.instance.n}"
+            elif not time < math.inf:
+                problem = "time is not finite"
+            else:
+                problem = "time does not strictly increase"
+            raise InstanceFormatError(
+                f"request {index} at t={time:g}, server {server!r} (previous request at t={self._last:g}): {problem}"
+            )
         self._last = time
         if self._alarm < time:
             self.run_alarms_before(time)
@@ -438,17 +446,6 @@ class Simulation:
         if record is None or record[2] != server:  # the row's server field
             raise PolicyFault(time, f"request {index} at server {server} left unserved")
         self._serves.append(record)
-
-    def _reject(self, index: int, time: float, server: int) -> None:
-        if server not in self._servers:
-            problem = f"server is not an integer in 1..{self.instance.n}"
-        elif not time < math.inf:
-            problem = "time is not finite"
-        else:
-            problem = "time does not strictly increase"
-        raise InstanceFormatError(
-            f"request {index} at t={time:g}, server {server!r} (previous request at t={self._last:g}): {problem}"
-        )
 
     def finalize(self) -> AnnotatedRun:
         """Expire copies until every expiry is ``inf``, then assemble the run.

@@ -23,7 +23,15 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from repsim.model import KIND_OFFLINE, PURPOSE_CREATE, PURPOSE_SERVE, CopyInterval, Instance, ReplicationSchedule, Transfer
+from repsim.model import (
+    KIND_OFFLINE,
+    PURPOSE_CREATE,
+    PURPOSE_SERVE,
+    CopyInterval,
+    Instance,
+    ReplicationSchedule,
+    Transfer,
+)
 from repsim.offline import _bit, _halves, _subset_tables
 
 

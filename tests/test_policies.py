@@ -412,9 +412,11 @@ def test_simultaneous_expiries_fire_in_server_order(rehold, fired):
     [
         ([(5.0, 2), (3.0, 2)], "request 2 at t=3, server 2 (previous request at t=5): time does not strictly increase"),
         ([(5.0, 1), (5.0, 1)], "request 2 at t=5, server 1 (previous request at t=5): time does not strictly increase"),
-        ([(5.0, 1), (6.0, 3)], "request 2 at t=6, server 3 (previous request at t=5): server is not an integer in 1..2"),
+        ([(5.0, 1), (6.0, 3)], "request 2 at t=6, server 3 (previous request at t=5): server is not an int in 1..2"),
+        ([(5.0, 1), (6.0, 2.0)], "request 2 at t=6, server 2.0 (previous request at t=5): server is not an int in 1..2"),
+        ([(5.0, True)], "request 1 at t=5, server True (previous request at t=0): server is not an int in 1..2"),
     ],
-    ids=["earlier", "tied", "no-such-server"],
+    ids=["earlier", "tied", "no-such-server", "float-server", "bool-server"],
 )
 def test_injected_requests_are_checked_at_injection(requests, problem):
     sim = R.Simulation(R.make_policy("alg1"), R.Instance.build([1.0, 2.0], 1.0, 1, []))
