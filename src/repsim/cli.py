@@ -21,7 +21,7 @@ from .generators import (
     gen_tight,
     run_adversary,
 )
-from .model import InstanceFormatError, dump_instance, dumps_instance, load_instance
+from .model import InstanceFormatError, dump_instance, dumps_instance, load_instance, schedule_lines
 from .offline import ORACLES, BudgetExceeded, DEFAULT_BUDGET, opt_full, opt_restricted
 from .policies import POLICIES, PolicyFault, simulate
 from .verify import verify_instance, verify_random_batch
@@ -49,10 +49,7 @@ def _cmd_opt(args) -> int:
     sol = solver(instance, budget=args.budget, reconstruct=args.events)
     print(f"oracle {args.oracle} optimum {_fmt(sol.opt_cost)}")
     if args.events and sol.schedule is not None:
-        for c in sol.schedule.copies:
-            print(f"COPY {c.server} {_fmt(c.start)} {_fmt(c.end)} {c.kind}")
-        for t in sol.schedule.transfers:
-            print(f"XFER {_fmt(t.time)} {t.src} {t.dst} {t.purpose}")
+        sys.stdout.writelines(line + "\n" for line in schedule_lines(sol.schedule))
     return 0
 
 
@@ -145,15 +142,12 @@ def _cmd_sweep(args) -> int:
         rates = tuple(float(v) for v in args.rates.split(","))
         rate_sets = {"custom": rates}
     lambdas = _lambda_grid(args.lambda_min, args.lambda_max, args.lambda_step)
-    n = len(next(iter(rate_sets.values())))
     spec = experiments.ExperimentSpec(
         times=tuple(times),
         rate_sets=rate_sets,
         lambda_values=lambdas,
-        n_servers=n,
         seed=args.seed,
         policies=tuple(args.policies.split(",")),
-        oracle=args.oracle,
         prefix=args.prefix,
         budget=args.budget,
     )
@@ -240,7 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--poisson-gap", type=float, default=50.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--policies", default="alg1,wang,simple")
-    p.add_argument("--oracle", default="full", choices=ORACLES)
     p.add_argument("--prefix", type=int)
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help=BUDGET_HELP)
     p.add_argument("--workers", type=int, default=1)

@@ -3,8 +3,8 @@
 The sweep mirrors the evaluation setup: 10 servers under one of four storage
 rate sets, requests from a real or synthetic trace assigned uniformly at
 random across servers, transfer costs swept over a grid, and every policy's
-cost normalized by the offline optimum (the full oracle unless another is asked for).
-All transfer costs of one rate set share one oracle pass.
+cost normalized by the exact offline optimum. All transfer costs of one rate
+set share one pass of the full oracle (``opt_costs``).
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .model import Instance
-from .offline import BudgetExceeded, DEFAULT_BUDGET, check_oracle, opt_costs
-from .policies import simulate
+from .offline import BudgetExceeded, DEFAULT_BUDGET, opt_costs
+from .policies import make_policy, simulate
 
 RATE_SETS: dict[str, tuple[float, ...]] = {
     "set1": (1, 1, 1, 1, 1, 1, 1, 1, 1, 1),
@@ -150,25 +150,25 @@ def gen_poisson_trace(seed: int, total_requests: int, mean_gap: float) -> list[f
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """One sweep: rate sets x transfer costs x policies over a fixed trace."""
+    """One sweep: rate sets x transfer costs x policies over a fixed trace; n is the rate sets' common length."""
 
     times: tuple[float, ...]
     rate_sets: dict[str, tuple[float, ...]] = field(default_factory=lambda: dict(RATE_SETS))
     lambda_values: tuple[float, ...] = DEFAULT_LAMBDA_VALUES
-    n_servers: int = 10
     seed: int = 0
     policies: tuple[str, ...] = DEFAULT_POLICIES
-    oracle: str = "full"
     prefix: int | None = None
     budget: int = DEFAULT_BUDGET
 
     def __post_init__(self) -> None:
-        for name, rates in self.rate_sets.items():
-            if len(rates) != self.n_servers:
-                raise ValueError(f"rate set {name!r} has {len(rates)} rates for {self.n_servers} servers")
+        sizes = {name: len(rates) for name, rates in self.rate_sets.items()}
+        if len(set(sizes.values())) > 1:
+            raise ValueError(f"rate sets differ in length: {sizes}")
+        for rates in self.rate_sets.values():
             for lam in self.lambda_values:
-                Instance.build(rates, lam, 1)  # rejects bad rates or lambdas before any cell runs
-        check_oracle(self.oracle)
+                Instance.build(rates, lam, 1)
+        for policy in self.policies:
+            make_policy(policy)
 
 
 @dataclass(frozen=True)
@@ -185,10 +185,10 @@ class SweepRow:
 
 def _run_group(args) -> list[SweepRow]:
     """One rate set over a run of transfer costs: one oracle pass, then every policy per cost."""
-    set_name, rates, lams, policies, assigned, seed, oracle, budget = args
-    first = Instance.build(rates, lams[0], 1, assigned)
+    set_name, rates, lams, policies, times, seed, budget = args
+    first = Instance.build(rates, lams[0], 1, assign_servers(times, len(rates), seed))
     try:
-        optima = opt_costs(first, lams, oracle, budget)
+        optima = opt_costs(first, lams, budget=budget)
     except BudgetExceeded:
         optima = (None,) * len(lams)
     rows = []
@@ -209,16 +209,15 @@ def _split(values: tuple[float, ...], parts: int) -> list[tuple[float, ...]]:
 
 def run_sweep(spec: ExperimentSpec, workers: int = 1) -> list[SweepRow]:
     """Simulate every (rate set, transfer cost, policy) cell and normalize by
-    the oracle; cells whose oracle run exceeds the budget report raw costs only.
+    the full oracle; cells whose oracle run exceeds the budget report raw costs only.
 
     Cells are grouped by rate set, and each group runs one oracle pass over
     all of its transfer costs. With several workers each rate set's transfer
     costs are cut into ``workers`` contiguous runs, one process task each.
     """
-    times = list(spec.times[: spec.prefix] if spec.prefix else spec.times)
-    assigned = assign_servers(times, spec.n_servers, spec.seed)
+    times = spec.times[: spec.prefix] if spec.prefix else spec.times
     groups = [
-        (name, spec.rate_sets[name], lams, spec.policies, assigned, spec.seed, spec.oracle, spec.budget)
+        (name, spec.rate_sets[name], lams, spec.policies, times, spec.seed, spec.budget)
         for name in sorted(spec.rate_sets)
         for lams in _split(spec.lambda_values, workers)
     ]

@@ -111,13 +111,13 @@ class Instance:
             prev_rate = srv.rate
         if not (math.isfinite(self.transfer_cost) and self.transfer_cost > 0):
             raise InstanceFormatError(f"transfer cost must be finite and strictly positive, got {self.transfer_cost}")
-        if not (isinstance(self.initial_server, int) and 1 <= self.initial_server <= n):
+        if not (type(self.initial_server) is int and 1 <= self.initial_server <= n):
             raise InstanceFormatError(f"initial server {self.initial_server!r} is not an integer in 1..{n}")
         prev = 0.0
         for k, req in enumerate(self.requests):
             if req.index != k + 1:
                 raise InstanceFormatError(f"index must be {k + 1}, got {req.index}", request=k)
-            if not (isinstance(req.server, int) and 1 <= req.server <= n):
+            if not (type(req.server) is int and 1 <= req.server <= n):
                 raise InstanceFormatError(f"server {req.server!r} is not an integer in 1..{n}", request=k)
             if not math.isfinite(req.time):
                 raise InstanceFormatError(f"time {req.time} is not finite", request=k)
@@ -238,6 +238,12 @@ class ReplicationSchedule:
     @property
     def horizon(self) -> float:
         return self.instance.horizon
+
+
+def schedule_lines(schedule: ReplicationSchedule) -> list[str]:
+    """The schedule's COPY then XFER records, in its order (the policies and oracles sort both by time)."""
+    copies = [f"COPY {c.server} {c.start:.10g} {c.end:.10g} {c.kind}" for c in schedule.copies]
+    return copies + [f"XFER {t.time:.10g} {t.src} {t.dst} {t.purpose}" for t in schedule.transfers]
 
 
 @dataclass(frozen=True)

@@ -9,8 +9,8 @@ the requesting server holds no copy, and a transfer per extra copy created.
 Each change of holders is a bit pass that relaxes the subsets on one side of
 a server's bit from their partners on the other. Transfer costs change no
 event, so the table has one column per transfer cost, and a sweep gets all of
-a rate set's optima from one pass (``opt_costs``); ``opt_full`` and
-``opt_restricted`` are the one-column case.
+a rate set's optima from one full-oracle pass (``opt_costs``); ``opt_full``
+and ``opt_restricted`` are the one-column case.
 
 After each step the table is monotone, ``dp[s] <= dp[t]`` for every nonempty
 ``s`` within ``t`` (drops are free), and adding storage keeps it so. The full
@@ -86,12 +86,6 @@ class DPSolution:
     opt_cost: float
     schedule: ReplicationSchedule | None
     prefix_costs: tuple[float, ...]  # prefix_costs[i] = optimum for the first i requests
-
-
-def check_oracle(oracle: str) -> None:
-    """Reject an oracle name that is not one of ``ORACLES``."""
-    if oracle not in ORACLES:
-        raise ValueError(f"oracle must be one of {ORACLES}, got {oracle!r}")
 
 
 def _bit(server: int) -> int:
@@ -312,25 +306,8 @@ def _reconstruct(
 
     copies: list[CopyInterval] = []
     transfers: list[Transfer] = []
-    times = [t for t, _ in events]
-    last = len(events) - 1
-    for server in range(1, instance.n + 1):
-        bit = _bit(server)
-        i = 0
-        while i <= last:
-            if holder_seq[i] & bit:
-                j = i
-                while j < last and holder_seq[j + 1] & bit:
-                    j += 1
-                end = times[j + 1] if j < last else times[last]
-                copies.append(CopyInterval(server, times[i], end, KIND_OFFLINE))
-                i = j + 1
-            else:
-                i += 1
-    if not holder_seq[0] & _bit(instance.initial_server):
-        # initial copy dropped right after the time-0 adjustment
-        copies.append(CopyInterval(instance.initial_server, 0.0, 0.0, KIND_OFFLINE))
     prev_mask = _bit(instance.initial_server)
+    held = {instance.initial_server: 0.0}  # each open copy's start; the initial copy is open at 0
     for i, (time, server) in enumerate(events):
         qbit = _bit(server)
         mask = holder_seq[i]
@@ -344,7 +321,17 @@ def _reconstruct(
             low = created & -created
             transfers.append(Transfer(time, src, low.bit_length(), PURPOSE_CREATE))
             created ^= low
+        changed = mask ^ prev_mask
+        while changed:
+            low = changed & -changed
+            holder = low.bit_length()
+            if mask & low:
+                held[holder] = time
+            else:
+                copies.append(CopyInterval(holder, held.pop(holder), time, KIND_OFFLINE))
+            changed ^= low
         prev_mask = mask
+    copies += [CopyInterval(server, start, events[-1][0], KIND_OFFLINE) for server, start in held.items()]
     return ReplicationSchedule(
         instance,
         tuple(sorted(copies, key=lambda c: (c.start, c.server, c.end))),
@@ -373,20 +360,17 @@ def opt_restricted(instance: Instance, budget: int = DEFAULT_BUDGET, reconstruct
     return _single(instance, restricted=True, budget=budget, reconstruct=reconstruct)
 
 
-def opt_costs(
-    instance: Instance, transfer_costs: Sequence[float], oracle: str = "full", budget: int = DEFAULT_BUDGET
-) -> tuple[float, ...]:
-    """The optimum of ``instance`` under each transfer cost, from one DP pass.
+def opt_costs(instance: Instance, transfer_costs: Sequence[float], *, budget: int = DEFAULT_BUDGET) -> tuple[float, ...]:
+    """The optimum of ``instance`` under each transfer cost, from one full-oracle DP pass.
 
     The instance's own transfer cost is ignored. Each result equals
-    ``opt_full`` or ``opt_restricted`` (by ``oracle``) of the instance with
-    that transfer cost. The budget bounds the work per transfer cost, which
-    is the same for every cost, so the pass is refused for all or for none.
+    ``opt_full`` of the instance with that transfer cost. The budget bounds
+    the work per transfer cost, which is the same for every cost, so the
+    pass is refused for all or for none.
     """
-    check_oracle(oracle)
     for cost in transfer_costs:
         Instance(instance.servers, float(cost), instance.initial_server, ())  # rejects a bad transfer cost
-    optima, _ = _solve(instance, transfer_costs, oracle == "restricted", budget, False, False)
+    optima, _ = _solve(instance, transfer_costs, False, budget, False, False)
     return tuple(optima[0].tolist())
 
 

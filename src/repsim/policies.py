@@ -24,7 +24,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from operator import attrgetter, countOf
+from heapq import heappop, heappush
+from operator import attrgetter
 from typing import NamedTuple
 
 from .model import (
@@ -43,6 +44,7 @@ from .model import (
     ReplicationSchedule,
     Transfer,
     compute_cost,
+    schedule_lines,
 )
 
 MODE_LOCAL = "local"
@@ -277,13 +279,8 @@ class AnnotatedRun:
 
     def event_log(self) -> str:
         """Line-oriented export: COPY / XFER / SERVE records."""
-        lines = []
-        for c in sorted(self.schedule.copies, key=_COPY_ORDER):
-            lines.append(f"COPY {c.server} {c.start:.10g} {c.end:.10g} {c.kind}")
-        for t in sorted(self.schedule.transfers, key=_TRANSFER_ORDER):
-            lines.append(f"XFER {t.time:.10g} {t.src} {t.dst} {t.purpose}")
-        for s in self.serves:
-            lines.append(f"SERVE {s.index} {s.time:.10g} {s.server} {s.mode}")
+        lines = schedule_lines(self.schedule)
+        lines += [f"SERVE {s.index} {s.time:.10g} {s.server} {s.mode}" for s in self.serves]
         return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -303,7 +300,9 @@ class Simulation:
 
     ``expiry`` maps each holder to its copy's expiry time. Policies read it
     and change it only through ``transfer``, ``drop``, ``mark`` and ``hold``,
-    which act at the current event's time.
+    which act at the current event's time. Each finite ``hold`` pushes
+    ``(expiry, server)`` onto the alarm heap; an entry that no longer matches
+    ``expiry`` (the copy was dropped or held again) is popped unfired.
     """
 
     def __init__(self, policy: Policy, instance: Instance):
@@ -311,7 +310,7 @@ class Simulation:
         self.instance = instance
         g = instance.initial_server
         self.expiry: dict[int, float] = {g: math.inf}
-        self._alarm = math.inf  # a lower bound on every expiry time; only ``hold`` lowers one
+        self._alarms: list[tuple[float, int]] = []  # the alarm heap, stale entries included
         self._live: dict[int, _LiveCopy] = {g: _LiveCopy(0.0, KIND_REGULAR, 0, None)}
         self._segments: list[CopyInterval] = []
         self._transfers: list[Transfer] = []
@@ -372,8 +371,8 @@ class Simulation:
             problem = "not a time" if until != until else "before the current time"
             raise PolicyFault(self._now, f"hold at server {server} to t={until:g}, {problem}")
         expiry[server] = until
-        if until < self._alarm:
-            self._alarm = until
+        if until < math.inf:
+            heappush(self._alarms, (until, server))
 
     # -- event processing ---------------------------------------------------
 
@@ -389,24 +388,21 @@ class Simulation:
     def step_alarm(self, before: float = math.inf) -> float | None:
         """Expire the copies due next if their time falls strictly before ``before``.
 
-        The policy's ``expire`` runs for each due server in server order,
-        skipping one whose expiry an earlier call changed. Returns the
+        The policy's ``expire`` runs for each server due at that time, in
+        server order, skipping one whose expiry an earlier call changed; a
+        hold to that time made meanwhile fires in the next call. Returns the
         alarm's time, or None when no such alarm is pending.
         """
-        if self._alarm >= before:
+        heap, expiry = self._alarms, self.expiry
+        while heap and expiry.get(heap[0][1]) != heap[0][0]:
+            heappop(heap)
+        if not heap or heap[0][0] >= before:
             return None
-        expiry = self.expiry
-        alarm = self._alarm = min(expiry.values()) if expiry else math.inf
-        if alarm >= before:
-            return None
-        self._now = alarm
-        if countOf(expiry.values(), alarm) == 1:  # the common case: no list, no sort
-            for server, end in expiry.items():
-                if end == alarm:
-                    break
-            self._policy.expire(self, alarm, server)
-            return alarm
-        for server in sorted(s for s, end in expiry.items() if end == alarm):
+        alarm = self._now = heap[0][0]
+        due = {}  # the servers with an entry at ``alarm``, in server order, each once
+        while heap and heap[0][0] == alarm:
+            due[heappop(heap)[1]] = None
+        for server in due:
             if expiry.get(server) == alarm:
                 self._policy.expire(self, alarm, server)
         return alarm
@@ -430,7 +426,7 @@ class Simulation:
                 f"request {index} at t={time:g}, server {server!r} (previous request at t={self._last:g}): {problem}"
             )
         self._last = time
-        if self._alarm < time:
+        if self._alarms and self._alarms[0][0] < time:
             self.run_alarms_before(time)
         self._now, self._request, self._record = time, index, None
         held = self._live.get(server)

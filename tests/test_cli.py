@@ -253,6 +253,17 @@ def test_sweep_locates_a_bad_trace_timestamp(tmp_path, capsys, stamp, problem):
     assert err == f"error: {trace}:line 4: {problem}\n"
 
 
+def test_sweep_rejects_an_unknown_policy_before_the_oracle_runs(monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(repsim.experiments, "opt_costs", lambda *args, **kwargs: calls.append(args))
+    argv = ["sweep", "--rates", "1,2", "--poisson-requests", "30", "--poisson-gap", "5", "--policies", "alg1,nosuch"]
+    for workers in ("1", "2"):
+        code, out, err = _run(argv + ["--workers", workers], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: unknown policy 'nosuch'; expected one of ['alg1', 'simple', 'wang']\n"
+    assert calls == []
+
+
 def test_identical_argv_byte_identical_output(capsys):
     argv = [
         "sweep", "--rates", "1,2", "--lambda-min", "2", "--lambda-max", "2",

@@ -126,7 +126,6 @@ def test_sweep_rows_and_csv(tmp_path):
         times=tuple(times),
         rate_sets={"custom": (1.0, 1.5, 2.0)},
         lambda_values=(2.0, 5.0),
-        n_servers=3,
         seed=2,
     )
     rows = R.run_sweep(spec)
@@ -149,7 +148,6 @@ def test_sweep_prefix_caps_requests():
         times=tuple(times),
         rate_sets={"custom": (1.0, 2.0)},
         lambda_values=(3.0,),
-        n_servers=2,
         prefix=25,
     )
     rows = R.run_sweep(spec)
@@ -163,7 +161,6 @@ def test_sweep_reports_na_on_budget_exhaustion():
         times=tuple(times),
         rate_sets={"custom": (1.0, 2.0), "flat": (1.0, 1.0)},
         lambda_values=(3.0, 4.0, 9.0),
-        n_servers=2,
         budget=10,
     )
     rows = R.run_sweep(spec)
@@ -180,7 +177,6 @@ def test_sweep_worker_pool_matches_serial():
         times=tuple(times),
         rate_sets={"custom": (1.0, 1.5, 2.0)},
         lambda_values=(2.0, 5.0),
-        n_servers=3,
         seed=2,
     )
     serial = R.run_sweep(spec, workers=1)
@@ -198,15 +194,28 @@ def test_import_leaves_the_process_pool_out():
 
 def test_spec_validation():
     with pytest.raises(ValueError):
-        R.ExperimentSpec(times=(1.0,), rate_sets={"x": (2.0, 1.0)}, lambda_values=(1.0,), n_servers=2)
+        R.ExperimentSpec(times=(1.0,), rate_sets={"x": (2.0, 1.0)}, lambda_values=(1.0,))
     with pytest.raises(ValueError):
-        R.ExperimentSpec(times=(1.0,), rate_sets={"x": (1.0, 2.0)}, lambda_values=(0.0,), n_servers=2)
+        R.ExperimentSpec(times=(1.0,), rate_sets={"x": (1.0, 2.0)}, lambda_values=(0.0,))
+    with pytest.raises(ValueError, match=r"rate sets differ in length: \{'x': 1, 'y': 2\}"):
+        R.ExperimentSpec(times=(1.0,), rate_sets={"x": (1.0,), "y": (1.0, 2.0)}, lambda_values=(1.0,))
     with pytest.raises(ValueError):
-        R.ExperimentSpec(times=(1.0,), rate_sets={"x": (1.0,)}, lambda_values=(1.0,), n_servers=2)
+        R.ExperimentSpec(times=(1.0,), rate_sets={"x": (1.0, math.nan)}, lambda_values=(1.0,))
     with pytest.raises(ValueError):
-        R.ExperimentSpec(times=(1.0,), rate_sets={"x": (1.0, math.nan)}, lambda_values=(1.0,), n_servers=2)
-    with pytest.raises(ValueError):
-        R.ExperimentSpec(times=(1.0,), rate_sets={"x": (1.0, 2.0)}, lambda_values=(math.inf,), n_servers=2)
+        R.ExperimentSpec(times=(1.0,), rate_sets={"x": (1.0, 2.0)}, lambda_values=(math.inf,))
+
+
+def test_sweep_server_count_is_the_rate_sets_length():
+    times = (1.0, 2.0, 3.0)
+    assert R.run_sweep(R.ExperimentSpec(times=times, rate_sets={}, lambda_values=(1.0,))) == []
+    spec = R.ExperimentSpec(times=times, rate_sets={"one": (2.0,)}, lambda_values=(1.0,), policies=("simple",))
+    [row] = R.run_sweep(spec)
+    assert (row.online_cost, row.opt_cost) == (6.0, 6.0)  # the sole server stores through t=3, no transfer
+
+
+def test_spec_rejects_an_unknown_policy_before_any_cell_runs():
+    with pytest.raises(ValueError, match="unknown policy 'nosuch'"):
+        R.ExperimentSpec(times=(1.0,), rate_sets={"x": (1.0, 2.0)}, lambda_values=(1.0,), policies=("alg1", "nosuch"))
 
 
 def test_rate_sets_shapes():

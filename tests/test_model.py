@@ -156,6 +156,22 @@ def test_instance_build_keeps_integral_servers():
     assert inst.requests[0].server == 2 and type(inst.requests[0].server) is int
 
 
+@pytest.mark.parametrize(
+    "initial, requests, message",
+    [
+        (1, (R.Request(1, 0.5, True),), "requests[0]: server True is not an integer in 1..2"),
+        (True, (), "initial server True is not an integer in 1..2"),
+    ],
+    ids=["request-server", "initial-server"],
+)
+def test_instance_rejects_a_bool_server(initial, requests, message):
+    # the simulation driver rejects a bool server at injection; the instance does so too
+    servers = R.Instance.build([1.0, 2.0], 1.0, 1).servers
+    with pytest.raises(R.InstanceFormatError) as err:
+        R.Instance(servers, 1.0, initial, requests)
+    assert str(err.value) == message
+
+
 def test_json_round_trip():
     inst = R.Instance.build([1.0, 2.5], 0.75, 2, [(0.5, 1), (1.25, 2)])
     text = R.dumps_instance(inst)

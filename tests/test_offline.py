@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import inspect
 import math
 import tracemalloc
 from dataclasses import replace
@@ -159,7 +158,7 @@ def test_full_oracle_equals_the_reference_step_on_a_trace_prefix():
     for rate_set in ("set1", "set4"):
         inst = R.Instance.build(R.RATE_SETS[rate_set], lams[0], 1, assigned)
         expected = full_prefix_optima(inst, lams)
-        assert R.opt_costs(inst, lams, "full") == tuple(expected[-1].tolist()), rate_set
+        assert R.opt_costs(inst, lams) == tuple(expected[-1].tolist()), rate_set
         for lam, column in zip(lams, expected.T):
             sol = R.opt_full(replace(inst, transfer_cost=lam), reconstruct=False)
             assert sol.prefix_costs == tuple(column.tolist()), (rate_set, lam)
@@ -211,17 +210,15 @@ def test_full_oracle_serves_from_a_pricey_sole_holder_and_drops_it_at_once():
 def test_opt_costs_checks_its_arguments():
     inst = R.gen_random(seed=3, n=3, m=6)
     assert R.opt_costs(inst, []) == ()
-    assert R.opt_costs(inst, [inst.transfer_cost], "full") == (R.opt_full(inst).opt_cost,)
-    with pytest.raises(ValueError, match="oracle"):
-        R.opt_costs(inst, [1.0], "Full")
+    assert R.opt_costs(inst, [inst.transfer_cost]) == (R.opt_full(inst).opt_cost,)
+    with pytest.raises(TypeError):  # the budget is keyword-only, so a stale oracle name is never read as one
+        R.opt_costs(inst, [1.0], "restricted")
     for bad in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(R.InstanceFormatError, match="transfer cost"):
             R.opt_costs(inst, [1.0, bad])
     with pytest.raises(R.BudgetExceeded, match="per transfer cost"):
         R.opt_costs(inst, [1.0, 2.0], budget=10)
-    # the budget bounds the work per transfer cost: one estimate fits, the pass's 3x does not;
-    # the default oracle is the full one, as in the sweep (both oracles agree on the optima)
-    assert inspect.signature(R.opt_costs).parameters["oracle"].default == "full"
+    # the budget bounds the work per transfer cost: one estimate fits, the pass's 3x does not
     per_cost = (inst.m + 1) * (2 * inst.n + 2) * 2**inst.n
     lams = [0.5, 1.0, 2.0]
     expected = tuple(R.opt_full(replace(inst, transfer_cost=lam), reconstruct=False).opt_cost for lam in lams)

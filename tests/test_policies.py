@@ -342,7 +342,7 @@ def test_driver_checks_every_action(case):
 
 
 class _HoldsBelowTheAlarm(Policy):
-    """Holds the initial copy to t=10, then a new copy to t=3, below the alarm the driver has cached."""
+    """Holds the initial copy to t=10, then a new copy to t=3, earlier than the alarm already pending."""
 
     def __init__(self):
         self.log = []
@@ -405,6 +405,26 @@ def test_simultaneous_expiries_fire_in_server_order(rehold, fired):
     run, _ = R.simulate(policy, R.Instance.build([1.0, 2.0, 3.0], 1.0, 1, [(1.0, 3), (1.5, 2), (6.0, 1)]))
     assert policy.log == fired + [(5.0, 1)]
     assert [(c.server, c.end) for c in run.schedule.copies if c.server != 1] == [(3, fired[1][0]), (2, 2.0)]
+
+
+class _HoldsToTheAlarmTime(_TwoExpireAtOnce):
+    """As ``_TwoExpireAtOnce``, but the expiry of server 2 holds server 1 to that same time."""
+
+    def expire(self, sim, time, server):
+        if server == 2:
+            sim.hold(1, time)
+        super().expire(sim, time, server)
+
+
+def test_a_hold_to_the_alarm_time_fires_after_the_copies_already_due():
+    policy = _HoldsToTheAlarmTime(rehold=False)
+    run, _ = R.simulate(policy, R.Instance.build([1.0, 2.0, 3.0], 1.0, 1, [(1.0, 3), (1.5, 2), (6.0, 1)]))
+    assert policy.log == [(2.0, 2), (2.0, 3), (2.0, 1)]
+    assert [(c.server, c.start, c.end) for c in run.schedule.copies] == [
+        (1, 0.0, math.inf),
+        (3, 1.0, 2.0),
+        (2, 1.5, 2.0),
+    ]
 
 
 @pytest.mark.parametrize(

@@ -45,22 +45,21 @@ def test_doubling_prices_doubles_the_optimum_exactly(inst):
 @st.composite
 def transfer_cost_lists(draw) -> list[float]:
     """1 to 6 transfer costs with repeats; small ones make extra copies pay off,
-    so the restricted oracle's creation mask decides between schedules."""
+    so the creation passes decide between schedules."""
     pool = draw(st.lists(st.floats(0.01, 20.0), min_size=1, max_size=4))
     return draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6))
 
 
 @given(instances(max_n=5), transfer_cost_lists())
 def test_batched_optima_equal_single_cost_optima(inst, lams):
-    for oracle, solver in (("full", R.opt_full), ("restricted", R.opt_restricted)):
-        expected = tuple(solver(replace(inst, transfer_cost=lam), reconstruct=False).opt_cost for lam in lams)
-        assert R.opt_costs(inst, lams, oracle) == expected
+    expected = tuple(R.opt_full(replace(inst, transfer_cost=lam), reconstruct=False).opt_cost for lam in lams)
+    assert R.opt_costs(inst, lams) == expected
 
 
 @given(instances(max_n=5), transfer_cost_lists())
 def test_full_oracle_equals_the_reference_step_bit_for_bit(inst, lams):
     expected = full_prefix_optima(inst, lams)
-    assert R.opt_costs(inst, lams, "full") == tuple(expected[-1].tolist())
+    assert R.opt_costs(inst, lams) == tuple(expected[-1].tolist())
     for lam, column in zip(lams, expected.T):
         assert R.opt_full(replace(inst, transfer_cost=lam)).prefix_costs == tuple(column.tolist())
 
