@@ -26,7 +26,7 @@ from .offline import ORACLES, BudgetExceeded, DEFAULT_BUDGET, opt_full, opt_rest
 from .policies import POLICIES, PolicyFault, simulate
 from .verify import verify_instance, verify_random_batch
 
-BUDGET_HELP = "oracle work bound per transfer cost, in transition evaluations (m+1)(2n+2)2^n (default %(default)s)"
+BUDGET_HELP = "oracle work bound per transfer cost, in table entries relaxed or copied, (m+1)(n+1)2^(n-1) (default %(default)s)"
 
 
 def _fmt(x: float) -> str:

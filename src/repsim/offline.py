@@ -9,42 +9,40 @@ the requesting server holds no copy, and a transfer per extra copy created.
 Each change of holders is a bit pass that relaxes the subsets on one side of
 a server's bit from their partners on the other. Transfer costs change no
 event, so the table has one column per transfer cost, and a sweep gets all of
-a rate set's optima from one full-oracle pass (``opt_costs``); ``opt_full``
-and ``opt_restricted`` are the one-column case.
+a rate set's optima from one pass (``opt_costs``); ``opt_full`` and
+``opt_restricted`` are the one-column case.
 
 After each step the table is monotone, ``dp[s] <= dp[t]`` for every nonempty
-``s`` within ``t`` (drops are free), and adding storage keeps it so. The full
-step is therefore a closed form: with ``S`` the table after storage and row 0
-set to the cheapest singleton row ("serve from the cheapest sole holder, then
+``s`` within ``t`` (drops are free), and adding storage keeps it so. A step
+is therefore a closed form: with ``S`` the table after storage and row 0 set
+to the cheapest singleton row ("serve from the cheapest sole holder, then
 drop it"), let ``G[s] = min over p within s of S[p] + transfer * |s - p|``;
 the step's result is ``F[s] = G[s | q]`` for requester ``q``. ``G`` is n
 creation passes, the one over ``q``'s bit being the serve, and ``F`` copies
-the half with ``q`` into the half without it. The restricted step keeps an
-explicit serve, a keep-the-served-copy pass and n drop passes around its
-masked creation passes: its mask tests the priciest holder before the drops,
-so masking the closed form would be stricter and no longer exact. Both modes
-are charged the restricted step's (2n + 2) * 2^n evaluations per step, an
-upper bound for each.
+the half with ``q`` into the half without it. A step relaxes n * 2^(n-1)
+entries and copies 2^(n-1), and each run is charged (n + 1) * 2^(n-1) per
+step and transfer cost.
 
-The restricted oracle is the explicit step with a creation mask: copies are
-created only at the requester, the cheapest server, and servers strictly
-cheaper than the priciest current holder. The pruning is safe: an extra copy
-only ever pays off by letting a costlier holder be dropped (parking the object
-cheaply or pre-positioning it at a cheaper server with an upcoming request),
-so some optimal schedule never creates a copy at or above the priciest held
-rate. Creating only at the requester or the cheapest server, with no rate
-condition, is NOT enough; pre-positioning at a mid-priced server beats it by
-a positive margin.
+The restricted oracle runs the same step and then sets to ``inf`` every
+holder set with two or more far servers. Server ``s`` is far at step ``i``
+when ``rate_s * (next request at s after t_i - t_i) > transfer + TOL``;
+rounding ties are near. The mask is exact (the one-far-holder law): of two
+far holders, drop at ``t_i`` the one whose copy ends first. The other
+survives at least as long, so it keeps the object alive and can act as a
+source. If the dropped copy would have lasted to its server's next request,
+serving that request by transfer costs one transfer and saves more than one
+transfer of storage; otherwise the drop only saves storage. Masked sets are
+the supersets of far pairs, so the table stays monotone. Agreement with
+``opt_full`` checks the law against the unpruned oracle.
 
-For a schedule the forward pass records one move bit per pass and entry it
-relaxes: set where the candidate from across the pass's bit is strictly
-cheaper, the only entries the minimum changes. A step's bits are packed into
-one row, (2n + 1) * 2^(n-1) bits for a restricted step and n * 2^(n-1) for a
-full one, which also keeps its cheapest singleton; the full step's half copy
-is unconditional and needs none. The backtrack walks the first cheapest final
-subset back through each step's passes in reverse, one bit lookup per pass,
-so on exact ties the schedule is the first strictly cheaper path in pass
-order.
+For a schedule the forward pass records one move bit per creation pass and
+entry it relaxes: set where the candidate from across the pass's bit is
+strictly cheaper, the only entries the minimum changes. A step's n * 2^(n-1)
+bits are packed into one row, and the step also keeps its cheapest
+singleton; the half copy is unconditional and needs no bit. The backtrack
+walks the first cheapest final subset back through each step's passes in
+reverse, one bit lookup per pass, so on exact ties the schedule is the first
+strictly cheaper path in pass order.
 """
 
 from __future__ import annotations
@@ -95,34 +93,46 @@ def _bit(server: int) -> int:
 def _check_budget(instance: Instance, budget: int) -> None:
     """Refuse a run whose work per transfer cost exceeds ``budget``.
 
-    The charge, (m + 1) * (2n + 2) * 2^n, is the restricted step's work and
-    an upper bound for the full step's, so both modes are refused alike. A
-    pass over K transfer costs does K times this work; the budget bounds the
-    work of each one.
+    The charge, (m + 1) * (n + 1) * 2^(n-1), counts the table entries each
+    step relaxes or copies: n creation passes over half the table and one
+    half copy. Both oracles run this step. A pass over K transfer costs does
+    K times this work; the budget bounds the work of each one.
     """
     n, m = instance.n, instance.m
     if n > 12:
         raise BudgetExceeded(f"oracle supports at most 12 servers, instance has {n}")
-    work = (m + 1) * (2 * n + 2) * (1 << n)
+    work = (m + 1) * (n + 1) * (1 << (n - 1))
     if work > budget:
         raise BudgetExceeded(
-            f"estimated work {work:.4g} transition evaluations per transfer cost exceeds budget {budget:.4g}"
+            f"estimated work {work:.4g} entries relaxed or copied per transfer cost exceeds budget {budget:.4g}"
             f" (n={n}, m={m})"
         )
 
 
-def _subset_tables(instance: Instance) -> tuple[np.ndarray, np.ndarray]:
-    """Each holder subset's rate sum and priciest held rate.
-
-    Subset ``mask`` holds server ``b + 1`` when bit ``b`` is set.
-    """
+def _rate_sums(instance: Instance) -> np.ndarray:
+    """Each holder subset's rate sum; subset ``mask`` holds server ``b + 1`` when bit ``b`` is set."""
     ratesum = np.zeros(1 << instance.n)
-    maxrate = np.zeros(1 << instance.n)
     for b, server in enumerate(instance.servers):
         half = 1 << b
         ratesum[half : 2 * half] = ratesum[:half] + server.rate
-        maxrate[half : 2 * half] = np.maximum(maxrate[:half], server.rate)
-    return ratesum, maxrate
+    return ratesum
+
+
+def _far_sets(instance: Instance, events: list[tuple[float, int]]) -> np.ndarray:
+    """Per step, the bits of the servers that are far under the instance's transfer cost.
+
+    Server ``b + 1`` is far at step ``i`` when storing from ``t_i`` to its
+    next request after ``t_i`` (or forever, without one) costs more than a
+    transfer plus ``TOL``; rounding ties are near. The next requests come
+    from one backward pass, a running minimum over the reversed events.
+    """
+    times = np.array([t for t, _ in events])
+    following = np.full((len(events) + 1, instance.n), math.inf)  # row i: each server's first request from step i on
+    following[np.arange(len(events)), [server - 1 for _, server in events]] = times
+    following = np.minimum.accumulate(following[::-1])[::-1]
+    rates = np.array([server.rate for server in instance.servers])
+    far = rates * (following[1:] - times[:, None]) > instance.transfer_cost + TOL
+    return far @ (1 << np.arange(instance.n))
 
 
 _SHORT_RUN = 4  # views made of runs this short or shorter put the axis across runs last
@@ -162,16 +172,14 @@ def _solve(
 
     Returns the optima, one column per transfer cost: one row per step with
     ``prefix``, else the final row only. With ``reconstruct`` (one transfer
-    cost only) it also returns an optimal schedule. Every view, temporary and
-    creation-cost array is built before the step loop, which then only calls
-    ufuncs on them in place. A full step is the closed form of the module
-    docstring, with no serve add and no drop passes; a restricted step
-    serves, keeps the served copy, runs its masked creation passes and then
-    one drop pass per bit. A creation pass whose mask forbids every entry
-    would change nothing and is not run. While reconstructing, each step
-    packs its passes' move bits into one row of ``record``, and a full step
-    also records the cheapest singleton that row 0 stands for, so a step may
-    move the object to holders that share nothing with the ones before it.
+    cost only) it also returns an optimal schedule. Every view and temporary
+    is built before the step loop, which then only calls ufuncs on them in
+    place, but for the restricted mask's small temporaries. Each step is the
+    closed form of the module docstring; with ``restricted`` (the instance's
+    own transfer cost only) it ends with the far-pair mask. While reconstructing, each step packs its passes' move
+    bits into one row of ``record`` and records the cheapest singleton that
+    row 0 stands for, so a step may move the object to holders that share
+    nothing with the ones before it.
     """
     _check_budget(instance, budget)
     n = instance.n
@@ -179,77 +187,51 @@ def _solve(
     cols = len(transfer_costs)
     events = [(0.0, instance.initial_server)] + [(r.time, r.server) for r in instance.requests]
 
-    def table(column) -> np.ndarray:
-        return np.repeat(np.asarray(column, dtype=float)[:, None], cols, axis=1)
-
-    ratesum, maxrate = _subset_tables(instance)
-    ratesum = table(ratesum)  # a full table keeps the storage pass contiguous
+    ratesum = np.repeat(_rate_sums(instance)[:, None], cols, axis=1)  # a full table keeps the storage pass contiguous
     transfer = _halves(np.tile(np.asarray(transfer_costs, dtype=float), (size, 1)))
-    priciest = [lo for lo, _ in _halves(table(maxrate))]
-    # a step's relax passes in order, as (bit, side written, creation cost) with bit None for
-    # the requester's; pass k records its move bits in row k of ``moves``
-    passes: list[tuple[int | None, int, np.ndarray | None]] = [(None, 1, None)] if restricted else []
-    for b, server in enumerate(instance.servers):
-        # a copy at server b + 1 costs one transfer where the restricted rule allows it;
-        # sequential passes cover multi-copy creations, and a restricted creation never
-        # raises the priciest held rate, so every pass tests the same priciest holder
-        allowed = (priciest[b] > server.rate) | (b == 0 or not restricted)
-        if allowed.any():  # a pass whose mask forbids every entry would change nothing
-            passes.append((b, 1, np.where(allowed, transfer[b][0], math.inf)))
-    if restricted:
-        passes += [(b, 0, None) for b in range(n)]  # drops are free
     singles = 1 << np.arange(n)
     dp = np.full((size, cols), math.inf)
     dp[_bit(instance.initial_server)] = 0.0
     halves = _halves(dp)
-    scratch = [np.empty_like(lo) for lo, _ in halves]
     storage = np.empty_like(dp)
     optima = np.empty((len(events) if prefix else 1, cols))
+    if restricted:
+        far = _far_sets(instance, events).tolist()
+        subsets = np.arange(size)
+        crowd = (subsets & (subsets - 1)) != 0  # the subsets with two or more holders
+        subsets = subsets[:, None]
+    slots = [None] * n
     if reconstruct:
-        moves = np.zeros((len(passes), size >> 1), dtype=bool)
+        moves = np.zeros((n, size >> 1), dtype=bool)  # pass b records its move bits in row b
+        slots = [_runs_last(moves[b].reshape(size >> (b + 1), 1 << b, 1)) for b in range(n)]
         record = np.empty((len(events), (moves.size + 7) // 8), dtype=np.uint8)
-        cheapest = np.zeros(len(events), dtype=np.int64)
-
-    def slot(k: int, b: int) -> np.ndarray | None:
-        """Pass ``k``'s move bits over bit ``b``, shaped like that bit's halves."""
-        return _runs_last(moves[k].reshape(size >> (b + 1), 1 << b, 1)) if reconstruct else None
-
-    keep = [slot(0, b) for b in range(n)] if restricted else []  # keeping the served copy is free
-    fixed = [(b, into, cost, slot(k, b)) for k, (b, into, cost) in enumerate(passes) if b is not None]
-
-    def relax(b: int, into: int, cost: np.ndarray | None, moved: np.ndarray | None) -> None:
-        """Relax the subsets with bit ``b`` equal to ``into`` from their partners across it.
-
-        With ``moved``, it also records where the candidate is strictly
-        cheaper, the only entries the minimum changes.
-        """
-        dst, src = halves[b][into], halves[b][1 - into]
-        if cost is not None:
-            src = np.add(src, cost, out=scratch[b], order="C")
-        if moved is not None:
-            np.less(src, dst, out=moved, order="C")
-        np.minimum(dst, src, out=dst, order="C")
+        cheapest = np.zeros(len(events), dtype=np.uint8)
+    # pass b creates a copy at server b + 1 for one transfer; sequential passes cover multi-copy
+    # creations, and contiguous copies of the cost views keep the adds fast
+    passes = [
+        (lo, hi, np.ascontiguousarray(transfer[b][0]), np.empty_like(lo), slots[b]) for b, (lo, hi) in enumerate(halves)
+    ]
 
     prev_t = 0.0
     for i, (time, server) in enumerate(events):
         dp += np.multiply(ratesum, time - prev_t, out=storage)
         prev_t = time
         q = server - 1
-        if restricted:
-            np.add(halves[q][0], transfer[q][0], out=halves[q][0], order="C")  # serve by inward transfer
-            relax(q, 1, None, keep[q])
-        else:
-            # the closed form F[s] = G[s | q] of the module docstring: row 0 stands for
-            # "serve from the cheapest sole holder, then drop it", and the creation
-            # pass over bit q is the serve
-            np.min(dp[singles], axis=0, out=dp[0])
-            if reconstruct:
-                cheapest[i] = singles[np.argmin(dp[singles, 0])]
-        for b, into, cost, moved in fixed:
-            relax(b, into, cost, moved)
-        if not restricted:
-            np.copyto(halves[q][0], halves[q][1])  # dropping q is free
+        # the closed form F[s] = G[s | q] of the module docstring: row 0 stands for
+        # "serve from the cheapest sole holder, then drop it", and the creation
+        # pass over bit q is the serve
+        np.min(dp[singles], axis=0, out=dp[0])
+        if reconstruct:
+            cheapest[i] = np.argmin(dp[singles, 0])
+        for lo, hi, cost, spare, moved in passes:
+            src = np.add(lo, cost, out=spare, order="C")
+            if moved is not None:
+                np.less(src, hi, out=moved, order="C")
+            np.minimum(hi, src, out=hi, order="C")
+        np.copyto(halves[q][0], halves[q][1])  # dropping q is free
         dp[0] = math.inf
+        if restricted and far[i] & (far[i] - 1):  # two or more servers are far
+            np.copyto(dp, math.inf, where=crowd[subsets & far[i]])  # the sets holding two of them
         if prefix:
             np.min(dp, axis=0, out=optima[i])
         if reconstruct:
@@ -258,50 +240,43 @@ def _solve(
         np.min(dp, axis=0, out=optima[0])
     if not reconstruct:
         return optima, None
-    order = [(b, into) for b, into, _ in passes]
-    singletons = None if restricted else cheapest.tolist()
-    return optima, _reconstruct(instance, events, record, order, singletons, int(np.argmin(dp[:, 0])))
+    return optima, _reconstruct(instance, events, record, cheapest.tolist(), int(np.argmin(dp[:, 0])))
 
 
 def _reconstruct(
     instance: Instance,
     events: list[tuple[float, int]],
     record: np.ndarray,
-    passes: list[tuple[int | None, int]],
-    cheapest: list[int] | None,
+    cheapest: list[int],
     final_state: int,
 ) -> ReplicationSchedule:
     """The schedule that walks ``final_state`` back through each step's recorded moves.
 
     ``record[i]`` packs step ``i``'s move bits little-endian, 2^(n-1) per
-    pass in the order of ``passes``, each at its subset's index with the
-    pass's bit removed. A subset on a pass's destination side whose bit is
-    set came from its partner across the pass's bit. Full steps
-    (``cheapest`` given) end with the requester's half copied into the half
-    without it, and their row 0 is the singleton ``cheapest[i]``.
+    creation pass in bit order, each at its subset's index with the pass's
+    bit removed. A subset with the pass's bit whose move bit is set came from
+    its partner without it. Each step ends with the requester's half copied
+    into the half without it, and its row 0 is the singleton with bit
+    ``cheapest[i]``.
     """
-    half = 1 << (instance.n - 1)
+    n = instance.n
+    half = 1 << (n - 1)
     bits = memoryview(record.reshape(-1))
     row_bits = 8 * record.shape[1]
-    backwards = [(k * half, b, into) for k, (b, into) in enumerate(passes)][::-1]
+    backwards = [(b * half, b, (1 << b) - 1) for b in reversed(range(n))]
     holder_seq = [0] * len(events)
     state = final_state
     for i in range(len(events) - 1, 0, -1):
         holder_seq[i] = state
-        q = events[i][1] - 1
-        if cheapest is not None:
-            state |= 1 << q
+        state |= _bit(events[i][1])
         base = i * row_bits
-        for offset, b, into in backwards:
-            if b is None:
-                b = q
-            if (state >> b & 1) == into:
-                low = (1 << b) - 1
+        for offset, b, low in backwards:
+            if state >> b & 1:
                 at = base + offset + ((state >> 1) & ~low | state & low)
                 if bits[at >> 3] >> (at & 7) & 1:
                     state ^= 1 << b
         if not state:
-            state = cheapest[i]
+            state = 1 << cheapest[i]
     holder_seq[0] = state
 
     copies: list[CopyInterval] = []
@@ -351,11 +326,10 @@ def opt_full(instance: Instance, budget: int = DEFAULT_BUDGET, reconstruct: bool
 
 
 def opt_restricted(instance: Instance, budget: int = DEFAULT_BUDGET, reconstruct: bool = True) -> DPSolution:
-    """Optimum over the pruned transition set: the same DP with a creation mask.
+    """Optimum over the holder sets with at most one far server: the same DP step plus a mask.
 
-    Copies are created only at the requesting server, at server 1, or at
-    servers strictly cheaper than the priciest current holder. Agreement
-    with ``opt_full`` is part of the acceptance suite.
+    The one-far-holder law of the module docstring makes the mask exact.
+    Agreement with ``opt_full`` is part of the acceptance suite.
     """
     return _single(instance, restricted=True, budget=budget, reconstruct=reconstruct)
 

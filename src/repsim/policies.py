@@ -390,8 +390,10 @@ class Simulation:
 
         The policy's ``expire`` runs for each server due at that time, in
         server order, skipping one whose expiry an earlier call changed; a
-        hold to that time made meanwhile fires in the next call. Returns the
-        alarm's time, or None when no such alarm is pending.
+        hold to that time made meanwhile fires in the next call. An
+        ``expire`` that leaves its own copy due at the alarm time is a
+        ``PolicyFault``. Returns the alarm's time, or None when no such alarm
+        is pending.
         """
         heap, expiry = self._alarms, self.expiry
         while heap and expiry.get(heap[0][1]) != heap[0][0]:
@@ -405,6 +407,8 @@ class Simulation:
         for server in due:
             if expiry.get(server) == alarm:
                 self._policy.expire(self, alarm, server)
+                if expiry.get(server) == alarm:
+                    raise PolicyFault(alarm, f"expire left the copy at server {server} due at t={alarm:g}")
         return alarm
 
     def inject_request(self, time: float, server: int) -> None:

@@ -8,12 +8,16 @@ The program's full oracle replaces the serve, keep and drop passes with a
 closed form over a monotone table; tests require both to give equal prefix
 optima, bit for bit.
 
-``reference_schedule`` runs the program's passes (the closed-form full step
-or the masked restricted step) with an int16 "came from" table: per step,
-the subset each subset was reached from, moved only where a candidate is
-strictly cheaper. The backtrack follows these origins from the first
-cheapest final subset. The program records one move bit per pass instead;
-tests require both to give the same schedule, bit for bit.
+``reference_schedule`` runs the program's closed-form step (plus, for the
+restricted oracle, the mask of holder sets with two far servers) with an
+int16 "came from" table: per step, the subset each subset was reached from,
+moved only where a candidate is strictly cheaper. The backtrack follows
+these origins from the first cheapest final subset. The program records one
+move bit per pass instead; tests require both to give the same schedule, bit
+for bit.
+
+``far_sets`` finds the far servers of each step with a plain loop, apart
+from the program's vectorised lookup.
 """
 
 from __future__ import annotations
@@ -27,12 +31,13 @@ from repsim.model import (
     KIND_OFFLINE,
     PURPOSE_CREATE,
     PURPOSE_SERVE,
+    TOL,
     CopyInterval,
     Instance,
     ReplicationSchedule,
     Transfer,
 )
-from repsim.offline import _bit, _halves, _subset_tables
+from repsim.offline import _bit, _halves, _rate_sums
 
 
 def full_prefix_optima(instance: Instance, transfer_costs: Sequence[float]) -> np.ndarray:
@@ -45,7 +50,7 @@ def full_prefix_optima(instance: Instance, transfer_costs: Sequence[float]) -> n
     size = 1 << n
     cols = len(transfer_costs)
     events = [(0.0, instance.initial_server)] + [(r.time, r.server) for r in instance.requests]
-    ratesum = np.repeat(_subset_tables(instance)[0][:, None], cols, axis=1)
+    ratesum = np.repeat(_rate_sums(instance)[:, None], cols, axis=1)
     transfer = _halves(np.tile(np.asarray(transfer_costs, dtype=float), (size, 1)))
     dp = np.full((size, cols), math.inf)
     dp[_bit(instance.initial_server)] = 0.0
@@ -74,19 +79,33 @@ def full_prefix_optima(instance: Instance, transfer_costs: Sequence[float]) -> n
     return optima
 
 
+def far_sets(instance: Instance) -> list[int]:
+    """Per step, the bits of the servers that are far under the instance's transfer cost.
+
+    Server ``s`` is far at step ``i`` when ``rate_s * (next request at s
+    after t_i - t_i) > transfer_cost + TOL``, with no next request counting
+    as an infinite gap; rounding ties are near.
+    """
+    events = [(0.0, instance.initial_server)] + [(r.time, r.server) for r in instance.requests]
+    following: dict[int, float] = {}
+    out = [0] * len(events)
+    for i in range(len(events) - 1, -1, -1):
+        time, server = events[i]
+        for b, srv in enumerate(instance.servers):
+            if srv.rate * (following.get(b + 1, math.inf) - time) > instance.transfer_cost + TOL:
+                out[i] |= 1 << b
+        following[server] = time
+    return out
+
+
 def reference_schedule(instance: Instance, restricted: bool) -> tuple[float, ReplicationSchedule]:
     """The optimum and its schedule, from an int16 came-from table per step."""
     n = instance.n
     size = 1 << n
     events = [(0.0, instance.initial_server)] + [(r.time, r.server) for r in instance.requests]
-    ratesum, maxrate = _subset_tables(instance)
-    ratesum = ratesum[:, None]
+    ratesum = _rate_sums(instance)[:, None]
     transfer = _halves(np.full((size, 1), instance.transfer_cost))
-    priciest = [lo for lo, _ in _halves(maxrate[:, None])]
-    create = []
-    for b, server in enumerate(instance.servers):
-        allowed = (priciest[b] > server.rate) | (b == 0 or not restricted)
-        create.append(np.where(allowed, transfer[b][0], math.inf))
+    far = far_sets(instance) if restricted else None
     singles = 1 << np.arange(n)
     dp = np.full((size, 1), math.inf)
     dp[_bit(instance.initial_server)] = 0.0
@@ -96,13 +115,11 @@ def reference_schedule(instance: Instance, restricted: bool) -> tuple[float, Rep
     identity = np.arange(size, dtype=np.int16)[:, None]
     origin_halves = _halves(origin)
 
-    def relax(b: int, into: int, cost: np.ndarray | None = None) -> None:
-        dst, src = halves[b][into], halves[b][1 - into]
-        if cost is not None:
-            src = src + cost
+    def relax(b: int, cost: np.ndarray) -> None:
+        dst, src = halves[b][1], halves[b][0] + cost
         moved = src < dst
         np.copyto(dst, src, where=moved)
-        np.copyto(origin_halves[b][into], origin_halves[b][1 - into], where=moved)
+        np.copyto(origin_halves[b][1], origin_halves[b][0], where=moved)
 
     prev_t = 0.0
     for i, (time, server) in enumerate(events):
@@ -110,21 +127,17 @@ def reference_schedule(instance: Instance, restricted: bool) -> tuple[float, Rep
         prev_t = time
         np.copyto(origin, identity)
         q = server - 1
-        if restricted:
-            np.add(halves[q][0], transfer[q][0], out=halves[q][0])
-            relax(q, 1)
-        else:
-            dp[0] = dp[singles].min(axis=0)
-            origin[0] = singles[np.argmin(dp[singles, 0])]
+        dp[0] = dp[singles].min(axis=0)
+        origin[0] = singles[np.argmin(dp[singles, 0])]
         for b in range(n):
-            relax(b, 1, create[b])
-        if restricted:
-            for b in range(n):
-                relax(b, 0)
-        else:
-            np.copyto(halves[q][0], halves[q][1])
-            np.copyto(origin_halves[q][0], origin_halves[q][1])
+            relax(b, transfer[b][0])
+        np.copyto(halves[q][0], halves[q][1])
+        np.copyto(origin_halves[q][0], origin_halves[q][1])
         dp[0] = math.inf
+        if restricted:
+            for s in range(size):
+                if bin(s & far[i]).count("1") >= 2:
+                    dp[s] = math.inf
         came[i] = origin[:, 0]
 
     holder_seq = [0] * len(events)

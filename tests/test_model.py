@@ -124,6 +124,19 @@ def test_validate_unserved_request():
     assert any("unserved" in v.description for v in violations)
 
 
+def test_copy_and_transfer_constructors_check_their_fields():
+    with pytest.raises(ValueError, match="interval end 4.9 precedes start 5"):
+        R.CopyInterval(1, 5.0, 4.9)
+    with pytest.raises(ValueError, match="precedes start"):
+        R.CopyInterval(1, 5.0, 5.0 - 2 * TOL)
+    with pytest.raises(ValueError, match="unknown copy kind 'spare'"):
+        R.CopyInterval(1, 0.0, 1.0, "spare")
+    with pytest.raises(ValueError, match="source and destination must differ"):
+        R.Transfer(1.0, 2, 2)
+    # an end within TOL before the start is rounding, not an error
+    assert R.CopyInterval(1, 5.0, 5.0 - TOL / 2).end == 5.0 - TOL / 2
+
+
 def test_instance_rejects_bad_data():
     with pytest.raises(R.InstanceFormatError):
         R.Instance.build([2.0, 1.0], 1.0, 1, [])  # descending rates

@@ -11,6 +11,7 @@ import pytest
 import repsim as R
 from conftest import brute_force_optimum
 from reference_oracle import full_prefix_optima, reference_schedule
+from repsim.offline import _check_budget
 
 TOL = 1e-9
 
@@ -129,12 +130,17 @@ def test_prefix_costs_nondecreasing():
 
 
 def test_budget_refusal_names_the_bound():
-    # (m + 1) * (2n + 2) * 2^n = 47,001 * 26 * 4,096 is just over 5e9
-    inst = R.gen_random(seed=1, n=12, m=47_000, rate_range=(1.0, 2.0))
+    # (m + 1) * (n + 1) * 2^(n - 1) = 187,801 * 13 * 2,048 is just over 5e9
+    inst = R.gen_random(seed=1, n=12, m=187_800, rate_range=(1.0, 2.0))
     with pytest.raises(R.BudgetExceeded) as err:
         R.opt_full(inst, budget=5_000_000_000)
     assert "budget" in str(err.value)
     assert "5e+09" in str(err.value)
+    # the charge fits a budget of exactly its size, and one less is refused
+    work = (inst.m + 1) * 13 * 2_048
+    _check_budget(inst, work)
+    with pytest.raises(R.BudgetExceeded):
+        _check_budget(inst, work - 1)
     with pytest.raises(R.BudgetExceeded):
         R.opt_restricted(inst, budget=1000)
     with pytest.raises(R.BudgetExceeded) as err13:
@@ -143,8 +149,8 @@ def test_budget_refusal_names_the_bound():
 
 
 def test_full_oracle_fits_the_default_budget_at_scale():
-    # the full oracle is charged the restricted step's work, an upper bound on
-    # its own O(n 2^n) passes per step, and is not refused for 10 servers
+    # both oracles run one step, charged the (n + 1) 2^(n - 1) entries it relaxes
+    # or copies, and neither is refused for 10 servers
     inst = R.gen_random(seed=5, n=10, m=5_000, rate_range=(1.0, 4.0), horizon=5_000.0)
     full = R.opt_full(inst, reconstruct=False)
     assert full.opt_cost == R.opt_restricted(inst, reconstruct=False).opt_cost
@@ -170,8 +176,7 @@ def _trace_prefix_instance(rate_set: str, lam: float, m: int) -> R.Instance:
 
 
 def test_reconstructed_schedules_equal_the_came_from_reference_on_a_trace_prefix():
-    # set1 has equal rates, so ties abound and nine of the ten restricted creation passes never run
-    for rate_set in ("set1", "set4"):
+    for rate_set in ("set1", "set4"):  # set1 has equal rates, so ties abound
         for lam in (50.0, 1200.0):
             inst = _trace_prefix_instance(rate_set, lam, 800)
             for restricted, solver in ((False, R.opt_full), (True, R.opt_restricted)):
@@ -180,18 +185,20 @@ def test_reconstructed_schedules_equal_the_came_from_reference_on_a_trace_prefix
 
 
 def test_reconstruction_memory_is_the_move_record_plus_a_fixed_slack():
-    # one move bit per pass and destination entry: at most (2n + 1) 2^(n - 1) bits per step
+    # per step, one move bit per creation pass and destination entry, n 2^(n - 1)
+    # bits, and one byte for the cheapest singleton
     inst = _trace_prefix_instance("set4", 400.0, 2000)
     n = inst.n
-    record = (inst.m + 1) * (2 * n + 1) * 2 ** (n - 1) // 8
-    R.opt_restricted(inst)  # first-call allocations are not the oracle's
-    tracemalloc.start()
-    try:
-        R.opt_restricted(inst)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= record + (1 << 20), (peak, record)
+    record = (inst.m + 1) * (n * 2 ** (n - 1) // 8 + 1)
+    for solver in (R.opt_full, R.opt_restricted):
+        solver(inst)  # first-call allocations are not the oracle's
+        tracemalloc.start()
+        try:
+            solver(inst)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= record + (1 << 20), (solver.__name__, peak, record)
 
 
 def test_full_oracle_serves_from_a_pricey_sole_holder_and_drops_it_at_once():
@@ -219,7 +226,7 @@ def test_opt_costs_checks_its_arguments():
     with pytest.raises(R.BudgetExceeded, match="per transfer cost"):
         R.opt_costs(inst, [1.0, 2.0], budget=10)
     # the budget bounds the work per transfer cost: one estimate fits, the pass's 3x does not
-    per_cost = (inst.m + 1) * (2 * inst.n + 2) * 2**inst.n
+    per_cost = (inst.m + 1) * (inst.n + 1) * 2 ** (inst.n - 1)
     lams = [0.5, 1.0, 2.0]
     expected = tuple(R.opt_full(replace(inst, transfer_cost=lam), reconstruct=False).opt_cost for lam in lams)
     assert R.opt_costs(inst, lams, budget=per_cost) == expected

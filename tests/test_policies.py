@@ -498,3 +498,23 @@ def test_event_log_format():
     assert any(line.startswith("COPY 1 0 ") for line in lines)
     assert any(line.startswith("XFER ") and line.endswith("serve_request") for line in lines)
     assert any(line.startswith("SERVE 1 ") for line in lines)
+
+
+class _IgnoresItsAlarm(Policy):
+    """Holds the initial copy to t=2; its ``expire`` does nothing."""
+
+    def start(self, sim):
+        sim.hold(1, 2.0)
+
+    def on_request(self, sim, time, server):
+        pass
+
+    def expire(self, sim, time, server):
+        pass
+
+
+def test_an_expire_that_leaves_its_copy_due_is_a_policy_fault():
+    inst = R.Instance.build([1.0], 1.0, 1, [(5.0, 1)])
+    with pytest.raises(R.PolicyFault) as err:
+        R.simulate(_IgnoresItsAlarm(), inst)
+    assert str(err.value) == "policy fault at t=2: expire left the copy at server 1 due at t=2"

@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 
 import repsim as R
 from conftest import instances
-from reference_oracle import full_prefix_optima, reference_schedule
+from reference_oracle import far_sets, full_prefix_optima, reference_schedule
+from repsim.offline import _far_sets
 
 TOL = 1e-9
 
@@ -78,6 +79,26 @@ def test_reconstructed_schedules_equal_the_came_from_reference(inst):
     for restricted, solver in ((False, R.opt_full), (True, R.opt_restricted)):
         sol = solver(inst)
         assert (sol.opt_cost, sol.schedule) == reference_schedule(inst, restricted), restricted
+
+
+@given(instances(max_n=5))
+def test_far_sets_equal_the_loop_reference(inst):
+    events = [(0.0, inst.initial_server)] + [(r.time, r.server) for r in inst.requests]
+    assert _far_sets(inst, events).tolist() == far_sets(inst)
+
+
+@given(instances(max_n=5))
+def test_reconstructed_schedules_keep_at_most_one_far_holder(inst):
+    # the one-far-holder law: between requests, at most one holder waits longer for its
+    # next request than storing there until then is worth (rounding ties are near)
+    times = [0.0] + [r.time for r in inst.requests]
+    far = far_sets(inst)
+    for solver in (R.opt_full, R.opt_restricted):
+        copies = solver(inst).schedule.copies
+        for i, (start, end) in enumerate(zip(times, times[1:])):
+            mid = (start + end) / 2
+            holders = {c.server for c in copies if c.start < mid < c.end}
+            assert len([s for s in holders if far[i] >> (s - 1) & 1]) <= 1, (solver.__name__, i, holders)
 
 
 @given(instances())
