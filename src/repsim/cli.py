@@ -62,7 +62,7 @@ def _cmd_allocate(args) -> int:
 
 def _cmd_verify(args) -> int:
     if args.random:
-        problems = verify_random_batch(args.seed, args.count)
+        problems = verify_random_batch(args.seed, args.count, budget=args.budget)
     else:
         if not args.instance:
             print("verify: either --instance or --random is required", file=sys.stderr)

@@ -137,8 +137,10 @@ def assign_servers(times: "list[float]", n: int, seed: int) -> list[tuple[float,
 
 def gen_poisson_trace(seed: int, total_requests: int, mean_gap: float) -> list[float]:
     """Synthetic arrival times with exponential inter-request gaps."""
-    if mean_gap <= 0:
-        raise ValueError(f"mean_gap must be > 0, got {mean_gap}")
+    if not (math.isfinite(mean_gap) and mean_gap > 0):
+        raise ValueError(f"mean gap must be a finite number > 0, got {mean_gap}")
+    if total_requests < 0:
+        raise ValueError(f"request count must be >= 0, got {total_requests}")
     if total_requests == 0:
         return []
     rng = np.random.default_rng(seed)
@@ -164,6 +166,8 @@ class ExperimentSpec:
         sizes = {name: len(rates) for name, rates in self.rate_sets.items()}
         if len(set(sizes.values())) > 1:
             raise ValueError(f"rate sets differ in length: {sizes}")
+        if self.prefix is not None and self.prefix < 1:
+            raise ValueError(f"prefix must be at least 1 request, got {self.prefix}")
         for rates in self.rate_sets.values():
             for lam in self.lambda_values:
                 Instance.build(rates, lam, 1)
@@ -203,7 +207,7 @@ def _run_group(args) -> list[SweepRow]:
 
 def _split(values: tuple[float, ...], parts: int) -> list[tuple[float, ...]]:
     """``values`` cut into at most ``parts`` contiguous, non-empty runs of near-equal length."""
-    parts = min(max(parts, 1), len(values))
+    parts = min(parts, len(values))
     return [values[k * len(values) // parts : (k + 1) * len(values) // parts] for k in range(parts)]
 
 
@@ -215,7 +219,9 @@ def run_sweep(spec: ExperimentSpec, workers: int = 1) -> list[SweepRow]:
     all of its transfer costs. With several workers each rate set's transfer
     costs are cut into ``workers`` contiguous runs, one process task each.
     """
-    times = spec.times[: spec.prefix] if spec.prefix else spec.times
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+    times = spec.times[: spec.prefix]
     groups = [
         (name, spec.rate_sets[name], lams, spec.policies, times, spec.seed, spec.budget)
         for name in sorted(spec.rate_sets)

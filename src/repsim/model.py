@@ -229,19 +229,23 @@ class Transfer:
 
 @dataclass(frozen=True)
 class ReplicationSchedule:
-    """Full record of one run: copy intervals plus transfers."""
+    """Full record of one run: copy intervals plus transfers, in the one schedule order.
+
+    Whatever order they come in, ``copies`` are stored sorted by (start, server,
+    end) and ``transfers`` by (time, src, dst), ties as given; validators rely on it.
+    """
 
     instance: Instance
     copies: tuple[CopyInterval, ...]
     transfers: tuple[Transfer, ...]
 
-    @property
-    def horizon(self) -> float:
-        return self.instance.horizon
+    def __post_init__(self) -> None:
+        _set_field(self, "copies", tuple(sorted(self.copies, key=operator.attrgetter("start", "server", "end"))))
+        _set_field(self, "transfers", tuple(sorted(self.transfers, key=operator.attrgetter("time", "src", "dst"))))
 
 
 def schedule_lines(schedule: ReplicationSchedule) -> list[str]:
-    """The schedule's COPY then XFER records, in its order (the policies and oracles sort both by time)."""
+    """COPY then XFER records in stored order: copies by (start, server, end), transfers by (time, src, dst)."""
     copies = [f"COPY {c.server} {c.start:.10g} {c.end:.10g} {c.kind}" for c in schedule.copies]
     return copies + [f"XFER {t.time:.10g} {t.src} {t.dst} {t.purpose}" for t in schedule.transfers]
 
@@ -256,14 +260,15 @@ def _holding_spans(schedule: ReplicationSchedule) -> dict[int, list[tuple[float,
     """Each server's maximal contiguous holding spans, kind splits merged.
 
     Every server of the instance has an entry, empty when it never holds.
-    The sorted lookups of the validators rely on this contract, per server:
-    spans are sorted by start; each span starts more than TOL after the
-    previous one ends (``start > prev_end + TOL`` as computed); so ends never
-    decrease, and they strictly increase unless a copy ends before it starts
-    (which ``CopyInterval`` allows within TOL).
+    It relies on the schedule's order, which lists each server's copies by
+    (start, end). The sorted lookups of the validators rely on this contract,
+    per server: spans are sorted by start; each span starts more than TOL
+    after the previous one ends (``start > prev_end + TOL`` as computed); so
+    ends never decrease, and they strictly increase unless a copy ends before
+    it starts (which ``CopyInterval`` allows within TOL).
     """
     spans: dict[int, list[tuple[float, float]]] = {s.index: [] for s in schedule.instance.servers}
-    for c in sorted(schedule.copies, key=lambda c: (c.server, c.start, c.end)):
+    for c in schedule.copies:
         lst = spans.setdefault(c.server, [])
         if lst and c.start <= lst[-1][1] + TOL:
             lst[-1] = (lst[-1][0], max(lst[-1][1], c.end))
@@ -303,14 +308,14 @@ def validate_schedule(schedule: ReplicationSchedule) -> list[Violation]:
     [0, horizon], every request served by a local copy at its time, and every
     copy creation sourced by a transfer into that server at its start time
     (the initial copy at the initial server being the one exception).
-    Sorted lookups keep it at O((m + copies + transfers) log) time.
+    Sorted lookups in the schedule's order keep it at O((m + copies + transfers) log) time.
     """
     inst = schedule.instance
     out: list[Violation] = []
 
     horizon = inst.horizon
     covered = 0.0
-    for start, end in sorted((max(c.start, 0.0), c.end) for c in schedule.copies):
+    for start, end in ((max(c.start, 0.0), c.end) for c in schedule.copies):  # in order of start
         if start > covered + TOL:
             gap_end = min(start, horizon)
             if gap_end > covered + TOL:
@@ -330,11 +335,9 @@ def validate_schedule(schedule: ReplicationSchedule) -> list[Violation]:
                 Violation(req.time, f"request {req.index} at t={req.time:g} unserved: server {req.server} holds no copy")
             )
 
-    transfers_in: dict[int, list[float]] = {}
+    transfers_in: dict[int, list[float]] = {}  # each destination's inbound times, ascending as stored
     for tr in schedule.transfers:
         transfers_in.setdefault(tr.dst, []).append(tr.time)
-    for times in transfers_in.values():
-        times.sort()
     for server, spans in spans_by_server.items():
         for start, _end in spans:
             if start <= TOL and server == inst.initial_server:

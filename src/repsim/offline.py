@@ -307,11 +307,7 @@ def _reconstruct(
             changed ^= low
         prev_mask = mask
     copies += [CopyInterval(server, start, events[-1][0], KIND_OFFLINE) for server, start in held.items()]
-    return ReplicationSchedule(
-        instance,
-        tuple(sorted(copies, key=lambda c: (c.start, c.server, c.end))),
-        tuple(sorted(transfers, key=lambda t: (t.time, t.src, t.dst))),
-    )
+    return ReplicationSchedule(instance, copies, transfers)
 
 
 def _single(instance: Instance, restricted: bool, budget: int, reconstruct: bool) -> DPSolution:

@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import heappop, heappush
-from operator import attrgetter
 from typing import NamedTuple
 
 from .model import (
@@ -255,10 +254,6 @@ class ServeRecord(NamedTuple):
     switch_time: float | None  # instant the providing copy turned special
 
 
-_COPY_ORDER = attrgetter("start", "server", "end")
-_TRANSFER_ORDER = attrgetter("time", "src", "dst")
-
-
 @dataclass(frozen=True)
 class AnnotatedRun:
     """A schedule plus per-request serving annotations from one policy run.
@@ -467,8 +462,7 @@ class Simulation:
                 else:
                     cur.excluded = True
         self.run_alarms_before(math.inf)
-        for server in sorted(self._live):
-            c = self._live[server]
+        for server, c in self._live.items():
             excluded = c.excluded or (self._policy.uses_copy_exclusions and c.kind in SPECIAL_KINDS)
             self._segments.append(CopyInterval(server, c.start, math.inf, c.kind, excluded))
         self._live.clear()
@@ -481,11 +475,7 @@ class Simulation:
                 instance.initial_server,
                 [row[1:3] for row in serves],
             )
-        schedule = ReplicationSchedule(
-            instance,
-            tuple(sorted(self._segments, key=_COPY_ORDER)),
-            tuple(sorted(self._transfers, key=_TRANSFER_ORDER)),
-        )
+        schedule = ReplicationSchedule(instance, self._segments, self._transfers)
         return AnnotatedRun(schedule, tuple(serves), self._policy.name)
 
 

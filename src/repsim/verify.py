@@ -35,7 +35,8 @@ def _overlaps(a: CopyInterval, b: CopyInterval) -> bool:
 def _special_overlaps(specials: list[CopyInterval], regulars: list[CopyInterval]) -> list[tuple[int, bool, int]]:
     """Every pair of overlapping copies that includes a special one, in report order.
 
-    A pair is (position of the special, whether the partner is regular,
+    Both lists come in order of start, as a schedule stores its copies. A
+    pair is (position of the special, whether the partner is regular,
     position of the partner), with the earlier special first in a pair of
     specials. One sweep in order of start: a copy stays live while a later
     start can still fall before its ``end - TOL``, so each special is compared
@@ -45,8 +46,8 @@ def _special_overlaps(specials: list[CopyInterval], regulars: list[CopyInterval]
     pairs: list[tuple[int, bool, int]] = []
     # heaps of (end - TOL, position), indexed by whether the copy is regular
     live = live_specials, live_regulars = ([], [])
-    order = sorted(
-        [(c.start, False, i) for i, c in enumerate(specials)] + [(c.start, True, k) for k, c in enumerate(regulars)]
+    order = heapq.merge(
+        [(c.start, False, i) for i, c in enumerate(specials)], [(c.start, True, k) for k, c in enumerate(regulars)]
     )
     for start, regular, x in order:
         for heap in live:
@@ -181,11 +182,11 @@ def verify_instance(instance: Instance, budget: int = DEFAULT_BUDGET) -> list[st
     return problems
 
 
-def verify_random_batch(seed: int, count: int, n_max: int = 4, m_max: int = 12) -> list[str]:
-    """Invariant suites over a batch of seeded random instances."""
+def verify_random_batch(seed: int, count: int, n_max: int = 4, m_max: int = 12, budget: int = DEFAULT_BUDGET) -> list[str]:
+    """Invariant suites over a batch of seeded random instances, each oracle run under ``budget``."""
     problems: list[str] = []
     for k in range(count):
         inst = gen_random(seed + k, n=1 + (seed + k) % n_max, m=1 + (seed + 7 * k) % m_max)
-        found = verify_instance(inst)
+        found = verify_instance(inst, budget=budget)
         problems += [f"instance {k} (seed {seed + k}): {p}" for p in found]
     return problems

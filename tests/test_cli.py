@@ -100,10 +100,17 @@ def test_verify_requires_a_source(capsys):
 
 
 def test_verify_exit_one_on_violations(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "verify_random_batch", lambda seed, count: ["stub problem"])
+    monkeypatch.setattr(cli, "verify_random_batch", lambda seed, count, budget: ["stub problem"])
     code, out, _ = _run(["verify", "--random", "--seed", "1", "--count", "1"], capsys)
     assert code == 1
     assert "VIOLATION stub problem" in out
+
+
+def test_verify_random_honours_the_budget(capsys):
+    code, out, _ = _run(["verify", "--random", "--seed", "1", "--count", "2", "--budget", "1"], capsys)
+    assert code == 1
+    assert out.count("oracle skipped") == 2
+    assert out.endswith("verify: 2 violation(s)\n")
 
 
 def test_usage_error_exit_two():
@@ -226,6 +233,35 @@ def test_sweep_rejects_bad_lambda_grid(capsys, bounds, flag):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and flag in err
+
+
+SMALL_SWEEP = [
+    "sweep", "--rates", "1,2", "--lambda-min", "2", "--lambda-max", "2", "--lambda-step", "1",
+    "--poisson-requests", "50", "--poisson-gap", "5", "--policies", "alg1",
+]
+
+
+@pytest.mark.parametrize(
+    "flags, problem",
+    [
+        (["--prefix", "-45"], "prefix must be at least 1 request, got -45"),
+        (["--prefix", "0"], "prefix must be at least 1 request, got 0"),
+        (["--workers", "0"], "workers must be at least 1, got 0"),
+        (["--poisson-gap", "nan"], "mean gap must be a finite number > 0, got nan"),
+        (["--poisson-gap", "inf"], "mean gap must be a finite number > 0, got inf"),
+        (["--poisson-requests", "-3"], "request count must be >= 0, got -3"),
+    ],
+)
+def test_sweep_rejects_bad_sizes(capsys, flags, problem):
+    code, out, err = _run(SMALL_SWEEP + flags, capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: {problem}\n"
+
+
+def test_sweep_prefix_keeps_the_first_requests(capsys):
+    code, out, _ = _run(SMALL_SWEEP + ["--prefix", "5"], capsys)
+    assert code == 0
+    assert out.splitlines()[1].split(",")[6] == "5"  # the requests column
 
 
 @pytest.mark.parametrize(

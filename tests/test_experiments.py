@@ -120,6 +120,21 @@ def test_poisson_trace_properties():
     assert abs(gaps.mean() * 10 - 500.0) <= 0.05 * 500.0
 
 
+@pytest.mark.parametrize(
+    "count, gap, problem",
+    [
+        (10, math.nan, "mean gap must be a finite number > 0, got nan"),
+        (10, math.inf, "mean gap must be a finite number > 0, got inf"),
+        (10, 0.0, "mean gap must be a finite number > 0, got 0.0"),
+        (-3, 50.0, "request count must be >= 0, got -3"),
+    ],
+)
+def test_poisson_trace_rejects_bad_parameters(count, gap, problem):
+    with pytest.raises(ValueError) as err:
+        R.gen_poisson_trace(seed=0, total_requests=count, mean_gap=gap)
+    assert str(err.value) == problem
+
+
 def test_sweep_rows_and_csv(tmp_path):
     times = R.gen_poisson_trace(seed=5, total_requests=150, mean_gap=10.0)
     spec = R.ExperimentSpec(

@@ -10,6 +10,7 @@ tolerance's edges.
 
 from __future__ import annotations
 
+import random
 from dataclasses import replace
 
 import pytest
@@ -171,6 +172,41 @@ def test_special_copy_check_agrees_with_reference(inst):
             assert R.special_copy_problems(mutated) == ref.special_copy_problems(mutated)
 
 
+def _shuffled(schedule: R.ReplicationSchedule, rnd: random.Random) -> R.ReplicationSchedule:
+    """``schedule`` rebuilt from its records in a random order."""
+    copies, transfers = list(schedule.copies), list(schedule.transfers)
+    rnd.shuffle(copies)
+    rnd.shuffle(transfers)
+    return _with(schedule, copies, transfers)
+
+
+@given(instances(), st.integers(0, 2**32))
+def test_validators_are_independent_of_record_order(inst, seed):
+    rnd = random.Random(seed)  # not st.randoms: Hypothesis would record every draw of every shuffle
+    for schedule in _schedules(inst):
+        assert _shuffled(schedule, rnd) == schedule
+        mutations = [mutated for _label, mutated in _mutations(schedule)]
+        for mutated in rnd.sample(mutations, min(len(mutations), 20)):
+            shuffled = _shuffled(mutated, rnd)
+            assert R.validate_schedule(shuffled) == R.validate_schedule(mutated)
+            assert R.validate_offline_structure(shuffled) == R.validate_offline_structure(mutated)
+            assert R.special_copy_problems(_run(shuffled)) == R.special_copy_problems(_run(mutated))
+
+
+@given(threshold_instances(), st.integers(0, 2**32))
+def test_special_copy_check_is_independent_of_record_order(inst, seed):
+    rnd = random.Random(seed)
+    schedule = R.simulate("alg1", inst)[0].schedule
+    assert _shuffled(schedule, rnd) == schedule
+    copies = list(schedule.copies)
+    for k in rnd.sample(range(len(copies)), min(len(copies), 10)):
+        c = copies[k]
+        # a regular copy turned special, or a copy held 1 longer, overlaps its neighbours
+        moved = replace(c, kind=KIND_RELOCATED_SPECIAL) if c.kind == KIND_REGULAR else replace(c, end=c.end + 1.0)
+        mutated = _with(schedule, copies=copies[:k] + [moved] + copies[k + 1 :])
+        assert R.special_copy_problems(_run(_shuffled(mutated, rnd))) == R.special_copy_problems(_run(mutated))
+
+
 def test_special_copy_check_reports_overlaps_in_reference_order():
     inst = R.Instance.build([1.0, 2.0, 3.0], 1.0, 1, [(1.0, 2), (5.0, 3)])
     res = KIND_RESIDENT_SPECIAL
@@ -186,20 +222,22 @@ def test_special_copy_check_reports_overlaps_in_reference_order():
         R.CopyInterval(2, 7.0, 8.0, rel),
     )
     run = _run(R.ReplicationSchedule(inst, copies, ()))
+    a, b, c, d, e, f, g, h = copies
+    assert run.schedule.copies == (d, a, c, b, f, e, g, h)  # by (start, server, end), ties as given
     found = R.special_copy_problems(run)
     assert found == ref.special_copy_problems(run)
-    a, b, c, d, e, f, _, _ = copies
+    # specials in stored order: d, b, f, e, h; regulars: a, c, g
     assert found == [
-        f"special copies overlap: {b} and {d}",
-        f"special copies overlap: {b} and {f}",
-        f"special copy overlaps a regular copy: {b} and {a}",
-        f"special copy overlaps a regular copy: {b} and {c}",
+        f"special copies overlap: {d} and {b}",
         f"special copies overlap: {d} and {f}",
         f"special copy overlaps a regular copy: {d} and {a}",
         f"special copy overlaps a regular copy: {d} and {c}",
-        f"special copy overlaps a regular copy: {e} and {c}",
+        f"special copies overlap: {b} and {f}",
+        f"special copy overlaps a regular copy: {b} and {a}",
+        f"special copy overlaps a regular copy: {b} and {c}",
         f"special copy overlaps a regular copy: {f} and {a}",
         f"special copy overlaps a regular copy: {f} and {c}",
+        f"special copy overlaps a regular copy: {e} and {c}",
         "relocated copy at non-minimum-rate server 2",
         "relocated copy exists although no rate exceeds three times the cheapest",
     ]
