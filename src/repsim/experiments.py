@@ -31,19 +31,14 @@ DEFAULT_LAMBDA_VALUES: tuple[float, ...] = tuple(float(v) for v in range(50, 120
 DEFAULT_POLICIES: tuple[str, ...] = ("alg1", "wang", "simple")
 
 
-@dataclass(frozen=True)
-class TraceRecord:
-    timestamp: float
-    op: str
-    object_id: str
-
-
 def _trace_rows(path: str, column_map: dict[str, "str | int"], delimiter: str):
     """Each record of a delimited trace as ``(timestamp, op, object_id)``, in file order.
 
-    The one row loop behind ``read_trace`` and ``ingest_trace``. Blank lines
-    are skipped; a record that lacks a column or whose timestamp is not a
-    finite number is reported by file and line.
+    ``column_map`` maps the keys ``timestamp``, ``op`` and ``object_id`` to
+    column names (header row) or 0-based positions (no header assumed). Blank
+    lines are skipped; a record that lacks a column or whose timestamp is not
+    a finite number is reported by file and line. Op and object fields are
+    stripped of surrounding whitespace.
     """
     keys = ("timestamp", "op", "object_id")
     for key in keys:
@@ -81,15 +76,6 @@ def _trace_rows(path: str, column_map: dict[str, "str | int"], delimiter: str):
             yield stamp, op_text.strip(), obj_text.strip()
 
 
-def read_trace(path: str, column_map: dict[str, "str | int"], delimiter: str = ",") -> list[TraceRecord]:
-    """Parse a delimited text trace into records using a user-supplied column map.
-
-    ``column_map`` maps the keys ``timestamp``, ``op`` and ``object_id`` to
-    column names (header row) or 0-based positions (no header assumed).
-    """
-    return [TraceRecord(*record) for record in _trace_rows(path, column_map, delimiter)]
-
-
 def ingest_trace(
     path: str,
     object_id: str,
@@ -99,7 +85,7 @@ def ingest_trace(
 ) -> list[float]:
     """Extract read times of one object, rebased to the trace start.
 
-    The trace is read as by ``read_trace``. One second of source time becomes
+    The trace is read by ``_trace_rows``. One second of source time becomes
     one time unit, with t=0 at the first record of the file. Each retained
     time is bumped by 1e-6 times its 1-based position within its group of
     equal timestamps, which both breaks exact ties and shifts a read at the
@@ -144,9 +130,12 @@ def gen_poisson_trace(seed: int, total_requests: int, mean_gap: float) -> list[f
     if total_requests == 0:
         return []
     rng = np.random.default_rng(seed)
-    gaps = rng.exponential(mean_gap, total_requests)
-    times = np.cumsum(gaps)
-    assert times[0] > 0 and np.all(np.diff(times) > 0)
+    with np.errstate(over="ignore"):
+        times = np.cumsum(rng.exponential(mean_gap, total_requests))
+    if not np.isfinite(times[-1]):
+        raise ValueError(f"mean gap {mean_gap} over {total_requests} requests overflows the arrival times")
+    if not (times[0] > 0 and np.all(np.diff(times) > 0)):
+        raise ValueError(f"mean gap {mean_gap} over {total_requests} requests gives tied arrival times")
     return [float(t) for t in times]
 
 

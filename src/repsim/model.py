@@ -17,6 +17,7 @@ import operator
 import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from typing import NamedTuple
 
 TOL = 1e-9
 
@@ -179,14 +180,7 @@ def competitive_bound(instance: Instance) -> float:
     return max(2.0, min(max_min_rate_ratio(instance), 3.0))
 
 
-# The two schedule records below write their own ``__init__``: the one a frozen
-# dataclass generates looks ``object.__setattr__`` up again for every field,
-# and a policy run makes one record per copy and per transfer.
-_set_field = object.__setattr__
-
-
-@dataclass(frozen=True, init=False)
-class CopyInterval:
+class CopyInterval(NamedTuple):
     """A copy held at ``server`` over [start, end], with its copy kind.
 
     ``excluded`` marks the two copies the threshold policy keeps past the
@@ -199,32 +193,12 @@ class CopyInterval:
     kind: str = KIND_REGULAR
     excluded: bool = False
 
-    def __init__(self, server: int, start: float, end: float, kind: str = KIND_REGULAR, excluded: bool = False):
-        if end < start - TOL:
-            raise ValueError(f"interval end {end} precedes start {start}")
-        if kind not in COPY_KINDS:
-            raise ValueError(f"unknown copy kind {kind!r}")
-        _set_field(self, "server", server)
-        _set_field(self, "start", start)
-        _set_field(self, "end", end)
-        _set_field(self, "kind", kind)
-        _set_field(self, "excluded", excluded)
 
-
-@dataclass(frozen=True, init=False)
-class Transfer:
+class Transfer(NamedTuple):
     time: float
     src: int
     dst: int
     purpose: str = PURPOSE_SERVE
-
-    def __init__(self, time: float, src: int, dst: int, purpose: str = PURPOSE_SERVE):
-        if src == dst:
-            raise ValueError("transfer source and destination must differ")
-        _set_field(self, "time", time)
-        _set_field(self, "src", src)
-        _set_field(self, "dst", dst)
-        _set_field(self, "purpose", purpose)
 
 
 @dataclass(frozen=True)
@@ -233,6 +207,8 @@ class ReplicationSchedule:
 
     Whatever order they come in, ``copies`` are stored sorted by (start, server,
     end) and ``transfers`` by (time, src, dst), ties as given; validators rely on it.
+    This is the one check of the records' fields: no copy ends more than TOL
+    before it starts or has an unknown kind, and no transfer is a self-loop.
     """
 
     instance: Instance
@@ -240,8 +216,18 @@ class ReplicationSchedule:
     transfers: tuple[Transfer, ...]
 
     def __post_init__(self) -> None:
-        _set_field(self, "copies", tuple(sorted(self.copies, key=operator.attrgetter("start", "server", "end"))))
-        _set_field(self, "transfers", tuple(sorted(self.transfers, key=operator.attrgetter("time", "src", "dst"))))
+        copies = tuple(sorted(self.copies, key=operator.attrgetter("start", "server", "end")))
+        transfers = tuple(sorted(self.transfers, key=operator.attrgetter("time", "src", "dst")))
+        for _, start, end, kind, _ in copies:
+            if end < start - TOL:
+                raise ValueError(f"interval end {end} precedes start {start}")
+            if kind not in COPY_KINDS:
+                raise ValueError(f"unknown copy kind {kind!r}")
+        for _, src, dst, _ in transfers:
+            if src == dst:
+                raise ValueError("transfer source and destination must differ")
+        object.__setattr__(self, "copies", copies)
+        object.__setattr__(self, "transfers", transfers)
 
 
 def schedule_lines(schedule: ReplicationSchedule) -> list[str]:
@@ -265,7 +251,7 @@ def _holding_spans(schedule: ReplicationSchedule) -> dict[int, list[tuple[float,
     per server: spans are sorted by start; each span starts more than TOL
     after the previous one ends (``start > prev_end + TOL`` as computed); so
     ends never decrease, and they strictly increase unless a copy ends before
-    it starts (which ``CopyInterval`` allows within TOL).
+    it starts (which the schedule allows within TOL).
     """
     spans: dict[int, list[tuple[float, float]]] = {s.index: [] for s in schedule.instance.servers}
     for c in schedule.copies:

@@ -106,6 +106,13 @@ def test_verify_exit_one_on_violations(capsys, monkeypatch):
     assert "VIOLATION stub problem" in out
 
 
+@pytest.mark.parametrize("count", ["-3", "0"])
+def test_verify_random_rejects_a_count_below_one(capsys, count):
+    code, out, err = _run(["verify", "--random", "--seed", "1", "--count", count], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: count must be at least 1 instance, got {count}\n"
+
+
 def test_verify_random_honours_the_budget(capsys):
     code, out, _ = _run(["verify", "--random", "--seed", "1", "--count", "2", "--budget", "1"], capsys)
     assert code == 1
@@ -250,6 +257,8 @@ SMALL_SWEEP = [
         (["--poisson-gap", "nan"], "mean gap must be a finite number > 0, got nan"),
         (["--poisson-gap", "inf"], "mean gap must be a finite number > 0, got inf"),
         (["--poisson-requests", "-3"], "request count must be >= 0, got -3"),
+        (["--poisson-gap", "1e308"], "mean gap 1e+308 over 50 requests overflows the arrival times"),
+        (["--poisson-gap", "5e-324"], "mean gap 5e-324 over 50 requests gives tied arrival times"),
     ],
 )
 def test_sweep_rejects_bad_sizes(capsys, flags, problem):

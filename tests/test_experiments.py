@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 import repsim as R
-from repsim.experiments import TraceRecord, read_trace
 
 CM = {"timestamp": "ts", "op": "op", "object_id": "obj"}
 
@@ -70,10 +69,11 @@ def test_ingest_short_record_is_located(tmp_path):
         R.ingest_trace(path, "X", {"timestamp": 0, "op": 1, "object_id": 2}, delimiter="|")
 
 
-def test_read_trace_records_and_a_bad_timestamp_by_file_line(tmp_path):
+def test_ingest_reads_quoted_fields_and_locates_a_bad_timestamp_by_file_line(tmp_path):
     # the first record's quoted op spans lines 2-3, so the next record is on line 4
     path = _write(tmp_path, "trace.csv", ["ts,op,obj", '1,"READ', '",X', "2, GET , Y"])
-    assert read_trace(path, CM) == [TraceRecord(1.0, "READ", "X"), TraceRecord(2.0, "GET", "Y")]
+    assert R.ingest_trace(path, "X", CM) == [1e-6]
+    assert R.ingest_trace(path, "Y", CM) == [1.0 + 1e-6]  # op and object stripped of spaces
     path = _write(tmp_path, "bad.csv", ["ts,op,obj", '1,"READ', '",X', "abc,READ,X"])
     with pytest.raises(ValueError, match=r"bad.csv:line 4: timestamp 'abc' is not a number"):
         R.ingest_trace(path, "X", CM)
@@ -127,6 +127,8 @@ def test_poisson_trace_properties():
         (10, math.inf, "mean gap must be a finite number > 0, got inf"),
         (10, 0.0, "mean gap must be a finite number > 0, got 0.0"),
         (-3, 50.0, "request count must be >= 0, got -3"),
+        (50, 1e308, "mean gap 1e+308 over 50 requests overflows the arrival times"),
+        (50, 5e-324, "mean gap 5e-324 over 50 requests gives tied arrival times"),
     ],
 )
 def test_poisson_trace_rejects_bad_parameters(count, gap, problem):

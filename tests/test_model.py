@@ -124,17 +124,33 @@ def test_validate_unserved_request():
     assert any("unserved" in v.description for v in violations)
 
 
-def test_copy_and_transfer_constructors_check_their_fields():
-    with pytest.raises(ValueError, match="interval end 4.9 precedes start 5"):
-        R.CopyInterval(1, 5.0, 4.9)
-    with pytest.raises(ValueError, match="precedes start"):
-        R.CopyInterval(1, 5.0, 5.0 - 2 * TOL)
-    with pytest.raises(ValueError, match="unknown copy kind 'spare'"):
-        R.CopyInterval(1, 0.0, 1.0, "spare")
-    with pytest.raises(ValueError, match="source and destination must differ"):
-        R.Transfer(1.0, 2, 2)
+def _bad_records(t: float):
+    """(field, record, message): one faulty record at time ``t`` per check, with the schedule's message."""
+    return [
+        ("copies", R.CopyInterval(1, t, t - 0.1), f"interval end {t - 0.1} precedes start {t}"),
+        ("copies", R.CopyInterval(1, t, t - 2 * TOL), f"interval end {t - 2 * TOL} precedes start {t}"),
+        ("copies", R.CopyInterval(1, t, t + 1.0, "spare"), "unknown copy kind 'spare'"),
+        ("transfers", R.Transfer(t, 2, 2), "transfer source and destination must differ"),
+    ]
+
+
+@pytest.mark.parametrize("first", [True, False], ids=["first", "last"])
+def test_schedule_checks_its_record_fields(first):
+    # valid records over [10, 20]; the faulty one comes first or last, as given and as stored
+    inst = R.Instance.build([1.0, 2.0], 1.0, 1, [])
+    good = {
+        "copies": [R.CopyInterval(1, 10.0, 20.0), R.CopyInterval(2, 12.0, 15.0, "resident_special")],
+        "transfers": [R.Transfer(12.0, 1, 2), R.Transfer(15.0, 2, 1, "create_copy")],
+    }
+    R.ReplicationSchedule(inst, **good)
+    for field, record, message in _bad_records(1.0 if first else 30.0):
+        records = dict(good, **{field: [record, *good[field]] if first else [*good[field], record]})
+        with pytest.raises(ValueError) as err:
+            R.ReplicationSchedule(inst, **records)
+        assert str(err.value) == message
     # an end within TOL before the start is rounding, not an error
-    assert R.CopyInterval(1, 5.0, 5.0 - TOL / 2).end == 5.0 - TOL / 2
+    sched = R.ReplicationSchedule(inst, [R.CopyInterval(1, 5.0, 5.0 - TOL / 2)], [])
+    assert sched.copies[0].end == 5.0 - TOL / 2
 
 
 def test_instance_rejects_bad_data():

@@ -341,6 +341,24 @@ def test_driver_checks_every_action(case):
     assert str(err.value) == f"policy fault at {message}"
 
 
+class _MarksAnUnknownKind(Policy):
+    """Keeps the initial copy forever and marks it with a kind no schedule knows."""
+
+    def start(self, sim):
+        pass
+
+    def on_request(self, sim, time, server):
+        sim.mark(server, "spare")
+
+
+def test_an_unknown_copy_kind_is_rejected_when_the_schedule_is_made():
+    sim = R.Simulation(_MarksAnUnknownKind(), R.Instance.build([1.0, 2.0], 1.0, 1, [(0.5, 1)]))
+    sim.inject_request(0.5, 1)
+    with pytest.raises(ValueError) as err:
+        sim.finalize()
+    assert str(err.value) == "unknown copy kind 'spare'"
+
+
 class _HoldsBelowTheAlarm(Policy):
     """Holds the initial copy to t=10, then a new copy to t=3, earlier than the alarm already pending."""
 

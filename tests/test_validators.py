@@ -51,7 +51,7 @@ def _with(schedule, copies=None, transfers=None) -> R.ReplicationSchedule:
 def _mutations(schedule: R.ReplicationSchedule):
     """(label, schedule) for every single-element mutation of ``schedule``.
 
-    A mutation that would make an invalid ``CopyInterval`` is skipped.
+    A mutation that the schedule rejects (a copy ending before it starts) is skipped.
     """
     copies, transfers = list(schedule.copies), list(schedule.transfers)
     for k, tr in enumerate(transfers):
@@ -59,7 +59,7 @@ def _mutations(schedule: R.ReplicationSchedule):
         # 1e-3 is far beyond TOL: off every request time unless another lies that close
         moved = [("move transfer", 1e-3)] + [("shift transfer", d) for d in SHIFTS]
         for label, d in moved:
-            yield label, _with(schedule, transfers=transfers[:k] + [replace(tr, time=tr.time + d)] + transfers[k + 1 :])
+            yield label, _with(schedule, transfers=transfers[:k] + [tr._replace(time=tr.time + d)] + transfers[k + 1 :])
     for k, c in enumerate(copies):
         rest = copies[:k] + copies[k + 1 :]
         yield "drop copy", _with(schedule, copies=rest)
@@ -68,10 +68,10 @@ def _mutations(schedule: R.ReplicationSchedule):
         changed += [("shift start", c.start + d, c.end) for d in SHIFTS]
         for label, start, end in changed:
             try:
-                moved = replace(c, start=start, end=end)
+                mutated = _with(schedule, copies=copies[:k] + [c._replace(start=start, end=end)] + copies[k + 1 :])
             except ValueError:
                 continue
-            yield label, _with(schedule, copies=copies[:k] + [moved] + copies[k + 1 :])
+            yield label, mutated
 
 
 def _kinds(violations: list[R.Violation]) -> set[str]:
@@ -165,8 +165,8 @@ def test_special_copy_check_agrees_with_reference(inst):
     copies = list(run.schedule.copies)
     for k, c in enumerate(copies):
         other = KIND_REGULAR if c.kind in SPECIAL_KINDS else KIND_RELOCATED_SPECIAL
-        variants = [replace(c, kind=other), replace(c, end=c.end + 1.0)]
-        variants += [replace(c, end=c.end + d) for d in SHIFTS if c.end + d >= c.start - TOL]
+        variants = [c._replace(kind=other), c._replace(end=c.end + 1.0)]
+        variants += [c._replace(end=c.end + d) for d in SHIFTS if c.end + d >= c.start - TOL]
         for moved in variants:
             mutated = _run(_with(run.schedule, copies=copies[:k] + [moved] + copies[k + 1 :]))
             assert R.special_copy_problems(mutated) == ref.special_copy_problems(mutated)
@@ -202,7 +202,7 @@ def test_special_copy_check_is_independent_of_record_order(inst, seed):
     for k in rnd.sample(range(len(copies)), min(len(copies), 10)):
         c = copies[k]
         # a regular copy turned special, or a copy held 1 longer, overlaps its neighbours
-        moved = replace(c, kind=KIND_RELOCATED_SPECIAL) if c.kind == KIND_REGULAR else replace(c, end=c.end + 1.0)
+        moved = c._replace(kind=KIND_RELOCATED_SPECIAL) if c.kind == KIND_REGULAR else c._replace(end=c.end + 1.0)
         mutated = _with(schedule, copies=copies[:k] + [moved] + copies[k + 1 :])
         assert R.special_copy_problems(_run(_shuffled(mutated, rnd))) == R.special_copy_problems(_run(mutated))
 
@@ -281,7 +281,7 @@ def _shorten_one_copy(schedule):
         covered = any(d.server != c.server and d.start <= cut and d.end >= c.end for d in copies)
         if clear and covered:
             message = f"request {last.index} at t={last.time:g} unserved: server {c.server} holds no copy"
-            mutated = _with(schedule, copies=copies[:k] + [replace(c, end=cut)] + copies[k + 1 :])
+            mutated = _with(schedule, copies=copies[:k] + [c._replace(end=cut)] + copies[k + 1 :])
             return mutated, R.Violation(last.time, message)
     raise AssertionError("no copy tail holds exactly one request")
 
