@@ -89,7 +89,9 @@ def classify_and_allocate(run: AnnotatedRun) -> AllocationReport:
     """Type every request of a threshold-policy run and split the run's cost.
 
     Only threshold-policy runs carry the copy-kind annotations the taxonomy
-    needs; runs from other policies are rejected.
+    needs; runs from other policies are rejected. One pass over the run's
+    serve log does it all, so it relies on that log listing exactly the
+    requests of the schedule's instance, in order, as every run's does.
     """
     if run.policy_name != "alg1":
         raise ValueError(
@@ -97,58 +99,42 @@ def classify_and_allocate(run: AnnotatedRun) -> AllocationReport:
         )
     inst = run.schedule.instance
     lam = inst.transfer_cost
-    horizon = inst.horizon
     all_reqs = inst.all_requests
 
-    prev_same_server: dict[int, int | None] = {}
-    last_seen: dict[int, int] = {}
-    for req in all_reqs:
-        prev_same_server[req.index] = last_seen.get(req.server)
-        last_seen[req.server] = req.index
-
+    last_seen = {inst.initial_server: 0}  # each server's latest request so far, by index
+    first_at: dict[int, int] = {}  # each requested server's first request, by index
     entries: list[tuple[Request, RequestTyping, float]] = []
     for rec in run.serves:
-        req = all_reqs[rec.index]
         category = _CATEGORY[(rec.mode, rec.copy_kind)]
-        provider = rec.provider
-        switch = rec.switch_time
         alloc = 0.0
         if category in (1, 2, 3):
             alloc += lam  # serving transfer
         if category in (3, 6):
             alloc += lam  # relocation transfer behind the providing copy
         if category in (2, 5):
-            alloc += inst.rate(all_reqs[provider].server) * (rec.time - switch)
+            alloc += inst.rate(all_reqs[rec.provider].server) * (rec.time - rec.switch_time)
         elif category in (3, 6):
-            alloc += inst.rate(1) * (rec.time - switch)
-        p = prev_same_server[rec.index]
+            alloc += inst.rate(1) * (rec.time - rec.switch_time)
+        p = last_seen.get(rec.server)
         if category == 4:
             alloc += inst.rate(rec.server) * (rec.time - all_reqs[p].time)
         elif p is not None:
             alloc += lam  # full window opened by the preceding local request
-        typing = RequestTyping(rec.index, category, provider, switch, rec.mode)
-        entries.append((req, typing, alloc))
+        last_seen[rec.server] = rec.index
+        first_at.setdefault(rec.server, rec.index)
+        typing = RequestTyping(rec.index, category, rec.provider, rec.switch_time, rec.mode)
+        entries.append((all_reqs[rec.index], typing, alloc))
 
     # Trailing windows after each server's last request, clipped at the
     # horizon, are charged to the first request at each server other than
     # the initial one. The final request's server self-pairs with the
     # initial server's trailing window.
     surcharges: list[tuple[int, float]] = []
-    if inst.requests:
-        last_req_server = inst.requests[-1].server
-        requested = {r.server for r in inst.requests}
-        first_at: dict[int, int] = {}
-        for req in inst.requests:
-            first_at.setdefault(req.server, req.index)
-
-        def trailing_clipped(server: int) -> float:
-            t_last = all_reqs[last_seen[server]].time
-            end = min(t_last + lam / inst.rate(server), horizon)
-            return inst.rate(server) * max(0.0, end - t_last)
-
-        for server in sorted(requested - {inst.initial_server}):
-            pool_server = server if server != last_req_server else inst.initial_server
-            surcharges.append((first_at[server], trailing_clipped(pool_server)))
+    for server in sorted(first_at.keys() - {inst.initial_server}):
+        pool_server = server if server != run.serves[-1].server else inst.initial_server
+        t_last = all_reqs[last_seen[pool_server]].time
+        end = min(t_last + lam / inst.rate(pool_server), inst.horizon)
+        surcharges.append((first_at[server], inst.rate(pool_server) * max(0.0, end - t_last)))
 
     excluded = sum(
         inst.rate(c.server) * (c.end - c.start)
@@ -156,4 +142,3 @@ def classify_and_allocate(run: AnnotatedRun) -> AllocationReport:
         if c.excluded and math.isfinite(c.end)
     )
     return AllocationReport(tuple(entries), excluded, tuple(surcharges))
-

@@ -61,12 +61,12 @@ def _cmd_allocate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.random == bool(args.instance):
+        print("verify: give exactly one of --instance or --random", file=sys.stderr)
+        return 2
     if args.random:
         problems = verify_random_batch(args.seed, args.count, budget=args.budget)
     else:
-        if not args.instance:
-            print("verify: either --instance or --random is required", file=sys.stderr)
-            return 2
         problems = verify_instance(load_instance(args.instance), budget=args.budget)
     for p in problems:
         print(f"VIOLATION {p}")
@@ -114,14 +114,20 @@ def _cmd_adversary(args) -> int:
     return 0 if outcome.ratio > 2.0 else 1
 
 
+MAX_LAMBDA_POINTS = 2_000  # an oracle pass holds about 115 KB per grid point at n=10, so about 230 MB
+
+
 def _lambda_grid(lo: float, hi: float, step: float) -> tuple[float, ...]:
     """lo, lo + step, lo + 2*step, ... up to hi, which is included when on the grid."""
     if not (math.isfinite(step) and step > 0):
         raise ValueError(f"--lambda-step must be a positive number, got {step:g}")
     if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
         raise ValueError(f"--lambda-min {lo:g} must not exceed --lambda-max {hi:g}")
-    count = math.floor((hi - lo) / step + 1e-9) + 1  # the slack keeps a rounded hi on the grid
-    return tuple(min(lo + k * step, hi) for k in range(count))
+    steps = (hi - lo) / step + 1e-9  # the slack keeps a rounded hi on the grid; a tiny step makes it inf
+    if not steps < MAX_LAMBDA_POINTS:
+        count = math.floor(steps) + 1 if math.isfinite(steps) else steps
+        raise ValueError(f"the --lambda-step grid has {count} points, over the limit of {MAX_LAMBDA_POINTS}")
+    return tuple(min(lo + k * step, hi) for k in range(math.floor(steps) + 1))
 
 
 def _cmd_sweep(args) -> int:

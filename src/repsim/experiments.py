@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -29,21 +30,24 @@ RATE_SETS: dict[str, tuple[float, ...]] = {
 
 DEFAULT_LAMBDA_VALUES: tuple[float, ...] = tuple(float(v) for v in range(50, 1201, 25))
 DEFAULT_POLICIES: tuple[str, ...] = ("alg1", "wang", "simple")
+READ_OPS = ("READ", "GET")  # a record is a read when its op contains one of these, in any case
 
 
-def _trace_rows(path: str, column_map: dict[str, "str | int"], delimiter: str):
-    """Each record of a delimited trace as ``(timestamp, op, object_id)``, in file order.
+def _reads(path: str, object_id: str, column_map: dict[str, "str | int"], delimiter: str):
+    """Each read of ``object_id`` in a delimited trace as ``(line, time)``, in file order.
 
     ``column_map`` maps the keys ``timestamp``, ``op`` and ``object_id`` to
     column names (header row) or 0-based positions (no header assumed). Blank
     lines are skipped; a record that lacks a column or whose timestamp is not
     a finite number is reported by file and line. Op and object fields are
-    stripped of surrounding whitespace.
+    stripped of surrounding whitespace. One second of source time becomes
+    one time unit, with t=0 at the first record of the file.
     """
     keys = ("timestamp", "op", "object_id")
     for key in keys:
         if key not in column_map:
             raise ValueError(f"column_map is missing required key {key!r}")
+    t0 = None
     with open(path, "r", encoding="utf-8") as fh:
         reader = csv.reader(fh, delimiter=delimiter)
         rows = ((reader.line_num, row) for row in reader)  # a quoted field may span lines
@@ -73,33 +77,29 @@ def _trace_rows(path: str, column_map: dict[str, "str | int"], delimiter: str):
                 raise ValueError(f"{path}:line {lineno}: timestamp {text!r} is not a number") from None
             if not math.isfinite(stamp):
                 raise ValueError(f"{path}:line {lineno}: timestamp {text!r} is not finite")
-            yield stamp, op_text.strip(), obj_text.strip()
+            if t0 is None:
+                t0 = stamp
+            if obj_text.strip() == object_id and any(tok in op_text.strip().upper() for tok in READ_OPS):
+                yield lineno, stamp - t0
+    if t0 is None:
+        raise ValueError(f"{path}: no records parsed")
 
 
 def ingest_trace(
     path: str,
     object_id: str,
     column_map: dict[str, "str | int"],
-    read_ops: tuple[str, ...] = ("READ", "GET"),
     delimiter: str = ",",
 ) -> list[float]:
     """Extract read times of one object, rebased to the trace start.
 
-    The trace is read by ``_trace_rows``. One second of source time becomes
-    one time unit, with t=0 at the first record of the file. Each retained
-    time is bumped by 1e-6 times its 1-based position within its group of
-    equal timestamps, which both breaks exact ties and shifts a read at the
-    very start off the reserved t=0.
+    The reads are found by ``_reads``. Each time is bumped by 1e-6 times
+    its 1-based position within its group of equal timestamps, which both
+    breaks exact ties and shifts a read at the very start off the reserved
+    t=0. A read whose bumped time does not pass the one before it is
+    reported by file and line.
     """
-    t0 = None
-    kept: list[float] = []
-    for stamp, op, obj in _trace_rows(path, column_map, delimiter):
-        if t0 is None:
-            t0 = stamp
-        if obj == object_id and any(tok in op.upper() for tok in read_ops):
-            kept.append(stamp - t0)
-    if t0 is None:
-        raise ValueError(f"{path}: no records parsed")
+    kept = [time for _, time in _reads(path, object_id, column_map, delimiter)]
     if not kept:
         raise ValueError(f"{path}: no read records for object {object_id!r}")
     kept.sort()
@@ -108,7 +108,13 @@ def ingest_trace(
     for i, t in enumerate(kept):
         if t != kept[group_start]:
             group_start = i
-        out.append(t + 1e-6 * (i - group_start + 1))
+        bumped = t + 1e-6 * (i - group_start + 1)
+        if out and not bumped > out[-1]:
+            # the read is the (i - group_start + 1)-th at time t in file order, as the sort is stable
+            lines = (lineno for lineno, time in _reads(path, object_id, column_map, delimiter) if time == t)
+            lineno = next(itertools.islice(lines, i - group_start, None))
+            raise ValueError(f"{path}:line {lineno}: tie-broken time {bumped!r} does not pass the previous {out[-1]!r}")
+        out.append(bumped)
     return out
 
 
@@ -152,6 +158,9 @@ class ExperimentSpec:
     budget: int = DEFAULT_BUDGET
 
     def __post_init__(self) -> None:
+        for name in ("rate_sets", "lambda_values", "policies"):
+            if not getattr(self, name):
+                raise ValueError(f"{name} must not be empty")
         sizes = {name: len(rates) for name, rates in self.rate_sets.items()}
         if len(set(sizes.values())) > 1:
             raise ValueError(f"rate sets differ in length: {sizes}")

@@ -42,7 +42,8 @@ bits are packed into one row, and the step also keeps its cheapest
 singleton; the half copy is unconditional and needs no bit. The backtrack
 walks the first cheapest final subset back through each step's passes in
 reverse, one bit lookup per pass, so on exact ties the schedule is the first
-strictly cheaper path in pass order.
+strictly cheaper path in pass order. Undoing a step gives the holders
+before it, so the same walk emits the schedule, step by step.
 """
 
 from __future__ import annotations
@@ -257,56 +258,52 @@ def _reconstruct(
     bit removed. A subset with the pass's bit whose move bit is set came from
     its partner without it. Each step ends with the requester's half copied
     into the half without it, and its row 0 is the singleton with bit
-    ``cheapest[i]``.
+    ``cheapest[i]``. Undoing step ``i`` gives the holders before it, so the
+    one backward walk emits the step's transfers and copies right there.
     """
     n = instance.n
     half = 1 << (n - 1)
     bits = memoryview(record.reshape(-1))
     row_bits = 8 * record.shape[1]
     backwards = [(b * half, b, (1 << b) - 1) for b in reversed(range(n))]
-    holder_seq = [0] * len(events)
-    state = final_state
-    for i in range(len(events) - 1, 0, -1):
-        holder_seq[i] = state
-        state |= _bit(events[i][1])
+    copies: list[CopyInterval] = []
+    transfers: list[Transfer] = []
+    ends = {b + 1: events[-1][0] for b in range(n) if final_state >> b & 1}  # copies whose start is still ahead
+    after = final_state
+    for i in range(len(events) - 1, -1, -1):
+        time, server = events[i]
+        qbit = _bit(server)
+        state = after | qbit
         base = i * row_bits
         for offset, b, low in backwards:
             if state >> b & 1:
                 at = base + offset + ((state >> 1) & ~low | state & low)
                 if bits[at >> 3] >> (at & 7) & 1:
                     state ^= 1 << b
-        if not state:
-            state = 1 << cheapest[i]
-    holder_seq[0] = state
-
-    copies: list[CopyInterval] = []
-    transfers: list[Transfer] = []
-    prev_mask = _bit(instance.initial_server)
-    held = {instance.initial_server: 0.0}  # each open copy's start; the initial copy is open at 0
-    for i, (time, server) in enumerate(events):
-        qbit = _bit(server)
-        mask = holder_seq[i]
-        src = (prev_mask & -prev_mask).bit_length()  # the lowest-numbered holder
-        if i > 0 and not prev_mask & qbit:
+        state = state or 1 << cheapest[i]
+        # ``state`` holds the holders before step i; before step 0 every entry but the
+        # initial server's is inf, so undoing step 0 always lands on that server alone
+        src = (state & -state).bit_length()  # the lowest-numbered holder
+        if not state & qbit:
             transfers.append(Transfer(time, src, server, PURPOSE_SERVE))
-            if not mask & qbit:
+            if not after & qbit:
                 copies.append(CopyInterval(server, time, time, KIND_OFFLINE))
-        created = mask & ~(prev_mask | qbit)
+        created = after & ~(state | qbit)
         while created:
             low = created & -created
             transfers.append(Transfer(time, src, low.bit_length(), PURPOSE_CREATE))
             created ^= low
-        changed = mask ^ prev_mask
+        changed = after ^ state
         while changed:
             low = changed & -changed
             holder = low.bit_length()
-            if mask & low:
-                held[holder] = time
+            if after & low:
+                copies.append(CopyInterval(holder, time, ends.pop(holder), KIND_OFFLINE))
             else:
-                copies.append(CopyInterval(holder, held.pop(holder), time, KIND_OFFLINE))
+                ends[holder] = time
             changed ^= low
-        prev_mask = mask
-    copies += [CopyInterval(server, start, events[-1][0], KIND_OFFLINE) for server, start in held.items()]
+        after = state
+    copies += [CopyInterval(server, 0.0, end, KIND_OFFLINE) for server, end in ends.items()]
     return ReplicationSchedule(instance, copies, transfers)
 
 

@@ -22,7 +22,7 @@ Three policies are provided, selectable by name:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from heapq import heappop, heappush
 from typing import NamedTuple
@@ -41,6 +41,7 @@ from .model import (
     Instance,
     InstanceFormatError,
     ReplicationSchedule,
+    Request,
     Transfer,
     compute_cost,
     schedule_lines,
@@ -445,7 +446,9 @@ class Simulation:
     def finalize(self) -> AnnotatedRun:
         """Expire copies until every expiry is ``inf``, then assemble the run.
 
-        Copies alive at that point are recorded as held forever.
+        Copies alive at that point are recorded as held forever. The run's
+        instance is the one given when its requests are the delivered ones,
+        and otherwise one built from the delivered requests.
         """
         if self._finalized:
             raise RuntimeError("simulation already finalized")
@@ -468,13 +471,10 @@ class Simulation:
         self._live.clear()
         self.expiry.clear()
         instance = self.instance
-        if not instance.requests:
-            instance = Instance.build(
-                [s.rate for s in instance.servers],
-                instance.transfer_cost,
-                instance.initial_server,
-                [row[1:3] for row in serves],
-            )
+        if len(instance.requests) != len(serves) or not all(
+            r.time == row[1] and r.server == row[2] for r, row in zip(instance.requests, serves)
+        ):
+            instance = replace(instance, requests=tuple(Request(i, float(t), s) for i, t, s, *_ in serves))
         schedule = ReplicationSchedule(instance, self._segments, self._transfers)
         return AnnotatedRun(schedule, tuple(serves), self._policy.name)
 

@@ -182,13 +182,13 @@ def verify_instance(instance: Instance, budget: int = DEFAULT_BUDGET) -> list[st
     return problems
 
 
-def verify_random_batch(seed: int, count: int, n_max: int = 4, m_max: int = 12, budget: int = DEFAULT_BUDGET) -> list[str]:
-    """Invariant suites over a batch of seeded random instances, each oracle run under ``budget``."""
+def verify_random_batch(seed: int, count: int, budget: int = DEFAULT_BUDGET) -> list[str]:
+    """Invariant suites over seeded random instances of 1-4 servers and 1-12 requests, oracles under ``budget``."""
     if count < 1:
         raise ValueError(f"count must be at least 1 instance, got {count}")
     problems: list[str] = []
     for k in range(count):
-        inst = gen_random(seed + k, n=1 + (seed + k) % n_max, m=1 + (seed + 7 * k) % m_max)
+        inst = gen_random(seed + k, n=1 + (seed + k) % 4, m=1 + (seed + 7 * k) % 12)
         found = verify_instance(inst, budget=budget)
         problems += [f"instance {k} (seed {seed + k}): {p}" for p in found]
     return problems

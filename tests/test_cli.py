@@ -99,6 +99,13 @@ def test_verify_requires_a_source(capsys):
     assert "--instance or --random" in err
 
 
+def test_verify_rejects_both_sources(capsys):
+    code, out, err = _run(["verify", "--instance", "/nonexistent.json", "--random", "--count", "1"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "exactly one of --instance or --random" in err
+
+
 def test_verify_exit_one_on_violations(capsys, monkeypatch):
     monkeypatch.setattr(cli, "verify_random_batch", lambda seed, count, budget: ["stub problem"])
     code, out, _ = _run(["verify", "--random", "--seed", "1", "--count", "1"], capsys)
@@ -240,6 +247,17 @@ def test_sweep_rejects_bad_lambda_grid(capsys, bounds, flag):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and flag in err
+
+
+def test_sweep_rejects_a_grid_over_the_point_limit(capsys):
+    cap = cli.MAX_LAMBDA_POINTS
+    assert len(cli._lambda_grid(1.0, float(cap), 1.0)) == cap
+    for hi, step, count in ((str(cap + 1), "1", str(cap + 1)), ("1200", "5e-324", "inf")):
+        argv = ["sweep", "--rates", "1,2", "--poisson-requests", "2", "--lambda-min", "1", "--lambda-max", hi]
+        code, out, err = _run(argv + ["--lambda-step", step], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: the --lambda-step grid has {count} points, over the limit of {cap}\n"
 
 
 SMALL_SWEEP = [

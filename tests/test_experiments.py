@@ -79,6 +79,19 @@ def test_ingest_reads_quoted_fields_and_locates_a_bad_timestamp_by_file_line(tmp
         R.ingest_trace(path, "X", CM)
 
 
+def test_ingest_locates_a_read_that_tie_breaking_puts_out_of_order(tmp_path):
+    # three reads tied at 100 are bumped to 1e-6..3e-6, past the fourth read's 2e-6 + 1e-6
+    rows = ["ts,op,obj", "100.0,READ,X", "100.0,READ,X", "100.0,READ,X", "100.000002,READ,X"]
+    path = _write(tmp_path, "near.csv", rows)
+    problem = r"near.csv:line 5: tie-broken time 2.99999999\d*e-06 does not pass the previous 3e-06"
+    with pytest.raises(ValueError, match=problem):
+        R.ingest_trace(path, "X", CM)
+    # the same reads a few 1e-6 further apart keep their order
+    path = _write(tmp_path, "apart.csv", rows[:-1] + ["100.00001,READ,X"])
+    times = R.ingest_trace(path, "X", CM)
+    assert times == sorted(times) and len(set(times)) == 4
+
+
 def test_ingest_no_matches(tmp_path):
     path = _write(tmp_path, "trace.csv", ["ts,op,obj", "0,READ,X"])
     with pytest.raises(ValueError) as err:
@@ -224,10 +237,17 @@ def test_spec_validation():
 
 def test_sweep_server_count_is_the_rate_sets_length():
     times = (1.0, 2.0, 3.0)
-    assert R.run_sweep(R.ExperimentSpec(times=times, rate_sets={}, lambda_values=(1.0,))) == []
     spec = R.ExperimentSpec(times=times, rate_sets={"one": (2.0,)}, lambda_values=(1.0,), policies=("simple",))
     [row] = R.run_sweep(spec)
     assert (row.online_cost, row.opt_cost) == (6.0, 6.0)  # the sole server stores through t=3, no transfer
+
+
+@pytest.mark.parametrize("field, empty", [("rate_sets", {}), ("lambda_values", ()), ("policies", ())])
+def test_spec_rejects_an_empty_field(field, empty):
+    fields = {"rate_sets": {"x": (1.0, 2.0)}, "lambda_values": (1.0,), "policies": ("alg1",)}
+    with pytest.raises(ValueError) as err:
+        R.ExperimentSpec(times=(1.0,), **dict(fields, **{field: empty}))
+    assert str(err.value) == f"{field} must not be empty"
 
 
 def test_spec_rejects_an_unknown_policy_before_any_cell_runs():

@@ -359,6 +359,27 @@ def test_an_unknown_copy_kind_is_rejected_when_the_schedule_is_made():
     assert str(err.value) == "unknown copy kind 'spare'"
 
 
+@pytest.mark.parametrize(
+    "injected",
+    [[(0.5, 2)], [(0.5, 1)], [(0.5, 2), (3.0, 1), (4.0, 2)]],
+    ids=["served-prefix", "different-request", "every-request"],
+)
+def test_the_run_instance_holds_exactly_the_delivered_requests(injected):
+    inst = R.Instance.build([1.0, 2.0], 1.0, 1, [(0.5, 2), (3.0, 1), (4.0, 2)])
+    sim = R.Simulation(R.make_policy("alg1"), inst)
+    for time, server in injected:
+        sim.inject_request(time, server)
+    run = sim.finalize()
+    got = run.schedule.instance
+    assert [(r.index, r.time, r.server) for r in got.requests] == [(j + 1, t, s) for j, (t, s) in enumerate(injected)]
+    assert (got.servers, got.transfer_cost, got.initial_server) == (inst.servers, inst.transfer_cost, 1)
+    assert (got is inst) == (len(injected) == inst.m)
+    assert R.validate_schedule(run.schedule) == []
+    cost = R.compute_cost(run.schedule).total
+    assert cost == R.compute_cost(run.schedule, injected[-1][0]).total
+    assert R.classify_and_allocate(run).total_allocated == pytest.approx(cost, abs=1e-9)  # conservation
+
+
 class _HoldsBelowTheAlarm(Policy):
     """Holds the initial copy to t=10, then a new copy to t=3, earlier than the alarm already pending."""
 
