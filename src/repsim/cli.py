@@ -22,7 +22,7 @@ from .generators import (
     run_adversary,
 )
 from .model import InstanceFormatError, dump_instance, dumps_instance, load_instance, schedule_lines
-from .offline import ORACLES, BudgetExceeded, DEFAULT_BUDGET, opt_full, opt_restricted
+from .offline import BudgetExceeded, DEFAULT_BUDGET, opt_full
 from .policies import POLICIES, PolicyFault, simulate
 from .verify import verify_instance, verify_random_batch
 
@@ -45,9 +45,8 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_opt(args) -> int:
     instance = load_instance(args.instance)
-    solver = opt_full if args.oracle == "full" else opt_restricted
-    sol = solver(instance, budget=args.budget, reconstruct=args.events)
-    print(f"oracle {args.oracle} optimum {_fmt(sol.opt_cost)}")
+    sol = opt_full(instance, budget=args.budget, reconstruct=args.events)
+    print(f"oracle full optimum {_fmt(sol.opt_cost)}")
     if args.events and sol.schedule is not None:
         sys.stdout.writelines(line + "\n" for line in schedule_lines(sol.schedule))
     return 0
@@ -186,7 +185,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("opt", help="compute the exact offline optimum")
-    p.add_argument("--oracle", default="full", choices=ORACLES)
     p.add_argument("--instance", required=True)
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help=BUDGET_HELP)
     p.add_argument("--events", action="store_true", help="print the optimal schedule")

@@ -9,8 +9,8 @@ the requesting server holds no copy, and a transfer per extra copy created.
 Each change of holders is a bit pass that relaxes the subsets on one side of
 a server's bit from their partners on the other. Transfer costs change no
 event, so the table has one column per transfer cost, and a sweep gets all of
-a rate set's optima from one pass (``opt_costs``); ``opt_full`` and
-``opt_restricted`` are the one-column case.
+a rate set's optima from one pass (``opt_costs``); ``opt_full`` is the
+one-column case.
 
 After each step the table is monotone, ``dp[s] <= dp[t]`` for every nonempty
 ``s`` within ``t`` (drops are free), and adding storage keeps it so. A step
@@ -23,17 +23,9 @@ the half with ``q`` into the half without it. A step relaxes n * 2^(n-1)
 entries and copies 2^(n-1), and each run is charged (n + 1) * 2^(n-1) per
 step and transfer cost.
 
-The restricted oracle runs the same step and then sets to ``inf`` every
-holder set with two or more far servers. Server ``s`` is far at step ``i``
-when ``rate_s * (next request at s after t_i - t_i) > transfer + TOL``;
-rounding ties are near. The mask is exact (the one-far-holder law): of two
-far holders, drop at ``t_i`` the one whose copy ends first. The other
-survives at least as long, so it keeps the object alive and can act as a
-source. If the dropped copy would have lasted to its server's next request,
-serving that request by transfer costs one transfer and saves more than one
-transfer of storage; otherwise the drop only saves storage. Masked sets are
-the supersets of far pairs, so the table stays monotone. Agreement with
-``opt_full`` checks the law against the unpruned oracle.
+There is one oracle, and it prunes no holder set. The one-far-holder law is
+check (c) of ``validate_offline_structure``, which ``repsim verify`` runs on
+every schedule the oracle reconstructs.
 
 For a schedule the forward pass records one move bit per creation pass and
 entry it relaxes: set where the candidate from across the pass's bit is
@@ -71,7 +63,6 @@ from .model import (
 )
 
 DEFAULT_BUDGET = 5_000_000_000
-ORACLES = ("full", "restricted")
 
 
 class BudgetExceeded(RuntimeError):
@@ -96,8 +87,8 @@ def _check_budget(instance: Instance, budget: int) -> None:
 
     The charge, (m + 1) * (n + 1) * 2^(n-1), counts the table entries each
     step relaxes or copies: n creation passes over half the table and one
-    half copy. Both oracles run this step. A pass over K transfer costs does
-    K times this work; the budget bounds the work of each one.
+    half copy. A pass over K transfer costs does K times this work; the
+    budget bounds the work of each one.
     """
     n, m = instance.n, instance.m
     if n > 12:
@@ -164,7 +155,6 @@ def _halves(table: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
 def _solve(
     instance: Instance,
     transfer_costs: Sequence[float],
-    restricted: bool,
     budget: int,
     prefix: bool,
     reconstruct: bool,
@@ -175,12 +165,11 @@ def _solve(
     ``prefix``, else the final row only. With ``reconstruct`` (one transfer
     cost only) it also returns an optimal schedule. Every view and temporary
     is built before the step loop, which then only calls ufuncs on them in
-    place, but for the restricted mask's small temporaries. Each step is the
-    closed form of the module docstring; with ``restricted`` (the instance's
-    own transfer cost only) it ends with the far-pair mask. While reconstructing, each step packs its passes' move
-    bits into one row of ``record`` and records the cheapest singleton that
-    row 0 stands for, so a step may move the object to holders that share
-    nothing with the ones before it.
+    place. Each step is the closed form of the module docstring. While
+    reconstructing, each step packs its passes' move bits into one row of
+    ``record`` and records the cheapest singleton that row 0 stands for, so
+    a step may move the object to holders that share nothing with the ones
+    before it.
     """
     _check_budget(instance, budget)
     n = instance.n
@@ -196,11 +185,6 @@ def _solve(
     halves = _halves(dp)
     storage = np.empty_like(dp)
     optima = np.empty((len(events) if prefix else 1, cols))
-    if restricted:
-        far = _far_sets(instance, events).tolist()
-        subsets = np.arange(size)
-        crowd = (subsets & (subsets - 1)) != 0  # the subsets with two or more holders
-        subsets = subsets[:, None]
     slots = [None] * n
     if reconstruct:
         moves = np.zeros((n, size >> 1), dtype=bool)  # pass b records its move bits in row b
@@ -231,8 +215,6 @@ def _solve(
             np.minimum(hi, src, out=hi, order="C")
         np.copyto(halves[q][0], halves[q][1])  # dropping q is free
         dp[0] = math.inf
-        if restricted and far[i] & (far[i] - 1):  # two or more servers are far
-            np.copyto(dp, math.inf, where=crowd[subsets & far[i]])  # the sets holding two of them
         if prefix:
             np.min(dp, axis=0, out=optima[i])
         if reconstruct:
@@ -307,24 +289,25 @@ def _reconstruct(
     return ReplicationSchedule(instance, copies, transfers)
 
 
-def _single(instance: Instance, restricted: bool, budget: int, reconstruct: bool) -> DPSolution:
-    prefix, schedule = _solve(instance, (instance.transfer_cost,), restricted, budget, True, reconstruct)
+def _single(instance: Instance, budget: int, reconstruct: bool) -> DPSolution:
+    prefix, schedule = _solve(instance, (instance.transfer_cost,), budget, True, reconstruct)
     costs = tuple(prefix[:, 0].tolist())
     return DPSolution(costs[-1], schedule, costs)
 
 
 def opt_full(instance: Instance, budget: int = DEFAULT_BUDGET, reconstruct: bool = True) -> DPSolution:
     """Exact optimum with copies creatable at any server on request instants."""
-    return _single(instance, restricted=False, budget=budget, reconstruct=reconstruct)
+    return _single(instance, budget, reconstruct)
 
 
 def opt_restricted(instance: Instance, budget: int = DEFAULT_BUDGET, reconstruct: bool = True) -> DPSolution:
-    """Optimum over the holder sets with at most one far server: the same DP step plus a mask.
+    """The restricted optimum, over holder sets with at most one far server: the full one.
 
-    The one-far-holder law of the module docstring makes the mask exact.
-    Agreement with ``opt_full`` is part of the acceptance suite.
+    The one-far-holder law makes the full optimum the restricted one, and
+    check (c) of ``validate_offline_structure`` holds its schedule to the law.
+    This name goes when a benchmark change moves ``trace-audit`` to ``opt_full``.
     """
-    return _single(instance, restricted=True, budget=budget, reconstruct=reconstruct)
+    return _single(instance, budget, reconstruct)
 
 
 def opt_costs(instance: Instance, transfer_costs: Sequence[float], *, budget: int = DEFAULT_BUDGET) -> tuple[float, ...]:
@@ -337,7 +320,7 @@ def opt_costs(instance: Instance, transfer_costs: Sequence[float], *, budget: in
     """
     for cost in transfer_costs:
         Instance(instance.servers, float(cost), instance.initial_server, ())  # rejects a bad transfer cost
-    optima, _ = _solve(instance, transfer_costs, False, budget, False, False)
+    optima, _ = _solve(instance, transfer_costs, budget, False, False)
     return tuple(optima[0].tolist())
 
 
@@ -347,8 +330,21 @@ def validate_offline_structure(schedule: ReplicationSchedule) -> list[Violation]
     (a) every transfer happens at some request time (the synthetic time-0
     request included); (b) when two consecutive requests at one server are
     close enough that storing between them is no costlier than one transfer,
-    the server holds a copy throughout the gap. Sorted lookups keep it at
-    O((m + copies + transfers) log) time.
+    the server holds a copy throughout the gap; (c) the one-far-holder law:
+    at each step ``i`` before the last, at most one server is both far at
+    step ``i`` and holding a copy through ``[t_i, t_(i+1)]``. Server ``s`` is
+    far at step ``i`` when ``rate_s * (next request at s after t_i - t_i) >
+    transfer + TOL`` (``_far_sets``); rounding ties are near.
+
+    The law holds for some optimal schedule. Of two far holders, drop at
+    ``t_i`` the one whose copy ends first. The other survives at least as
+    long, so it keeps the object alive and can act as a source. If the
+    dropped copy would have lasted to its server's next request, serving that
+    request by transfer costs one transfer and saves more than one transfer
+    of storage; otherwise the drop only saves storage. The oracle prunes
+    nothing by the law; ``repsim verify`` holds its schedules to it here.
+
+    Sorted lookups keep it at O((m + copies + transfers) log + m n log) time.
     """
     inst = schedule.instance
     out: list[Violation] = []
@@ -373,4 +369,12 @@ def validate_offline_structure(schedule: ReplicationSchedule) -> list[Violation]
                     )
                 )
         prev_at[req.server] = req.time
+
+    events = [(0.0, inst.initial_server)] + [(r.time, r.server) for r in inst.requests]
+    for i, (t0, t1, far) in enumerate(zip(req_times, req_times[1:], _far_sets(inst, events).tolist())):
+        if far & (far - 1):  # two or more servers are far
+            held = [b + 1 for b in range(inst.n) if far >> b & 1 and _holds_through(spans[b + 1], lows[b + 1], t0, t1)]
+            if len(held) > 1:
+                message = f"far servers {', '.join(map(str, held))} each hold a copy through ({t0:g}, {t1:g})"
+                out.append(Violation(t0, f"request {i}: {message} although one far holder suffices"))
     return out

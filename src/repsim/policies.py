@@ -347,6 +347,8 @@ class Simulation:
     def drop(self, server: int) -> None:
         if server not in self._live:
             raise PolicyFault(self._now, f"drop at server {server} which holds no copy")
+        if len(self.expiry) == 1:
+            raise PolicyFault(self._now, f"drop of the sole copy at server {server}")
         self._close_segment(server, self._now)
         del self.expiry[server]
 

@@ -2,15 +2,16 @@
 
 Used by the ``verify`` command and by the test suite: schedule validity for
 every policy, special-copy structure of threshold-policy runs, allocation
-conservation, oracle agreement and dominance, and the competitive bounds
-of the threshold and anchor policies.
+conservation, the oracle's schedule and its structural laws (the
+one-far-holder law among them), dominance, and the competitive bounds of
+the threshold and anchor policies.
 """
 
 from __future__ import annotations
 
 import heapq
 
-from .allocation import classify_and_allocate
+from .allocation import AllocationReport, classify_and_allocate
 from .generators import gen_random
 from .model import (
     KIND_REGULAR,
@@ -24,7 +25,7 @@ from .model import (
     max_min_rate_ratio,
     validate_schedule,
 )
-from .offline import BudgetExceeded, DEFAULT_BUDGET, opt_full, opt_restricted, validate_offline_structure
+from .offline import BudgetExceeded, DEFAULT_BUDGET, opt_full, validate_offline_structure
 from .policies import AnnotatedRun, simulate
 
 
@@ -91,10 +92,14 @@ def special_copy_problems(run: AnnotatedRun) -> list[str]:
 
 def typing_problems(run: AnnotatedRun) -> list[str]:
     """Violations of the request-typing laws in a threshold-policy run."""
+    return _typing_problems(run, classify_and_allocate(run))
+
+
+def _typing_problems(run: AnnotatedRun, report: AllocationReport) -> list[str]:
+    """``typing_problems`` of ``run``, whose allocation ``report`` is already made."""
     inst = run.schedule.instance
     lam = inst.transfer_cost
     out: list[str] = []
-    report = classify_and_allocate(run)
     spread = max_min_rate_ratio(inst)
     all_reqs = inst.all_requests
     prev_at: dict[int, float] = {inst.initial_server: 0.0}
@@ -138,8 +143,8 @@ def verify_instance(instance: Instance, budget: int = DEFAULT_BUDGET) -> list[st
 
     alg1_run, alg1_cost = runs["alg1"]
     problems += [f"alg1: {p}" for p in special_copy_problems(alg1_run)]
-    problems += [f"alg1: {p}" for p in typing_problems(alg1_run)]
     report = classify_and_allocate(alg1_run)
+    problems += [f"alg1: {p}" for p in _typing_problems(alg1_run, report)]
     gap = report.total_allocated - alg1_cost.total
     # summing thousands of allocated pieces in another order drifts by ulps of the total
     if abs(gap) > max(1e-9, 1e-12 * alg1_cost.total):
@@ -147,22 +152,14 @@ def verify_instance(instance: Instance, budget: int = DEFAULT_BUDGET) -> list[st
 
     try:
         full = opt_full(instance, budget=budget)
-        restricted = opt_restricted(instance, budget=budget)
     except BudgetExceeded as exc:
         problems.append(f"oracle skipped: {exc}")
         return problems
-    if abs(full.opt_cost - restricted.opt_cost) > _cost_slack(full.opt_cost, restricted.opt_cost):
-        problems.append(
-            f"restricted oracle {restricted.opt_cost!r} disagrees with full oracle {full.opt_cost!r}"
-        )
-    for label, sol in (("full", full), ("restricted", restricted)):
-        for v in validate_schedule(sol.schedule):
-            problems.append(f"{label} oracle: invalid schedule: {v.description}")
-        for v in validate_offline_structure(sol.schedule):
-            problems.append(f"{label} oracle: structure: {v.description}")
-        schedule_cost = compute_cost(sol.schedule).total
-        if abs(schedule_cost - sol.opt_cost) > _cost_slack(schedule_cost, sol.opt_cost):
-            problems.append(f"{label} oracle: reconstructed schedule cost differs from optimum")
+    problems += [f"oracle: invalid schedule: {v.description}" for v in validate_schedule(full.schedule)]
+    problems += [f"oracle: structure: {v.description}" for v in validate_offline_structure(full.schedule)]
+    schedule_cost = compute_cost(full.schedule).total
+    if abs(schedule_cost - full.opt_cost) > _cost_slack(schedule_cost, full.opt_cost):
+        problems.append("oracle: reconstructed schedule cost differs from optimum")
     for i in range(1, len(full.prefix_costs)):
         before, after = full.prefix_costs[i - 1], full.prefix_costs[i]
         if before > after + _cost_slack(before, after):
@@ -172,9 +169,7 @@ def verify_instance(instance: Instance, budget: int = DEFAULT_BUDGET) -> list[st
             problems.append(f"{name}: cost {cost.total:g} undercuts the optimum {full.opt_cost:g}")
     bound = competitive_bound(instance)
     if alg1_cost.total > bound * full.opt_cost + _cost_slack(alg1_cost.total, bound * full.opt_cost):
-        problems.append(
-            f"alg1: cost {alg1_cost.total!r} exceeds {bound:g} x optimum {full.opt_cost!r}"
-        )
+        problems.append(f"alg1: cost {alg1_cost.total!r} exceeds {bound:g} x optimum {full.opt_cost!r}")
     simple_cost = runs["simple"][1].total
     simple_bound = 3.0 * full.opt_cost
     if instance.initial_server == 1 and simple_cost > simple_bound + _cost_slack(simple_cost, simple_bound):

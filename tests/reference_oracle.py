@@ -8,13 +8,14 @@ The program's full oracle replaces the serve, keep and drop passes with a
 closed form over a monotone table; tests require both to give equal prefix
 optima, bit for bit.
 
-``reference_schedule`` runs the program's closed-form step (plus, for the
-restricted oracle, the mask of holder sets with two far servers) with an
-int16 "came from" table: per step, the subset each subset was reached from,
-moved only where a candidate is strictly cheaper. The backtrack follows
-these origins from the first cheapest final subset. The program records one
-move bit per pass instead; tests require both to give the same schedule, bit
-for bit.
+``reference_schedule`` runs the program's closed-form step with an int16
+"came from" table: per step, the subset each subset was reached from, moved
+only where a candidate is strictly cheaper. The backtrack follows these
+origins from the first cheapest final subset. The program records one move
+bit per pass instead; tests require both to give the same schedule, bit for
+bit. With ``restricted`` each step ends by masking the holder sets with two
+far servers; by the one-far-holder law the masked optimum is the program's,
+which tests check.
 
 ``far_sets`` finds the far servers of each step with a plain loop, apart
 from the program's vectorised lookup.

@@ -10,6 +10,8 @@ results, in the same order.
 
 from __future__ import annotations
 
+import math
+
 from repsim.model import (
     KIND_REGULAR,
     SPECIAL_KINDS,
@@ -76,7 +78,10 @@ def validate_offline_structure(schedule: ReplicationSchedule) -> list[Violation]
     (a) every transfer happens at some request time (the synthetic time-0
     request included); (b) when two consecutive requests at one server are
     close enough that storing between them is no costlier than one transfer,
-    the server holds a copy throughout the gap.
+    the server holds a copy throughout the gap; (c) at each step before the
+    last, at most one server is both far (storing until its next request
+    after the step costs more than a transfer plus TOL) and holding a copy
+    until the next step.
     """
     inst = schedule.instance
     out: list[Violation] = []
@@ -101,6 +106,23 @@ def validate_offline_structure(schedule: ReplicationSchedule) -> list[Violation]
                     )
                 )
         prev_at[req.server] = req.time
+
+    events = [(0.0, inst.initial_server)] + [(r.time, r.server) for r in inst.requests]
+    for i, ((t0, _), (t1, _)) in enumerate(zip(events, events[1:])):
+        holders = []
+        for srv in inst.servers:
+            following = min((t for t, s in events[i + 1 :] if s == srv.index), default=math.inf)
+            far = srv.rate * (following - t0) > inst.transfer_cost + TOL
+            if far and any(a - TOL <= t0 and t1 <= b + TOL for a, b in spans[srv.index]):
+                holders.append(srv.index)
+        if len(holders) > 1:
+            out.append(
+                Violation(
+                    t0,
+                    f"request {i}: far servers {', '.join(map(str, holders))} each hold a copy through "
+                    f"({t0:g}, {t1:g}) although one far holder suffices",
+                )
+            )
     return out
 
 

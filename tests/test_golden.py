@@ -2,7 +2,7 @@
 
 The digests cover the event logs of all three policies, the allocation CSV,
 a small trace sweep, the adaptive adversary, the three policies' event logs
-and exact costs on a trace-scale instance, and both oracles' optimal
+and exact costs on a trace-scale instance, and the oracle's optimal
 schedules: through the CLI on every golden instance, and with every bit of
 the optimum and the prefix optima on the trace-scale instance. A change that only
 restructures code must leave every digest unchanged; a change that means to
@@ -21,7 +21,6 @@ import repsim as R
 import repsim.cli as cli
 
 POLICY_NAMES = ("alg1", "wang", "simple")
-ORACLE_SOLVERS = {"full": R.opt_full, "restricted": R.opt_restricted}
 
 GOLDEN = {
     "simulate.alg1": "35bf261948a097666a6564513464395b9e0a9b0b527327660dbd6160fa6edb7e",
@@ -33,7 +32,6 @@ GOLDEN = {
     "sweep.default_grid": "edd76c310bb1ecddfbcffc0b38c9890c52f567fa4f5cc819c8638b8614ba40df",
     "simulate.trace": "cbb114ab4ab750679f7c319fdf877c952c54e5c7e5c4776087c4a88a7ab58ccf",
     "opt.full": "6a5b8311130ff3c0bb5c6c339b457baac32528e51d946e88b6eafb5d316e9a93",
-    "opt.restricted": "f4e7677d7090d34b716647ee0d8f6b3f4eba2916e615746574cfc506c4c4566a",
     "opt.trace": "d5fecb1015f64a6a49c87740a957c182090d285efb9f1393b96a7a25a268851a",
 }
 DEFAULT_GRID_PREFIX = ["sweep", "--prefix", "300"]  # every rate set x the default lambda grid
@@ -146,15 +144,15 @@ def test_golden_trace_scale_runs(trace_instance):
     assert _sha(outputs) == GOLDEN["simulate.trace"]
 
 
-@pytest.mark.parametrize("oracle", ORACLE_SOLVERS)
-def test_golden_optimal_schedules(instance_files, oracle):
-    outputs = [_ok(["opt", "--oracle", oracle, "--instance", p, "--events"]) for p in instance_files]
-    assert _sha(outputs) == GOLDEN[f"opt.{oracle}"]
+def test_golden_optimal_schedules(instance_files):
+    outputs = [_ok(["opt", "--instance", p, "--events"]) for p in instance_files]
+    assert _sha(outputs) == GOLDEN["opt.full"]
 
 
 def test_golden_trace_scale_optima(trace_instance):
+    # recorded over both public oracle names, which now run the same oracle
     outputs = []
-    for solver in ORACLE_SOLVERS.values():
+    for solver in (R.opt_full, R.opt_restricted):
         sol = solver(trace_instance)
         outputs += [repr(sol.opt_cost), repr(sol.prefix_costs), repr(sol.schedule.copies), repr(sol.schedule.transfers)]
     assert _sha(outputs) == GOLDEN["opt.trace"]

@@ -310,6 +310,8 @@ DRIVER_CHECKS = {
         "on_request", 2, lambda sim, t, s: [sim.transfer(1, s), sim.transfer(1, 3)], "t=0.5: request 1 served twice"
     ),
     "drop-at-non-holder": ("on_request", 1, lambda sim, t, s: sim.drop(3), "t=0.5: drop at server 3 which holds no copy"),
+    # both copies expire at t=1: server 1 is dropped, then server 2 holds the sole copy
+    "drop-of-sole-copy": ("expire", 2, lambda sim, t, s: sim.drop(s), "t=1: drop of the sole copy at server 2"),
     "mark-at-non-holder": (
         "on_request", 1, lambda sim, t, s: sim.mark(3, "resident_special"),
         "t=0.5: kind change at server 3 which holds no copy",

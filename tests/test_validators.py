@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 import reference_validators as ref
 import repsim as R
 from conftest import fig3_instance, instances
+from reference_oracle import reference_schedule
 from repsim.model import KIND_REGULAR, KIND_RELOCATED_SPECIAL, KIND_RESIDENT_SPECIAL, SPECIAL_KINDS, TOL, _holding_spans
 
 # Each violation kind, by a phrase of its message.
@@ -29,15 +30,16 @@ KINDS = {
     "unsourced": "unsourced copy",
     "off-request": "coincides with no request time",
     "not-held": "does not hold a copy through",
+    "far-pair": "one far holder suffices",
 }
 SHIFTS = (TOL / 2, -TOL / 2, 3 * TOL, -3 * TOL)
 POLICIES = ("alg1", "wang", "simple")
 
 
 def _schedules(inst: R.Instance) -> list[R.ReplicationSchedule]:
-    """Every policy's run and both oracle reconstructions of ``inst``."""
+    """Every policy's run, the oracle's reconstruction and the masked reference's schedule of ``inst``."""
     out = [R.simulate(name, inst)[0].schedule for name in POLICIES]
-    return out + [R.opt_full(inst).schedule, R.opt_restricted(inst).schedule]
+    return out + [R.opt_full(inst).schedule, reference_schedule(inst, restricted=True)[1]]
 
 
 def _with(schedule, copies=None, transfers=None) -> R.ReplicationSchedule:
