@@ -253,7 +253,7 @@ def main(argv: "list[str] | None" = None) -> int:
         return args.func(args)
     except (InstanceFormatError, ParameterError, BudgetExceeded, PolicyFault, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, PolicyFault) else 2  # a policy fault is a violated invariant
 
 
 if __name__ == "__main__":

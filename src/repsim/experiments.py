@@ -13,7 +13,7 @@ import csv
 import io
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -194,8 +194,8 @@ def _run_group(args) -> list[SweepRow]:
     except BudgetExceeded:
         optima = (None,) * len(lams)
     rows = []
-    for k, (lam, opt) in enumerate(zip(lams, optima)):
-        inst = first if k == 0 else replace(first, transfer_cost=float(lam))  # shares the request objects
+    for lam, opt in zip(lams, optima):
+        inst = first.with_transfer_cost(float(lam))
         for pol in policies:
             _, cost = simulate(pol, inst)
             ratio = cost.total / opt if opt else None

@@ -82,6 +82,11 @@ class Request:
         return self.index == 0
 
 
+def _check_transfer_cost(cost: float) -> None:
+    if not (math.isfinite(cost) and cost > 0):
+        raise InstanceFormatError(f"transfer cost must be finite and strictly positive, got {cost}")
+
+
 @dataclass(frozen=True)
 class Instance:
     """An immutable problem instance.
@@ -110,8 +115,7 @@ class Instance:
             if srv.rate < prev_rate:
                 raise InstanceFormatError(f"rates must be ascending: rates[{k}]={srv.rate} < rates[{k - 1}]={prev_rate}")
             prev_rate = srv.rate
-        if not (math.isfinite(self.transfer_cost) and self.transfer_cost > 0):
-            raise InstanceFormatError(f"transfer cost must be finite and strictly positive, got {self.transfer_cost}")
+        _check_transfer_cost(self.transfer_cost)
         if not (type(self.initial_server) is int and 1 <= self.initial_server <= n):
             raise InstanceFormatError(f"initial server {self.initial_server!r} is not an integer in 1..{n}")
         prev = 0.0
@@ -131,6 +135,13 @@ class Instance:
                     request=k,
                 )
             prev = req.time
+
+    def with_transfer_cost(self, cost: float) -> Instance:
+        """This instance under transfer cost ``cost``, sharing its checked servers and requests."""
+        _check_transfer_cost(cost)
+        new = object.__new__(type(self))
+        new.__dict__.update(self.__dict__, transfer_cost=cost)
+        return new
 
     @classmethod
     def build(

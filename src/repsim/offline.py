@@ -23,6 +23,12 @@ the half with ``q`` into the half without it. A step relaxes n * 2^(n-1)
 entries and copies 2^(n-1), and each run is charged (n + 1) * 2^(n-1) per
 step and transfer cost.
 
+A step makes no reduction over the table. Its optimum is the requester's
+singleton row ``G[{q}]``: a set that holds ``q`` costs at least ``S[{q}]``,
+and one that lacks it pays at least one creation, ``S[0] + transfer``, so
+``G[{q}]`` is the least entry, and the half copy keeps it so. Row 0 is
+per-step scratch: storage adds 0 to it, and the next step overwrites it.
+
 There is one oracle, and it prunes no holder set. The one-far-holder law is
 check (c) of ``validate_offline_structure``, which ``repsim verify`` runs on
 every schedule the oracle reconstructs.
@@ -33,7 +39,8 @@ strictly cheaper, the only entries the minimum changes. A step's n * 2^(n-1)
 bits are packed into one row, and the step also keeps its cheapest
 singleton; the half copy is unconditional and needs no bit. The backtrack
 walks the first cheapest final subset back through each step's passes in
-reverse, one bit lookup per pass, so on exact ties the schedule is the first
+reverse, one bit lookup per pass over a bit the subset holds (undoing pass
+``b`` toggles bit ``b`` only), so on exact ties the schedule is the first
 strictly cheaper path in pass order. Undoing a step gives the holders
 before it, so the same walk emits the schedule, step by step.
 """
@@ -57,6 +64,7 @@ from .model import (
     Transfer,
     Violation,
     _any_within_tol,
+    _check_transfer_cost,
     _holding_spans,
     _holds_through,
     _span_lows,
@@ -165,7 +173,9 @@ def _solve(
     ``prefix``, else the final row only. With ``reconstruct`` (one transfer
     cost only) it also returns an optimal schedule. Every view and temporary
     is built before the step loop, which then only calls ufuncs on them in
-    place. Each step is the closed form of the module docstring. While
+    place, with no reduction over the table. Each step is the closed form of
+    the module docstring; its optimum is row ``{q}``, and row 0 is per-step
+    scratch, set to ``inf`` after the loop for the final argmin. While
     reconstructing, each step packs its passes' move bits into one row of
     ``record`` and records the cheapest singleton that row 0 stands for, so
     a step may move the object to holders that share nothing with the ones
@@ -184,6 +194,7 @@ def _solve(
     dp[_bit(instance.initial_server)] = 0.0
     halves = _halves(dp)
     storage = np.empty_like(dp)
+    singletons = np.empty((n, cols))  # gathered once per step
     optima = np.empty((len(events) if prefix else 1, cols))
     slots = [None] * n
     if reconstruct:
@@ -197,6 +208,7 @@ def _solve(
         (lo, hi, np.ascontiguousarray(transfer[b][0]), np.empty_like(lo), slots[b]) for b, (lo, hi) in enumerate(halves)
     ]
 
+    add, minimum, less, take, copyto = np.add, np.minimum, np.less, np.take, np.copyto
     prev_t = 0.0
     for i, (time, server) in enumerate(events):
         dp += np.multiply(ratesum, time - prev_t, out=storage)
@@ -205,24 +217,24 @@ def _solve(
         # the closed form F[s] = G[s | q] of the module docstring: row 0 stands for
         # "serve from the cheapest sole holder, then drop it", and the creation
         # pass over bit q is the serve
-        np.min(dp[singles], axis=0, out=dp[0])
+        minimum.reduce(take(dp, singles, axis=0, out=singletons, mode="clip"), axis=0, out=dp[0])
         if reconstruct:
-            cheapest[i] = np.argmin(dp[singles, 0])
+            cheapest[i] = singletons[:, 0].argmin()
         for lo, hi, cost, spare, moved in passes:
-            src = np.add(lo, cost, out=spare, order="C")
+            src = add(lo, cost, out=spare, order="C")
             if moved is not None:
-                np.less(src, hi, out=moved, order="C")
-            np.minimum(hi, src, out=hi, order="C")
-        np.copyto(halves[q][0], halves[q][1])  # dropping q is free
-        dp[0] = math.inf
+                less(src, hi, out=moved, order="C")
+            minimum(hi, src, out=hi, order="C")
+        copyto(halves[q][0], halves[q][1])  # dropping q is free; row 0 gets G[{q}], dead until the next step
         if prefix:
-            np.min(dp, axis=0, out=optima[i])
+            optima[i] = dp[1 << q]  # the least entry: the step's optimum
         if reconstruct:
             record[i] = np.packbits(moves, bitorder="little")
     if not prefix:
-        np.min(dp, axis=0, out=optima[0])
+        optima[0] = dp[1 << q]
     if not reconstruct:
         return optima, None
+    dp[0] = math.inf
     return optima, _reconstruct(instance, events, record, cheapest.tolist(), int(np.argmin(dp[:, 0])))
 
 
@@ -247,7 +259,7 @@ def _reconstruct(
     half = 1 << (n - 1)
     bits = memoryview(record.reshape(-1))
     row_bits = 8 * record.shape[1]
-    backwards = [(b * half, b, (1 << b) - 1) for b in reversed(range(n))]
+    offsets = [b * half for b in range(n)]
     copies: list[CopyInterval] = []
     transfers: list[Transfer] = []
     ends = {b + 1: events[-1][0] for b in range(n) if final_state >> b & 1}  # copies whose start is still ahead
@@ -257,11 +269,14 @@ def _reconstruct(
         qbit = _bit(server)
         state = after | qbit
         base = i * row_bits
-        for offset, b, low in backwards:
-            if state >> b & 1:
-                at = base + offset + ((state >> 1) & ~low | state & low)
-                if bits[at >> 3] >> (at & 7) & 1:
-                    state ^= 1 << b
+        held = state
+        while held:  # undoing pass b toggles bit b only, so the lower set bits stay the passes to undo
+            b = held.bit_length() - 1
+            top = 1 << b
+            held ^= top
+            at = base + offsets[b] + ((state >> 1) & -top | state & (top - 1))
+            if bits[at >> 3] >> (at & 7) & 1:
+                state ^= top
         state = state or 1 << cheapest[i]
         # ``state`` holds the holders before step i; before step 0 every entry but the
         # initial server's is inf, so undoing step 0 always lands on that server alone
@@ -319,7 +334,7 @@ def opt_costs(instance: Instance, transfer_costs: Sequence[float], *, budget: in
     pass is refused for all or for none.
     """
     for cost in transfer_costs:
-        Instance(instance.servers, float(cost), instance.initial_server, ())  # rejects a bad transfer cost
+        _check_transfer_cost(float(cost))
     optima, _ = _solve(instance, transfer_costs, budget, False, False)
     return tuple(optima[0].tolist())
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 import subprocess
 import sys
 
@@ -214,6 +215,16 @@ def test_sweep_command_csv(capsys):
     lines = out.splitlines()
     assert lines[0] == "rate_set,lambda,policy,online_cost,opt_cost,ratio,requests,seed"
     assert len(lines) == 1 + 2 * 3
+
+
+def test_sweep_exits_one_on_a_policy_fault(monkeypatch, capsys):
+    # an alg1 whose expiry drops even a sole copy breaks the run's invariant, not the input
+    monkeypatch.setattr(repsim.policies.ThresholdPolicy, "expire", lambda self, sim, time, server: sim.drop(server))
+    argv = ["sweep", "--rates", "1,1.5,2", "--poisson-requests", "50", "--poisson-gap", "10", "--policies", "alg1"]
+    code, out, err = _run(argv, capsys)
+    assert code == 1
+    assert out == ""
+    assert re.fullmatch(r"error: policy fault at t=[0-9.e+]+: drop of the sole copy at server [123]\n", err), err
 
 
 @pytest.mark.parametrize(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -183,6 +184,20 @@ def test_instance_build_keeps_integral_servers():
     inst = R.Instance.build([1.0, 2.0], 1.0, 2.0, [(1.0, 2.0)])
     assert inst.initial_server == 2 and type(inst.initial_server) is int
     assert inst.requests[0].server == 2 and type(inst.requests[0].server) is int
+
+
+def test_with_transfer_cost_shares_the_checked_requests():
+    inst = R.Instance.build([1.0, 2.0], 1.0, 2, [(1.0, 1), (2.5, 2)])
+    moved = inst.with_transfer_cost(7.5)
+    assert moved == replace(inst, transfer_cost=7.5)
+    assert moved.requests is inst.requests and moved.servers is inst.servers
+    assert inst.transfer_cost == 1.0
+    for cost in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(R.InstanceFormatError) as built:
+            R.Instance(inst.servers, cost, inst.initial_server, inst.requests)
+        with pytest.raises(R.InstanceFormatError) as err:
+            inst.with_transfer_cost(cost)
+        assert str(err.value) == str(built.value) == f"transfer cost must be finite and strictly positive, got {cost}"
 
 
 @pytest.mark.parametrize(

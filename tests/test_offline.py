@@ -164,8 +164,19 @@ def test_full_oracle_equals_the_reference_step_on_a_trace_prefix():
         expected = full_prefix_optima(inst, lams)
         assert R.opt_costs(inst, lams) == tuple(expected[-1].tolist()), rate_set
         for lam, column in zip(lams, expected.T):
-            sol = R.opt_full(replace(inst, transfer_cost=lam), reconstruct=False)
-            assert sol.prefix_costs == tuple(column.tolist()), (rate_set, lam)
+            for reconstruct in (False, True):  # the reconstructing step also records the cheapest singleton
+                sol = R.opt_full(replace(inst, transfer_cost=lam), reconstruct=reconstruct)
+                assert sol.prefix_costs == tuple(column.tolist()), (rate_set, lam, reconstruct)
+
+
+def test_final_ties_walk_back_from_the_lowest_numbered_cheapest_set():
+    # at 1e17 the transfer cost 4 is below half an ulp, so also ending with a copy at server 1
+    # ties ending at server 2 alone; the walk starts from the lowest-numbered cheapest final
+    # set, {1}, and never from row 0, the per-step scratch row that ends equal to row {2}
+    inst = R.Instance.build([1.0, 1.0], 4.0, 2, [(1.0000000000000003e17, 2)])
+    sol = R.opt_full(inst)
+    assert (sol.opt_cost, sol.schedule) == reference_schedule(inst, False)
+    assert [copy.server for copy in sol.schedule.copies] == [2, 1]
 
 
 def _trace_prefix_instance(rate_set: str, lam: float, m: int) -> R.Instance:
