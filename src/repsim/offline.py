@@ -172,9 +172,9 @@ def _solve(
     Returns the optima, one column per transfer cost: one row per step with
     ``prefix``, else the final row only. With ``reconstruct`` (one transfer
     cost only) it also returns an optimal schedule. Every view and temporary
-    is built before the step loop, which then only calls ufuncs on them in
-    place, with no reduction over the table. Each step is the closed form of
-    the module docstring; its optimum is row ``{q}``, and row 0 is per-step
+    is built before the step loop, which then works on them in place and
+    makes no reduction over the table. Each step is the closed form of the
+    module docstring; its optimum is row ``{q}``, and row 0 is per-step
     scratch, set to ``inf`` after the loop for the final argmin. While
     reconstructing, each step packs its passes' move bits into one row of
     ``record`` and records the cheapest singleton that row 0 stands for, so
