@@ -17,11 +17,17 @@ After each step the table is monotone, ``dp[s] <= dp[t]`` for every nonempty
 is therefore a closed form: with ``S`` the table after storage and row 0 set
 to the cheapest singleton row ("serve from the cheapest sole holder, then
 drop it"), let ``G[s] = min over p within s of S[p] + transfer * |s - p|``;
-the step's result is ``F[s] = G[s | q]`` for requester ``q``. ``G`` is n
-creation passes, the one over ``q``'s bit being the serve, and ``F`` copies
-the half with ``q`` into the half without it. A step relaxes n * 2^(n-1)
-entries and copies 2^(n-1), and each run is charged (n + 1) * 2^(n-1) per
-step and transfer cost.
+the step's result is ``F[s] = G[s | q]`` for requester ``q``. ``G`` is the
+serve pass, over ``q``'s bit, and one creation pass per server no dearer than
+``q``, and ``F`` copies the half with ``q`` into the half without it. A copy
+created at a dearer server ``b`` gives way to keeping ``q``'s served copy
+until ``b``'s would have ended, plus a transfer to ``b`` at its first request
+in that span: no more transfers, strictly less storage, the same sources, and
+holder changes still at request instants, so no optimum creates it. Equal
+rates keep their passes: their alternatives cost the same but sum in another
+order, which can move an optimum by an ulp. A step relaxes at most
+n * 2^(n-1) entries and copies 2^(n-1); each run is charged that worst case,
+(n + 1) * 2^(n-1) per step and transfer cost.
 
 A step makes no reduction over the table. Its optimum is the requester's
 singleton row ``G[{q}]``: a set that holds ``q`` costs at least ``S[{q}]``,
@@ -36,13 +42,13 @@ every schedule the oracle reconstructs.
 For a schedule the forward pass records one move bit per creation pass and
 entry it relaxes: set where the candidate from across the pass's bit is
 strictly cheaper, the only entries the minimum changes. A step's n * 2^(n-1)
-bits are packed into one row, and the step also keeps its cheapest
-singleton; the half copy is unconditional and needs no bit. The backtrack
-walks the first cheapest final subset back through each step's passes in
-reverse, one bit lookup per pass over a bit the subset holds (undoing pass
-``b`` toggles bit ``b`` only), so on exact ties the schedule is the first
-strictly cheaper path in pass order. Undoing a step gives the holders
-before it, so the same walk emits the schedule, step by step.
+bits are packed into one row, and the step also keeps its cheapest singleton;
+the half copy is unconditional and needs no bit. The backtrack walks the first
+cheapest final subset back through each step's passes in reverse, one bit
+lookup per pass run over a bit the subset holds (undoing pass ``b`` toggles
+bit ``b`` only), so on exact ties the schedule is the first strictly cheaper
+path in pass order. Undoing a step gives the holders before it, so the same
+walk emits the schedule, step by step.
 """
 
 from __future__ import annotations
@@ -94,7 +100,8 @@ def _check_budget(instance: Instance, budget: int) -> None:
     """Refuse a run whose work per transfer cost exceeds ``budget``.
 
     The charge, (m + 1) * (n + 1) * 2^(n-1), counts the table entries each
-    step relaxes or copies: n creation passes over half the table and one
+    step relaxes or copies in the worst case, paid when every request comes
+    from a dearest server: n creation passes over half the table and one
     half copy. A pass over K transfer costs does K times this work; the
     budget bounds the work of each one.
     """
@@ -175,11 +182,12 @@ def _solve(
     is built before the step loop, which then works on them in place and
     makes no reduction over the table. Each step is the closed form of the
     module docstring; its optimum is row ``{q}``, and row 0 is per-step
-    scratch, set to ``inf`` after the loop for the final argmin. While
-    reconstructing, each step packs its passes' move bits into one row of
-    ``record`` and records the cheapest singleton that row 0 stands for, so
-    a step may move the object to holders that share nothing with the ones
-    before it.
+    scratch, set to ``inf`` after the loop for the final argmin. A step runs
+    ``step_passes[q]``, the passes over the bits ``allowed[q]`` of servers no
+    dearer than ``q``. While reconstructing, each step packs the move bits
+    into one row of ``record`` and records the cheapest singleton that row 0
+    stands for, so a step may move the object to holders that share nothing
+    with the ones before it.
     """
     _check_budget(instance, budget)
     n = instance.n
@@ -207,6 +215,9 @@ def _solve(
     passes = [
         (lo, hi, np.ascontiguousarray(transfer[b][0]), np.empty_like(lo), slots[b]) for b, (lo, hi) in enumerate(halves)
     ]
+    rates = [server.rate for server in instance.servers]
+    allowed = [sum(1 << b for b in range(n) if rates[b] <= rate) for rate in rates]
+    step_passes = [[p for b, p in enumerate(passes) if mask >> b & 1] for mask in allowed]
 
     add, minimum, less, take, copyto = np.add, np.minimum, np.less, np.take, np.copyto
     prev_t = 0.0
@@ -220,7 +231,7 @@ def _solve(
         minimum.reduce(take(dp, singles, axis=0, out=singletons, mode="clip"), axis=0, out=dp[0])
         if reconstruct:
             cheapest[i] = singletons[:, 0].argmin()
-        for lo, hi, cost, spare, moved in passes:
+        for lo, hi, cost, spare, moved in step_passes[q]:
             src = add(lo, cost, out=spare, order="C")
             if moved is not None:
                 less(src, hi, out=moved, order="C")
@@ -235,7 +246,7 @@ def _solve(
     if not reconstruct:
         return optima, None
     dp[0] = math.inf
-    return optima, _reconstruct(instance, events, record, cheapest.tolist(), int(np.argmin(dp[:, 0])))
+    return optima, _reconstruct(instance, events, record, cheapest.tolist(), allowed, int(np.argmin(dp[:, 0])))
 
 
 def _reconstruct(
@@ -243,15 +254,17 @@ def _reconstruct(
     events: list[tuple[float, int]],
     record: np.ndarray,
     cheapest: list[int],
+    allowed: list[int],
     final_state: int,
 ) -> ReplicationSchedule:
     """The schedule that walks ``final_state`` back through each step's recorded moves.
 
     ``record[i]`` packs step ``i``'s move bits little-endian, 2^(n-1) per
     creation pass in bit order, each at its subset's index with the pass's
-    bit removed. A subset with the pass's bit whose move bit is set came from
-    its partner without it. Each step ends with the requester's half copied
-    into the half without it, and its row 0 is the singleton with bit
+    bit removed. A subset with the pass's bit whose move bit is set came
+    from its partner without it; a step from server ``q + 1`` ran only the
+    passes over ``allowed[q]``. Each step ends with the requester's half
+    copied into the half without it, and its row 0 is the singleton with bit
     ``cheapest[i]``. Undoing step ``i`` gives the holders before it, so the
     one backward walk emits the step's transfers and copies right there.
     """
@@ -269,7 +282,7 @@ def _reconstruct(
         qbit = _bit(server)
         state = after | qbit
         base = i * row_bits
-        held = state
+        held = state & allowed[server - 1]  # rows of the passes the step skipped are stale
         while held:  # undoing pass b toggles bit b only, so the lower set bits stay the passes to undo
             b = held.bit_length() - 1
             top = 1 << b

@@ -18,13 +18,15 @@ settings.load_profile("repsim")
 
 @st.composite
 def instances(draw, max_n: int = 4, max_m: int = 8) -> R.Instance:
-    """Small random instances; half of them give every server the same rate."""
+    """Small random instances with equal rates, sorted free rates, or sorted rates from a pool of three."""
     n = draw(st.integers(1, max_n))
     rate = st.floats(0.25, 8.0)
-    if draw(st.booleans()):
+    kind = draw(st.sampled_from(("equal", "free", "pool")))
+    if kind == "equal":
         rates = [draw(rate)] * n
-    else:
-        rates = sorted(draw(st.lists(rate, min_size=n, max_size=n)))
+    else:  # a pool of three makes some rates tie and others differ
+        pool = rate if kind == "free" else st.sampled_from((0.5, 1.0, 2.0))
+        rates = sorted(draw(st.lists(pool, min_size=n, max_size=n)))
     lam = draw(st.floats(0.25, 4.0))
     times = list(accumulate(draw(st.lists(st.floats(0.01, 3.0), max_size=max_m))))
     servers = draw(st.lists(st.integers(1, n), min_size=len(times), max_size=len(times)))

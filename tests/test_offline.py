@@ -159,7 +159,7 @@ def test_full_oracle_equals_the_reference_step_on_a_trace_prefix():
     times = R.gen_poisson_trace(42, 11_683, 50.0)[:2000]
     assigned = R.assign_servers(times, 10, 42)
     lams = [50.0, 400.0, 1200.0]
-    for rate_set in ("set1", "set4"):
+    for rate_set in ("set1", "set2", "set4"):  # set2 mixes one tie into distinct rates
         inst = R.Instance.build(R.RATE_SETS[rate_set], lams[0], 1, assigned)
         expected = full_prefix_optima(inst, lams)
         assert R.opt_costs(inst, lams) == tuple(expected[-1].tolist()), rate_set
@@ -185,7 +185,7 @@ def _trace_prefix_instance(rate_set: str, lam: float, m: int) -> R.Instance:
 
 
 def test_reconstructed_schedules_equal_the_came_from_reference_on_a_trace_prefix():
-    for rate_set in ("set1", "set4"):  # set1 has equal rates, so ties abound
+    for rate_set in ("set1", "set2", "set4"):  # set1 has equal rates, so ties abound; set2 has one tie
         for lam in (50.0, 1200.0):
             inst = _trace_prefix_instance(rate_set, lam, 800)
             sol = R.opt_full(inst)
@@ -221,6 +221,17 @@ def test_full_oracle_serves_from_a_pricey_sole_holder_and_drops_it_at_once():
     assert abs(R.compute_cost(sol.schedule).total - sol.opt_cost) <= TOL
     assert R.Transfer(1.4, 2, 3, "serve_request") in sol.schedule.transfers
     assert [(c.start, c.end) for c in sol.schedule.copies if c.server == 2] == [(0.4, 1.4)]
+
+
+def test_full_oracle_relocates_to_a_cheaper_server_at_a_dear_servers_request():
+    # server 2 (rate 10) holds the sole copy and asks at 0.05; the only optimum, 0.5 + 1 + 10,
+    # creates a copy at server 1 (rate 1) there and drops server 2. Relocating at time 0 costs
+    # 1 + 10.05 + 1, and holding server 2 until server 1 asks costs 0.5 + 100 + 1
+    inst = R.Instance.build([1.0, 10.0], 1.0, 2, [(0.05, 2), (10.05, 1)])
+    sol = R.opt_full(inst)
+    assert sol.opt_cost == brute_force_optimum(inst) == 11.5
+    assert R.Transfer(0.05, 2, 1, "create_copy") in sol.schedule.transfers
+    assert [(c.server, c.start, c.end) for c in sol.schedule.copies] == [(2, 0.0, 0.05), (1, 0.05, 10.05)]
 
 
 def test_opt_costs_checks_its_arguments():
