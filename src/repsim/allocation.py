@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import csv
 import io
-import math
 from dataclasses import dataclass
 
 from .model import (
@@ -54,7 +53,6 @@ class RequestTyping:
 @dataclass(frozen=True)
 class AllocationReport:
     entries: tuple[tuple[Request, RequestTyping, float], ...]
-    excluded_cost: float
     first_request_surcharges: tuple[tuple[int, float], ...]  # (request index, amount)
 
     @property
@@ -135,10 +133,4 @@ def classify_and_allocate(run: AnnotatedRun) -> AllocationReport:
         t_last = all_reqs[last_seen[pool_server]].time
         end = min(t_last + lam / inst.rate(pool_server), inst.horizon)
         surcharges.append((first_at[server], inst.rate(pool_server) * max(0.0, end - t_last)))
-
-    excluded = sum(
-        inst.rate(c.server) * (c.end - c.start)
-        for c in run.schedule.copies
-        if c.excluded and math.isfinite(c.end)
-    )
-    return AllocationReport(tuple(entries), excluded, tuple(surcharges))
+    return AllocationReport(tuple(entries), tuple(surcharges))

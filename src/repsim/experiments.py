@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import csv
 import io
-import itertools
 import math
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 import numpy as np
 
@@ -99,20 +99,17 @@ def ingest_trace(
     t=0. A read whose bumped time does not pass the one before it is
     reported by file and line.
     """
-    kept = [time for _, time in _reads(path, object_id, column_map, delimiter)]
+    # the sort is stable, so reads with equal times keep their file order
+    kept = sorted(_reads(path, object_id, column_map, delimiter), key=itemgetter(1))
     if not kept:
         raise ValueError(f"{path}: no read records for object {object_id!r}")
-    kept.sort()
     out: list[float] = []
     group_start = 0
-    for i, t in enumerate(kept):
-        if t != kept[group_start]:
+    for i, (lineno, t) in enumerate(kept):
+        if t != kept[group_start][1]:
             group_start = i
         bumped = t + 1e-6 * (i - group_start + 1)
         if out and not bumped > out[-1]:
-            # the read is the (i - group_start + 1)-th at time t in file order, as the sort is stable
-            lines = (lineno for lineno, time in _reads(path, object_id, column_map, delimiter) if time == t)
-            lineno = next(itertools.islice(lines, i - group_start, None))
             raise ValueError(f"{path}:line {lineno}: tie-broken time {bumped!r} does not pass the previous {out[-1]!r}")
         out.append(bumped)
     return out

@@ -11,6 +11,7 @@ request counts ``m`` include it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -217,8 +218,10 @@ def gen_random(
     if m < 0:
         raise ParameterError(f"m must satisfy m >= 0, got {m}")
     lo, hi = rate_range
-    if lo <= 0 or hi < lo:
-        raise ParameterError(f"rate_range must satisfy 0 < lo <= hi, got {rate_range}")
+    if not 0 < lo <= hi < math.inf:
+        raise ParameterError(f"rate_range must satisfy 0 < lo <= hi < inf, got {rate_range}")
+    if not 0 < horizon < math.inf:
+        raise ParameterError(f"horizon must satisfy 0 < horizon < inf, got {horizon}")
     rng = np.random.default_rng(seed)
     rates = np.sort(rng.uniform(lo, hi, n))
     lam = float(rng.uniform(0.5, 2.0))

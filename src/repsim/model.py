@@ -192,17 +192,15 @@ def competitive_bound(instance: Instance) -> float:
 
 
 class CopyInterval(NamedTuple):
-    """A copy held at ``server`` over [start, end], with its copy kind.
+    """A copy held at ``server`` over [start, end], with its copy kind; ``end`` is ``inf`` if held forever.
 
-    ``excluded`` marks the two copies the threshold policy keeps past the
-    final request purely to preserve the object; they carry no horizon cost.
+    ``compute_cost`` clips every record at its horizon, so no record is split at the final request.
     """
 
     server: int
     start: float
     end: float
     kind: str = KIND_REGULAR
-    excluded: bool = False
 
 
 class Transfer(NamedTuple):
@@ -229,7 +227,7 @@ class ReplicationSchedule:
     def __post_init__(self) -> None:
         copies = tuple(sorted(self.copies, key=operator.attrgetter("start", "server", "end")))
         transfers = tuple(sorted(self.transfers, key=operator.attrgetter("time", "src", "dst")))
-        for _, start, end, kind, _ in copies:
+        for _, start, end, kind in copies:
             if end < start - TOL:
                 raise ValueError(f"interval end {end} precedes start {start}")
             if kind not in COPY_KINDS:

@@ -72,7 +72,6 @@ class Policy:
     """
 
     name = "abstract"
-    uses_copy_exclusions = False
 
     def start(self, sim: "Simulation") -> None:
         """Begin a run at time 0: the initial copy holds one window."""
@@ -110,7 +109,6 @@ class ThresholdPolicy(Policy):
     """
 
     name = "alg1"
-    uses_copy_exclusions = True
 
     def start(self, sim: "Simulation") -> None:
         super().start(sim)
@@ -288,7 +286,6 @@ class _LiveCopy:
     kind: str
     origin: int  # request index whose service created or last renewed the copy
     switch: float | None
-    excluded: bool = False
 
 
 class Simulation:
@@ -376,7 +373,7 @@ class Simulation:
 
     def _close_segment(self, server: int, end: float) -> None:
         c = self._live.pop(server)
-        self._segments.append(CopyInterval(server, c.start, end, c.kind, c.excluded))
+        self._segments.append(CopyInterval(server, c.start, end, c.kind))
 
     def run_alarms_before(self, limit: float) -> None:
         """Process all alarms strictly earlier than ``limit``."""
@@ -448,7 +445,9 @@ class Simulation:
     def finalize(self) -> AnnotatedRun:
         """Expire copies until every expiry is ``inf``, then assemble the run.
 
-        Copies alive at that point are recorded as held forever. The run's
+        Copies alive at that point are recorded as held forever. No record is
+        split or flagged: records start and end only at policy actions and kind
+        changes, and ``compute_cost`` clips them at the final request. The run's
         instance is the one given when its requests are the delivered ones,
         and otherwise one built from the delivered requests.
         """
@@ -456,20 +455,9 @@ class Simulation:
             raise RuntimeError("simulation already finalized")
         self._finalized = True
         serves = self._serves
-        horizon, last_server = serves[-1][1:3] if serves else (0.0, self.instance.initial_server)
-        if self._policy.uses_copy_exclusions:
-            cur = self._live.get(last_server)
-            if cur is not None and cur.kind == KIND_REGULAR:
-                # split so the post-final window is a separate, excluded record
-                if cur.start < horizon - TOL:
-                    self._close_segment(last_server, horizon)
-                    self._live[last_server] = _LiveCopy(horizon, KIND_REGULAR, cur.origin, None, excluded=True)
-                else:
-                    cur.excluded = True
         self.run_alarms_before(math.inf)
         for server, c in self._live.items():
-            excluded = c.excluded or (self._policy.uses_copy_exclusions and c.kind in SPECIAL_KINDS)
-            self._segments.append(CopyInterval(server, c.start, math.inf, c.kind, excluded))
+            self._segments.append(CopyInterval(server, c.start, math.inf, c.kind))
         self._live.clear()
         self.expiry.clear()
         instance = self.instance

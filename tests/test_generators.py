@@ -180,3 +180,18 @@ def test_random_single_server_forced():
 def test_random_oracles_agree_seed7():
     inst = R.gen_random(seed=7, n=4, m=12)
     assert abs(R.opt_full(inst).opt_cost - reference_schedule(inst, restricted=True)[0]) <= 1e-9
+
+
+@pytest.mark.parametrize("horizon", [0.0, -1.0, math.nan, math.inf])
+def test_random_generator_rejects_a_bad_horizon(horizon):
+    with pytest.raises(R.ParameterError, match=r"^horizon must satisfy 0 < horizon < inf, got "):
+        R.gen_random(seed=1, n=2, m=3, horizon=horizon)
+
+
+@pytest.mark.parametrize(
+    "rate_range",
+    [(0.0, 1.0), (-1.0, 1.0), (2.0, 1.0), (1.0, math.inf), (math.inf, math.inf), (math.nan, 1.0), (1.0, math.nan)],
+)
+def test_random_generator_rejects_a_bad_rate_range(rate_range):
+    with pytest.raises(R.ParameterError, match=r"^rate_range must satisfy 0 < lo <= hi < inf, got "):
+        R.gen_random(seed=1, n=2, m=3, rate_range=rate_range)

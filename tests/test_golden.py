@@ -23,16 +23,16 @@ import repsim.cli as cli
 POLICY_NAMES = ("alg1", "wang", "simple")
 
 GOLDEN = {
-    "simulate.alg1": "35bf261948a097666a6564513464395b9e0a9b0b527327660dbd6160fa6edb7e",
+    "simulate.alg1": "d716e4605ecebf4d4dd5432ccf3150e3a5d22f7b6be73fdef5afb62ed5024b9a",
     "simulate.wang": "8fbb1ff33e5a90019c0bfa668b4c9eb6ed009090484d81dca67f1836bf956775",
     "simulate.simple": "ca45cac114350ee0fb1350ee47242dfe58acf32936c9d3adf814e99c591a7f28",
     "allocate": "b768d1dbc026ddd30ec7fccbc817408e379d415e2b391e8936380f24937eed90",
     "adversary": "66020ad66b2d507d2c9497d97c178705b0de23494230b81d6a217b4cd7bf3b3a",
     "sweep": "6f0eb1aa2cea573ab0ce8b70cd1251d775b260a46c18b0848600c1a2f64c5403",
     "sweep.default_grid": "edd76c310bb1ecddfbcffc0b38c9890c52f567fa4f5cc819c8638b8614ba40df",
-    "simulate.trace": "cbb114ab4ab750679f7c319fdf877c952c54e5c7e5c4776087c4a88a7ab58ccf",
+    "simulate.trace": "d6d2aae57c3c5b94f2ab58f81145d97f30c0b891f984b5e987cb12b3cd48cf0b",
     "opt.full": "6a5b8311130ff3c0bb5c6c339b457baac32528e51d946e88b6eafb5d316e9a93",
-    "opt.trace": "d5fecb1015f64a6a49c87740a957c182090d285efb9f1393b96a7a25a268851a",
+    "opt.trace": "5d6efc01b1820b7f810f6d27a78409a3642072edb59edeb6d2ffac8e34406881",
 }
 DEFAULT_GRID_PREFIX = ["sweep", "--prefix", "300"]  # every rate set x the default lambda grid
 

@@ -7,9 +7,11 @@ import math
 import weakref
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import repsim as R
-from conftest import fig3_instance
+from conftest import fig3_instance, instances
 from repsim.policies import Policy
 
 TOL = 1e-9
@@ -213,6 +215,18 @@ def test_all_policies_produce_valid_schedules():
         for name in ("alg1", "wang", "simple"):
             run, _ = R.simulate(name, inst)
             assert R.validate_schedule(run.schedule) == [], (name, k)
+
+
+@given(instances(max_n=5), st.sampled_from(("alg1", "wang", "simple")))
+def test_records_split_only_at_policy_actions(inst, name):
+    # the driver adds no record boundary of its own: no copy is cut where
+    # its server keeps holding the same kind, at the final request or anywhere
+    run, _ = R.simulate(name, inst)
+    copies = run.schedule.copies
+    joined = [
+        (a, b) for a in copies for b in copies if a is not b and (a.server, a.kind, a.end) == (b.server, b.kind, b.start)
+    ]
+    assert not joined, run.event_log()
 
 
 def test_threshold_special_structure_on_random_instances():
