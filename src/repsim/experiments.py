@@ -156,8 +156,11 @@ class ExperimentSpec:
 
     def __post_init__(self) -> None:
         for name in ("rate_sets", "lambda_values", "policies"):
-            if not getattr(self, name):
+            values = list(getattr(self, name))
+            if not values:
                 raise ValueError(f"{name} must not be empty")
+            if len(set(values)) < len(values):  # a repeat would simulate and write its rows twice
+                raise ValueError(f"{name} repeats {next(v for i, v in enumerate(values) if v in values[:i])!r}")
         sizes = {name: len(rates) for name, rates in self.rate_sets.items()}
         if len(set(sizes.values())) > 1:
             raise ValueError(f"rate sets differ in length: {sizes}")

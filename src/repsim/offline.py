@@ -35,11 +35,17 @@ and one that lacks it pays at least one creation, ``S[0] + transfer``, so
 ``G[{q}]`` is the least entry, and the half copy keeps it so. Row 0 is
 per-step scratch: storage adds 0 to it, and the next step overwrites it.
 
+Two step loops run these steps with the same float operations in the same
+order, so their optima and schedules agree bit for bit. For one transfer
+cost and at most ``LIST_STEP_MAX_N`` servers the table is a Python list,
+since numpy's cost per call outweighs the work on at most 64 entries; else
+it is a numpy table with one column per transfer cost.
+
 There is one oracle, and it prunes no holder set. The one-far-holder law is
 check (c) of ``validate_offline_structure``, which ``repsim verify`` runs on
 every schedule the oracle reconstructs.
 
-For a schedule the forward pass records one move bit per creation pass and
+For a schedule either loop records one move bit per creation pass and
 entry it relaxes: set where the candidate from across the pass's bit is
 strictly cheaper, the only entries the minimum changes. A step's n * 2^(n-1)
 bits are packed into one row, and the step also keeps its cheapest singleton;
@@ -77,6 +83,7 @@ from .model import (
 )
 
 DEFAULT_BUDGET = 5_000_000_000
+LIST_STEP_MAX_N = 6  # the most servers at which a reconstructing list step beats a table step (2-core VM)
 
 
 class BudgetExceeded(RuntimeError):
@@ -178,23 +185,31 @@ def _solve(
 
     Returns the optima, one column per transfer cost: one row per step with
     ``prefix``, else the final row only. With ``reconstruct`` (one transfer
-    cost only) it also returns an optimal schedule. Every view and temporary
-    is built before the step loop, which then works on them in place and
-    makes no reduction over the table. Each step is the closed form of the
-    module docstring; its optimum is row ``{q}``, and row 0 is per-step
-    scratch, set to ``inf`` after the loop for the final argmin. A step runs
-    ``step_passes[q]``, the passes over the bits ``allowed[q]`` of servers no
-    dearer than ``q``. While reconstructing, each step packs the move bits
-    into one row of ``record`` and records the cheapest singleton that row 0
-    stands for, so a step may move the object to holders that share nothing
-    with the ones before it.
+    cost only) it also returns an optimal schedule. A step from server
+    ``q + 1`` runs the passes over the bits ``allowed[q]`` of servers no
+    dearer than it. The step loop is ``_list_steps`` for one transfer cost
+    and at most ``LIST_STEP_MAX_N`` servers, where numpy's cost per call
+    outweighs the work, else ``_table_steps``. Both give the same optima and,
+    for ``_reconstruct``, the same move bits of the passes run, cheapest
+    singletons and final subset.
     """
     _check_budget(instance, budget)
+    events = [(0.0, instance.initial_server)] + [(r.time, r.server) for r in instance.requests]
+    rates = [server.rate for server in instance.servers]
+    allowed = [sum(1 << b for b in range(instance.n) if rates[b] <= rate) for rate in rates]
+    steps = _list_steps if len(transfer_costs) == 1 and instance.n <= LIST_STEP_MAX_N else _table_steps
+    optima, moves = steps(instance, events, allowed, transfer_costs, prefix, reconstruct)
+    return optima, None if moves is None else _reconstruct(instance, events, allowed, *moves)
+
+
+def _table_steps(
+    instance: Instance, events: list[tuple[float, int]], allowed: list[int], transfer_costs: Sequence[float],
+    prefix: bool, reconstruct: bool,
+) -> tuple[np.ndarray, tuple[np.ndarray, list[int], int] | None]:
+    """The step loop over a numpy table, in place on views and temporaries that are all built before it."""
     n = instance.n
     size = 1 << n
     cols = len(transfer_costs)
-    events = [(0.0, instance.initial_server)] + [(r.time, r.server) for r in instance.requests]
-
     ratesum = np.repeat(_rate_sums(instance)[:, None], cols, axis=1)  # a full table keeps the storage pass contiguous
     transfer = _halves(np.tile(np.asarray(transfer_costs, dtype=float), (size, 1)))
     singles = 1 << np.arange(n)
@@ -215,8 +230,6 @@ def _solve(
     passes = [
         (lo, hi, np.ascontiguousarray(transfer[b][0]), np.empty_like(lo), slots[b]) for b, (lo, hi) in enumerate(halves)
     ]
-    rates = [server.rate for server in instance.servers]
-    allowed = [sum(1 << b for b in range(n) if rates[b] <= rate) for rate in rates]
     step_passes = [[p for b, p in enumerate(passes) if mask >> b & 1] for mask in allowed]
 
     add, minimum, less, take, copyto = np.add, np.minimum, np.less, np.take, np.copyto
@@ -246,15 +259,62 @@ def _solve(
     if not reconstruct:
         return optima, None
     dp[0] = math.inf
-    return optima, _reconstruct(instance, events, record, cheapest.tolist(), allowed, int(np.argmin(dp[:, 0])))
+    return optima, (record, cheapest.tolist(), int(np.argmin(dp[:, 0])))
+
+
+def _list_steps(
+    instance: Instance, events: list[tuple[float, int]], allowed: list[int], transfer_costs: Sequence[float],
+    prefix: bool, reconstruct: bool,
+) -> tuple[np.ndarray, tuple[np.ndarray, list[int], int] | None]:
+    """``_table_steps`` for one transfer cost over a list, each float operation in the table loop's order.
+
+    Rows of the record for the passes a step skips stay 0; ``_reconstruct`` never reads them.
+    """
+    cost = float(transfer_costs[0])
+    n = instance.n
+    size, half = 1 << n, 1 << (n - 1)
+    ratesum = _rate_sums(instance).tolist()
+    dp = [math.inf] * size
+    dp[_bit(instance.initial_server)] = 0.0
+    # pass b relaxes each subset with bit b from its partner without it; the j-th pair is move bit b * half + j
+    pairs = [[(s, s | 1 << b) for s in range(size) if not s >> b & 1] for b in range(n)]
+    step_passes = [[(b * half, pairs[b]) for b in range(n) if mask >> b & 1] for mask in allowed]
+    nbytes = (n * half + 7) // 8
+    optima, rows, cheapest = [], [], []
+    prev_t = 0.0
+    for time, server in events:
+        dt, prev_t = time - prev_t, time
+        dp = [v + r * dt for v, r in zip(dp, ratesum)]
+        q = server - 1
+        singletons = [dp[1 << b] for b in range(n)]
+        dp[0] = least = min(singletons)
+        moved = 0
+        for first, pass_pairs in step_passes[q]:
+            for j, (lo, hi) in enumerate(pass_pairs, first):
+                src = dp[lo] + cost
+                if src < dp[hi]:
+                    dp[hi] = src
+                    moved |= 1 << j
+        for lo, hi in pairs[q]:  # the half copy
+            dp[lo] = dp[hi]
+        optima.append(dp[1 << q])
+        if reconstruct:
+            cheapest.append(singletons.index(least))
+            rows.append(moved.to_bytes(nbytes, "little"))
+    optima = np.array(optima if prefix else optima[-1:])[:, None]
+    if not reconstruct:
+        return optima, None
+    dp[0] = math.inf
+    record = np.frombuffer(b"".join(rows), dtype=np.uint8).reshape(len(events), nbytes)
+    return optima, (record, cheapest, dp.index(min(dp)))
 
 
 def _reconstruct(
     instance: Instance,
     events: list[tuple[float, int]],
+    allowed: list[int],
     record: np.ndarray,
     cheapest: list[int],
-    allowed: list[int],
     final_state: int,
 ) -> ReplicationSchedule:
     """The schedule that walks ``final_state`` back through each step's recorded moves.

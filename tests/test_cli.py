@@ -346,6 +346,32 @@ def test_sweep_rejects_an_unknown_policy_before_the_oracle_runs(monkeypatch, cap
     assert calls == []
 
 
+def test_sweep_rejects_a_repeated_policy_before_the_oracle_runs(monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(repsim.experiments, "opt_costs", lambda *args, **kwargs: calls.append(args))
+    argv = ["sweep", "--poisson-requests", "5", "--rates", "set1", "--policies", "alg1,alg1", "--lambda-step", "1150"]
+    code, out, err = _run(argv, capsys)
+    assert (code, out, err) == (2, "", "error: policies repeats 'alg1'\n")
+    assert calls == []
+
+
+def test_sweep_optima_over_the_table_loop_equal_single_cost_optima_over_the_list_loop(capsys):
+    # several transfer costs at n = 3 take the oracle's numpy table loop, one cost its list loop
+    argv = ["sweep", "--rates", "1,2,3", "--poisson-requests", "40", "--poisson-gap", "5", "--seed", "3"]
+    code, out, _ = _run(argv + ["--policies", "simple"], capsys)
+    assert code == 0
+    times = repsim.gen_poisson_trace(3, 40, 5.0)
+    requests = repsim.assign_servers(times, 3, 3)
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert [float(row[1]) for row in rows] == list(repsim.experiments.DEFAULT_LAMBDA_VALUES)
+    for row in rows:
+        opt = repsim.opt_full(repsim.Instance.build((1.0, 2.0, 3.0), float(row[1]), 1, requests)).opt_cost
+        assert row[4] == f"{opt:.10g}", row
+    spec = repsim.ExperimentSpec(tuple(times), {"custom": (1.0, 2.0, 3.0)}, seed=3, policies=("simple",))
+    for row in repsim.run_sweep(spec):  # and bit for bit, before the CSV rounds them
+        assert row.opt_cost == repsim.opt_full(repsim.Instance.build((1.0, 2.0, 3.0), row.lam, 1, requests)).opt_cost
+
+
 def test_identical_argv_byte_identical_output(capsys):
     argv = [
         "sweep", "--rates", "1,2", "--lambda-min", "2", "--lambda-max", "2",

@@ -250,6 +250,17 @@ def test_spec_rejects_an_empty_field(field, empty):
     assert str(err.value) == f"{field} must not be empty"
 
 
+@pytest.mark.parametrize(
+    "field, values, repeated",
+    [("lambda_values", (50.0, 1200.0, 50), "50"), ("policies", ("alg1", "wang", "alg1"), "'alg1'")],
+)
+def test_spec_rejects_a_repeated_entry(field, values, repeated):
+    fields = {"rate_sets": {"x": (1.0, 2.0)}, "lambda_values": (1.0,), "policies": ("alg1",)}
+    with pytest.raises(ValueError) as err:
+        R.ExperimentSpec(times=(1.0,), **dict(fields, **{field: values}))
+    assert str(err.value) == f"{field} repeats {repeated}"
+
+
 def test_spec_rejects_an_unknown_policy_before_any_cell_runs():
     with pytest.raises(ValueError, match="unknown policy 'nosuch'"):
         R.ExperimentSpec(times=(1.0,), rate_sets={"x": (1.0, 2.0)}, lambda_values=(1.0,), policies=("alg1", "nosuch"))

@@ -7,6 +7,7 @@ tie exactly and the reconstruction's tie-breaking is exercised.
 from __future__ import annotations
 
 from dataclasses import replace
+from itertools import accumulate
 
 from hypothesis import given
 from hypothesis import strategies as st
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 import repsim as R
 from conftest import instances
 from reference_oracle import far_sets, full_prefix_optima, reference_schedule
-from repsim.offline import _far_sets
+from repsim.offline import LIST_STEP_MAX_N, _far_sets, _list_steps, _reconstruct, _table_steps
 
 TOL = 1e-9
 
@@ -62,6 +63,52 @@ def test_full_oracle_equals_the_reference_step_bit_for_bit(inst, lams):
     assert R.opt_costs(inst, lams) == tuple(expected[-1].tolist())
     for lam, column in zip(lams, expected.T):
         assert R.opt_full(replace(inst, transfer_cost=lam)).prefix_costs == tuple(column.tolist())
+
+
+@st.composite
+def step_loop_instances(draw) -> R.Instance:
+    """Up to one server past the list loop's limit, with equal, tied or grid rates and times offset up to 1e9.
+
+    Grid rates, gaps and transfer costs are multiples of 1/4, so distinct schedules often cost exactly the same.
+    """
+    n = draw(st.integers(1, LIST_STEP_MAX_N + 1))
+    quarters = st.integers(1, 32).map(lambda k: k / 4)
+    kind = draw(st.sampled_from(("equal", "tied", "grid")))
+    if kind == "equal":
+        rates = [draw(st.floats(0.25, 8.0) | quarters)] * n
+    else:
+        pool = st.sampled_from((0.5, 1.0, 2.0)) if kind == "tied" else quarters
+        rates = sorted(draw(st.lists(pool, min_size=n, max_size=n)))
+    offset = draw(st.sampled_from((0.0, 6e5, 1e9)) | st.floats(0.0, 1e9))
+    gaps = draw(st.lists(st.floats(0.01, 3.0) | quarters, max_size=12))
+    servers = draw(st.lists(st.integers(1, n), min_size=len(gaps), max_size=len(gaps)))
+    lam = draw(st.floats(0.25, 4.0) | quarters)
+    requests = [(offset + t, s) for t, s in zip(accumulate(gaps), servers)]
+    return R.Instance.build(rates, lam, draw(st.integers(1, n)), requests)
+
+
+@given(step_loop_instances())
+def test_list_and_table_step_loops_agree_bit_for_bit(inst):
+    events = [(0.0, inst.initial_server)] + [(r.time, r.server) for r in inst.requests]
+    rates = [server.rate for server in inst.servers]
+    allowed = [sum(1 << b for b in range(inst.n) if rates[b] <= rate) for rate in rates]
+    for prefix in (False, True):
+        for reconstruct in (False, True):
+            args = (inst, events, allowed, (inst.transfer_cost,), prefix, reconstruct)
+            (lists, list_moves), (table, table_moves) = _list_steps(*args), _table_steps(*args)
+            assert (lists.shape, lists.tobytes()) == (table.shape, table.tobytes()), (prefix, reconstruct)
+            if reconstruct:  # the same cheapest singletons and final subset, and the same schedule from either record
+                assert list_moves[1:] == table_moves[1:]
+                schedules = [_reconstruct(inst, events, allowed, *moves) for moves in (list_moves, table_moves)]
+                assert schedules[0] == schedules[1]
+            else:
+                assert list_moves is table_moves is None
+
+
+@given(instances(max_n=LIST_STEP_MAX_N), st.floats(0.01, 20.0))
+def test_one_cost_pass_equals_the_full_oracle(inst, lam):
+    # both run the list loop; the pass keeps the final optimum only, the full oracle every prefix's
+    assert R.opt_costs(inst, [lam]) == (R.opt_full(replace(inst, transfer_cost=lam)).opt_cost,)
 
 
 @given(instances(max_n=5))
