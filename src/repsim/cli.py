@@ -126,7 +126,11 @@ def _lambda_grid(lo: float, hi: float, step: float) -> tuple[float, ...]:
     if not steps < MAX_LAMBDA_POINTS:
         count = math.floor(steps) + 1 if math.isfinite(steps) else steps
         raise ValueError(f"the --lambda-step grid has {count} points, over the limit of {MAX_LAMBDA_POINTS}")
-    return tuple(min(lo + k * step, hi) for k in range(math.floor(steps) + 1))
+    grid = tuple(min(lo + k * step, hi) for k in range(math.floor(steps) + 1))
+    if len(set(grid)) < len(grid):  # rounding made neighbours equal
+        point = next(v for v, w in zip(grid, grid[1:]) if v == w)
+        raise ValueError(f"--lambda-step {step:g} is below an ulp of the grid from --lambda-min {lo:g}: it repeats {point:g}")
+    return grid
 
 
 def _cmd_sweep(args) -> int:

@@ -18,16 +18,15 @@ is therefore a closed form: with ``S`` the table after storage and row 0 set
 to the cheapest singleton row ("serve from the cheapest sole holder, then
 drop it"), let ``G[s] = min over p within s of S[p] + transfer * |s - p|``;
 the step's result is ``F[s] = G[s | q]`` for requester ``q``. ``G`` is the
-serve pass, over ``q``'s bit, and one creation pass per server no dearer than
-``q``, and ``F`` copies the half with ``q`` into the half without it. A copy
-created at a dearer server ``b`` gives way to keeping ``q``'s served copy
-until ``b``'s would have ended, plus a transfer to ``b`` at its first request
-in that span: no more transfers, strictly less storage, the same sources, and
-holder changes still at request instants, so no optimum creates it. Equal
-rates keep their passes: their alternatives cost the same but sum in another
-order, which can move an optimum by an ulp. A step relaxes at most
-n * 2^(n-1) entries and copies 2^(n-1); each run is charged that worst case,
-(n + 1) * 2^(n-1) per step and transfer cost.
+serve pass, over ``q``'s bit, and one creation pass per server strictly
+cheaper than ``q``, and ``F`` copies the half with ``q`` into the half
+without it. A copy created at a server ``b`` no cheaper than ``q`` gives way
+to keeping ``q``'s served copy until ``b``'s would have ended, plus a
+transfer to ``b`` at its first request in that span: no more transfers, no
+more storage (less if ``b`` is dearer), the same sources, and holder changes
+still at request instants, so some optimum never creates it. A step relaxes
+at most n * 2^(n-1) entries and copies 2^(n-1); each run is charged that
+worst case, (n + 1) * 2^(n-1) per step and transfer cost.
 
 A step makes no reduction over the table. Its optimum is the requester's
 singleton row ``G[{q}]``: a set that holds ``q`` costs at least ``S[{q}]``,
@@ -40,10 +39,6 @@ order, so their optima and schedules agree bit for bit. For one transfer
 cost and at most ``LIST_STEP_MAX_N`` servers the table is a Python list,
 since numpy's cost per call outweighs the work on at most 64 entries; else
 it is a numpy table with one column per transfer cost.
-
-There is one oracle, and it prunes no holder set. The one-far-holder law is
-check (c) of ``validate_offline_structure``, which ``repsim verify`` runs on
-every schedule the oracle reconstructs.
 
 For a schedule either loop records one move bit per creation pass and
 entry it relaxes: set where the candidate from across the pass's bit is
@@ -108,8 +103,8 @@ def _check_budget(instance: Instance, budget: int) -> None:
 
     The charge, (m + 1) * (n + 1) * 2^(n-1), counts the table entries each
     step relaxes or copies in the worst case, paid when every request comes
-    from a dearest server: n creation passes over half the table and one
-    half copy. A pass over K transfer costs does K times this work; the
+    from a server dearer than all others: n passes over half the table and
+    one half copy. A pass over K transfer costs does K times this work; the
     budget bounds the work of each one.
     """
     n, m = instance.n, instance.m
@@ -186,17 +181,17 @@ def _solve(
     Returns the optima, one column per transfer cost: one row per step with
     ``prefix``, else the final row only. With ``reconstruct`` (one transfer
     cost only) it also returns an optimal schedule. A step from server
-    ``q + 1`` runs the passes over the bits ``allowed[q]`` of servers no
-    dearer than it. The step loop is ``_list_steps`` for one transfer cost
-    and at most ``LIST_STEP_MAX_N`` servers, where numpy's cost per call
-    outweighs the work, else ``_table_steps``. Both give the same optima and,
-    for ``_reconstruct``, the same move bits of the passes run, cheapest
-    singletons and final subset.
+    ``q + 1`` runs the passes over the bits ``allowed[q]``: its own and those
+    of the servers strictly cheaper than it. The step loop is ``_list_steps``
+    for one transfer cost and at most ``LIST_STEP_MAX_N`` servers, where
+    numpy's cost per call outweighs the work, else ``_table_steps``. Both give
+    the same optima and, for ``_reconstruct``, the same move bits of the
+    passes run, cheapest singletons and final subset.
     """
     _check_budget(instance, budget)
     events = [(0.0, instance.initial_server)] + [(r.time, r.server) for r in instance.requests]
     rates = [server.rate for server in instance.servers]
-    allowed = [sum(1 << b for b in range(instance.n) if rates[b] <= rate) for rate in rates]
+    allowed = [sum(1 << b for b in range(instance.n) if rates[b] < rate) | 1 << q for q, rate in enumerate(rates)]
     steps = _list_steps if len(transfer_costs) == 1 and instance.n <= LIST_STEP_MAX_N else _table_steps
     optima, moves = steps(instance, events, allowed, transfer_costs, prefix, reconstruct)
     return optima, None if moves is None else _reconstruct(instance, events, allowed, *moves)

@@ -3,18 +3,23 @@
 ``full_prefix_optima`` is the full-oracle step with explicit serve, keep,
 creation and drop passes: each step adds gap storage, charges subsets
 without the requester one inward transfer, keeps the served copy for free,
-runs one creation pass per server bit and then one drop pass per server bit.
-The program's full oracle replaces the serve, keep and drop passes with a
-closed form over a monotone table; tests require both to give equal prefix
-optima, bit for bit.
+runs the creation passes of ``creation_passes`` and then one drop pass per
+server bit. The program's full oracle replaces the serve, keep and drop
+passes with a closed form over a monotone table; tests require both to give
+equal prefix optima, bit for bit. With ``all_passes`` the step runs one
+creation pass per server bit instead, so the passes the program skips are
+run too; by the exchange argument in the ``offline`` docstring they move no
+optimum, and tests check that up to rounding, since the extra passes take
+the sums in another order.
 
-``reference_schedule`` runs the program's closed-form step with an int16
-"came from" table: per step, the subset each subset was reached from, moved
-only where a candidate is strictly cheaper. The backtrack follows these
-origins from the first cheapest final subset. The program records one move
-bit per pass instead; tests require both to give the same schedule, bit for
-bit. With ``restricted`` each step ends by masking the holder sets with two
-far servers; by the one-far-holder law the masked optimum is the program's,
+``reference_schedule`` runs the program's closed-form step, with the
+creation passes of ``creation_passes``, and an int16 "came from" table: per
+step, the subset each subset was reached from, moved only where a candidate
+is strictly cheaper. The backtrack follows these origins from the first
+cheapest final subset. The program records one move bit per pass instead;
+tests require both to give the same schedule, bit for bit. With
+``restricted`` each step ends by masking the holder sets with two far
+servers; by the one-far-holder law the masked optimum is the program's,
 which tests check.
 
 ``far_sets`` finds the far servers of each step with a plain loop, apart
@@ -41,7 +46,17 @@ from repsim.model import (
 from repsim.offline import _bit, _halves, _rate_sums
 
 
-def full_prefix_optima(instance: Instance, transfer_costs: Sequence[float]) -> np.ndarray:
+def creation_passes(instance: Instance, all_passes: bool = False) -> list[list[int]]:
+    """Per requester bit ``q``, the server bits of the creation passes its step runs.
+
+    The program's rule: the servers strictly cheaper than the requester, and
+    the requester itself. With ``all_passes``, every server.
+    """
+    rates = [server.rate for server in instance.servers]
+    return [[b for b in range(instance.n) if all_passes or rates[b] < rate or b == q] for q, rate in enumerate(rates)]
+
+
+def full_prefix_optima(instance: Instance, transfer_costs: Sequence[float], all_passes: bool = False) -> np.ndarray:
     """The full oracle's optimum after each step, one column per transfer cost.
 
     Row ``i`` is the optimum over the first ``i`` requests (row 0 covers only
@@ -56,6 +71,7 @@ def full_prefix_optima(instance: Instance, transfer_costs: Sequence[float]) -> n
     dp = np.full((size, cols), math.inf)
     dp[_bit(instance.initial_server)] = 0.0
     halves = _halves(dp)
+    passes = creation_passes(instance, all_passes)
 
     def relax(b: int, into: int, cost: np.ndarray | None = None) -> None:
         dst, src = halves[b][into], halves[b][1 - into]
@@ -71,8 +87,8 @@ def full_prefix_optima(instance: Instance, transfer_costs: Sequence[float]) -> n
         q = server - 1
         np.add(halves[q][0], transfer[q][0], out=halves[q][0])  # serve by inward transfer
         relax(q, 1)  # keeping the served copy is free
-        for b in range(n):
-            relax(b, 1, transfer[b][0])  # a copy anywhere costs one transfer
+        for b in passes[q]:
+            relax(b, 1, transfer[b][0])  # a copy costs one transfer
         for b in range(n):
             relax(b, 0)  # drops are free
         dp[0] = math.inf
@@ -115,6 +131,7 @@ def reference_schedule(instance: Instance, restricted: bool) -> tuple[float, Rep
     origin = np.empty((size, 1), dtype=np.int16)
     identity = np.arange(size, dtype=np.int16)[:, None]
     origin_halves = _halves(origin)
+    passes = creation_passes(instance)
 
     def relax(b: int, cost: np.ndarray) -> None:
         dst, src = halves[b][1], halves[b][0] + cost
@@ -130,7 +147,7 @@ def reference_schedule(instance: Instance, restricted: bool) -> tuple[float, Rep
         q = server - 1
         dp[0] = dp[singles].min(axis=0)
         origin[0] = singles[np.argmin(dp[singles, 0])]
-        for b in range(n):
+        for b in passes[q]:
             relax(b, transfer[b][0])
         np.copyto(halves[q][0], halves[q][1])
         np.copyto(origin_halves[q][0], origin_halves[q][1])

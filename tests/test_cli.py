@@ -279,6 +279,14 @@ def test_sweep_rejects_a_grid_over_the_point_limit(capsys):
         assert err == f"error: the --lambda-step grid has {count} points, over the limit of {cap}\n"
 
 
+def test_sweep_rejects_a_step_below_an_ulp_of_the_grid(capsys):
+    # at 1e16 an ulp is 2, so 1e16 + 1 rounds back to 1e16
+    argv = ["sweep", "--rates", "1,2", "--poisson-requests", "3", "--lambda-min", "1e16"]
+    code, out, err = _run(argv + ["--lambda-max", "10000000000000002", "--lambda-step", "1"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: --lambda-step 1 is below an ulp of the grid from --lambda-min 1e+16: it repeats 1e+16\n"
+
+
 SMALL_SWEEP = [
     "sweep", "--rates", "1,2", "--lambda-min", "2", "--lambda-max", "2", "--lambda-step", "1",
     "--poisson-requests", "50", "--poisson-gap", "5", "--policies", "alg1",

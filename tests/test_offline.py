@@ -6,6 +6,7 @@ import math
 import tracemalloc
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 import repsim as R
@@ -169,14 +170,34 @@ def test_full_oracle_equals_the_reference_step_on_a_trace_prefix():
                 assert sol.prefix_costs == tuple(column.tolist()), (rate_set, lam, reconstruct)
 
 
+def test_the_creation_passes_a_step_skips_move_no_optimum_on_a_trace_prefix():
+    # the exchange argument: passes toward servers no cheaper than the requester find nothing
+    # cheaper; run anyway, they take the sums in another order, so prefix optima may move by ulps
+    lams = [50.0, 400.0, 1200.0]
+    for rate_set in ("set1", "set2", "set4"):
+        inst = _trace_prefix_instance(rate_set, lams[0], 2000)
+        every_pass = full_prefix_optima(inst, lams, all_passes=True)
+        for lam, column in zip(lams, every_pass.T):
+            strict = np.array(R.opt_full(replace(inst, transfer_cost=lam), reconstruct=False).prefix_costs)
+            assert (np.abs(column - strict) <= 1e-12 * strict).all(), (rate_set, lam)
+
+
 def test_final_ties_walk_back_from_the_lowest_numbered_cheapest_set():
-    # at 1e17 the transfer cost 4 is below half an ulp, so also ending with a copy at server 1
-    # ties ending at server 2 alone; the walk starts from the lowest-numbered cheapest final
-    # set, {1}, and never from row 0, the per-step scratch row that ends equal to row {2}
+    # at 1e17 the transfer cost 4 is below half an ulp. With equal rates a step from server 2
+    # runs no creation pass toward server 1, so only {2} ends finite; row 0, the per-step
+    # scratch row, ends equal to it, and the walk never starts from row 0
     inst = R.Instance.build([1.0, 1.0], 4.0, 2, [(1.0000000000000003e17, 2)])
     sol = R.opt_full(inst)
     assert (sol.opt_cost, sol.schedule) == reference_schedule(inst, False)
-    assert [copy.server for copy in sol.schedule.copies] == [2, 1]
+    assert [copy.server for copy in sol.schedule.copies] == [2]
+    assert sol.schedule.transfers == ()
+    # with server 1 cheaper, {1}, {2} and {1, 2} tie, and the walk starts from {1}:
+    # move the copy to server 1 at once and serve the request from there
+    inst = R.Instance.build([1.0, 2.0], 4.0, 2, [(1.0000000000000003e17, 2)])
+    sol = R.opt_full(inst)
+    assert (sol.opt_cost, sol.schedule) == reference_schedule(inst, False)
+    t = inst.requests[0].time
+    assert sol.schedule.transfers == (R.Transfer(0.0, 2, 1, "create_copy"), R.Transfer(t, 1, 2, "serve_request"))
 
 
 def _trace_prefix_instance(rate_set: str, lam: float, m: int) -> R.Instance:

@@ -9,12 +9,13 @@ from __future__ import annotations
 from dataclasses import replace
 from itertools import accumulate
 
+import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
 import repsim as R
 from conftest import instances
-from reference_oracle import far_sets, full_prefix_optima, reference_schedule
+from reference_oracle import creation_passes, far_sets, full_prefix_optima, reference_schedule
 from repsim.offline import LIST_STEP_MAX_N, _far_sets, _list_steps, _reconstruct, _table_steps
 
 TOL = 1e-9
@@ -65,6 +66,16 @@ def test_full_oracle_equals_the_reference_step_bit_for_bit(inst, lams):
         assert R.opt_full(replace(inst, transfer_cost=lam)).prefix_costs == tuple(column.tolist())
 
 
+@given(instances(max_n=5), transfer_cost_lists())
+def test_the_creation_passes_a_step_skips_move_no_optimum(inst, lams):
+    # the exchange argument, on draws whose rates often tie: the reference step with every
+    # creation pass finds no prefix optimum below the oracle's, up to rounding
+    every_pass = full_prefix_optima(inst, lams, all_passes=True)
+    for lam, column in zip(lams, every_pass.T):
+        strict = np.array(R.opt_full(replace(inst, transfer_cost=lam), reconstruct=False).prefix_costs)
+        assert (np.abs(column - strict) <= 1e-12 * strict).all(), lam
+
+
 @st.composite
 def step_loop_instances(draw) -> R.Instance:
     """Up to one server past the list loop's limit, with equal, tied or grid rates and times offset up to 1e9.
@@ -90,8 +101,7 @@ def step_loop_instances(draw) -> R.Instance:
 @given(step_loop_instances())
 def test_list_and_table_step_loops_agree_bit_for_bit(inst):
     events = [(0.0, inst.initial_server)] + [(r.time, r.server) for r in inst.requests]
-    rates = [server.rate for server in inst.servers]
-    allowed = [sum(1 << b for b in range(inst.n) if rates[b] <= rate) for rate in rates]
+    allowed = [sum(1 << b for b in bits) for bits in creation_passes(inst)]  # the program's pass rule
     for prefix in (False, True):
         for reconstruct in (False, True):
             args = (inst, events, allowed, (inst.transfer_cost,), prefix, reconstruct)
