@@ -22,6 +22,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .model import (
     KIND_REGULAR,
@@ -41,8 +42,7 @@ _CATEGORY = {
 }
 
 
-@dataclass(frozen=True)
-class RequestTyping:
+class RequestTyping(NamedTuple):
     index: int
     category: int  # 1..6
     provider: int  # index of the request whose retained copy served this one
@@ -99,29 +99,29 @@ def classify_and_allocate(run: AnnotatedRun) -> AllocationReport:
     lam = inst.transfer_cost
     all_reqs = inst.all_requests
 
+    rates = [0.0] + [srv.rate for srv in inst.servers]  # by server index
     last_seen = {inst.initial_server: 0}  # each server's latest request so far, by index
     first_at: dict[int, int] = {}  # each requested server's first request, by index
     entries: list[tuple[Request, RequestTyping, float]] = []
-    for rec in run.serves:
-        category = _CATEGORY[(rec.mode, rec.copy_kind)]
+    for index, time, server, mode, _source, copy_kind, provider, switch_time in run.serve_rows:
+        category = _CATEGORY[mode, copy_kind]
         alloc = 0.0
         if category in (1, 2, 3):
             alloc += lam  # serving transfer
         if category in (3, 6):
             alloc += lam  # relocation transfer behind the providing copy
         if category in (2, 5):
-            alloc += inst.rate(all_reqs[rec.provider].server) * (rec.time - rec.switch_time)
+            alloc += rates[all_reqs[provider].server] * (time - switch_time)
         elif category in (3, 6):
-            alloc += inst.rate(1) * (rec.time - rec.switch_time)
-        p = last_seen.get(rec.server)
+            alloc += rates[1] * (time - switch_time)
+        p = last_seen.get(server)
         if category == 4:
-            alloc += inst.rate(rec.server) * (rec.time - all_reqs[p].time)
+            alloc += rates[server] * (time - all_reqs[p].time)
         elif p is not None:
             alloc += lam  # full window opened by the preceding local request
-        last_seen[rec.server] = rec.index
-        first_at.setdefault(rec.server, rec.index)
-        typing = RequestTyping(rec.index, category, rec.provider, rec.switch_time, rec.mode)
-        entries.append((all_reqs[rec.index], typing, alloc))
+        last_seen[server] = index
+        first_at.setdefault(server, index)
+        entries.append((all_reqs[index], RequestTyping(index, category, provider, switch_time, mode), alloc))
 
     # Trailing windows after each server's last request, clipped at the
     # horizon, are charged to the first request at each server other than
@@ -129,8 +129,8 @@ def classify_and_allocate(run: AnnotatedRun) -> AllocationReport:
     # initial server's trailing window.
     surcharges: list[tuple[int, float]] = []
     for server in sorted(first_at.keys() - {inst.initial_server}):
-        pool_server = server if server != run.serves[-1].server else inst.initial_server
+        pool_server = server if server != all_reqs[-1].server else inst.initial_server
         t_last = all_reqs[last_seen[pool_server]].time
-        end = min(t_last + lam / inst.rate(pool_server), inst.horizon)
-        surcharges.append((first_at[server], inst.rate(pool_server) * max(0.0, end - t_last)))
+        end = min(t_last + lam / rates[pool_server], inst.horizon)
+        surcharges.append((first_at[server], rates[pool_server] * max(0.0, end - t_last)))
     return AllocationReport(tuple(entries), tuple(surcharges))

@@ -15,7 +15,7 @@ import json
 import math
 import operator
 import re
-from bisect import bisect_left, bisect_right
+from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -256,7 +256,7 @@ def _holding_spans(schedule: ReplicationSchedule) -> dict[int, list[tuple[float,
 
     Every server of the instance has an entry, empty when it never holds.
     It relies on the schedule's order, which lists each server's copies by
-    (start, end). The sorted lookups of the validators rely on this contract,
+    (start, end). The validators' forward walks rely on this contract,
     per server: spans are sorted by start; each span starts more than TOL
     after the previous one ends (``start > prev_end + TOL`` as computed); so
     ends never decrease, and they strictly increase unless a copy ends before
@@ -272,28 +272,21 @@ def _holding_spans(schedule: ReplicationSchedule) -> dict[int, list[tuple[float,
     return spans
 
 
-def _span_lows(spans: dict[int, list[tuple[float, float]]]) -> dict[int, list[float]]:
-    """``start - TOL`` of every span, per server: the bisect keys of ``_holds_through``."""
-    return {server: [a - TOL for a, _ in lst] for server, lst in spans.items()}
+def _walk_spans(spans: list[tuple[float, float]], i: int, t: float) -> int:
+    """The count of one server's spans with ``start - TOL <= t``, walked on from the count ``i`` for an earlier ``t``."""
+    while i < len(spans) and spans[i][0] - TOL <= t:
+        i += 1
+    return i
 
 
-def _holds_through(spans: list[tuple[float, float]], lows: list[float], t0: float, t1: float) -> bool:
-    """``any(a - TOL <= t0 and t1 <= b + TOL for a, b in spans)`` for one server's spans.
-
-    Only the last span with ``a - TOL <= t0`` can match: ends never decrease,
-    so an earlier span ends no later.
-    """
-    i = bisect_right(lows, t0)
-    return i > 0 and t1 <= spans[i - 1][1] + TOL
-
-
-def _any_within_tol(times: list[float], t: float) -> bool:
-    """``any(abs(x - t) <= TOL for x in times)`` for ascending ``times``.
-
-    The distance grows away from ``t``, so only its two neighbours can match.
-    """
-    i = bisect_left(times, t)
-    return any(abs(x - t) <= TOL for x in times[max(i - 1, 0) : i + 1])
+def _unmatched(times: list[float], queries: list[float]) -> Iterator[float]:
+    """The ascending ``queries`` with none of the ascending ``times`` within TOL (only their neighbours can be)."""
+    j = 0
+    for t in queries:
+        while j < len(times) and times[j] < t:
+            j += 1
+        if not ((j > 0 and abs(times[j - 1] - t) <= TOL) or (j < len(times) and abs(times[j] - t) <= TOL)):
+            yield t
 
 
 def validate_schedule(schedule: ReplicationSchedule) -> list[Violation]:
@@ -303,7 +296,9 @@ def validate_schedule(schedule: ReplicationSchedule) -> list[Violation]:
     [0, horizon], every request served by a local copy at its time, and every
     copy creation sourced by a transfer into that server at its start time
     (the initial copy at the initial server being the one exception).
-    Sorted lookups in the schedule's order keep it at O((m + copies + transfers) log) time.
+    Each check walks records in the schedule's order forward once, with one
+    pointer per server into its spans or its inbound transfer times, which
+    keeps it at O(m + copies + transfers) time.
     """
     inst = schedule.instance
     out: list[Violation] = []
@@ -323,24 +318,22 @@ def validate_schedule(schedule: ReplicationSchedule) -> list[Violation]:
         out.append(Violation(covered, f"coverage gap ({covered:g}, {horizon:g}): no copy alive"))
 
     spans_by_server = _holding_spans(schedule)
-    lows = _span_lows(spans_by_server)
+    walked = dict.fromkeys(spans_by_server, 0)  # per server, its spans that start by the latest request there
     for req in inst.all_requests:
-        if not _holds_through(spans_by_server[req.server], lows[req.server], req.time, req.time):
-            out.append(
-                Violation(req.time, f"request {req.index} at t={req.time:g} unserved: server {req.server} holds no copy")
-            )
+        spans = spans_by_server[req.server]
+        i = walked[req.server] = _walk_spans(spans, walked[req.server], req.time)
+        if not (i and req.time <= spans[i - 1][1] + TOL):
+            message = f"request {req.index} at t={req.time:g} unserved: server {req.server} holds no copy"
+            out.append(Violation(req.time, message))
 
     transfers_in: dict[int, list[float]] = {}  # each destination's inbound times, ascending as stored
     for tr in schedule.transfers:
         transfers_in.setdefault(tr.dst, []).append(tr.time)
     for server, spans in spans_by_server.items():
-        for start, _end in spans:
-            if start <= TOL and server == inst.initial_server:
-                continue
-            if not _any_within_tol(transfers_in.get(server, []), start):
-                out.append(
-                    Violation(start, f"unsourced copy: server {server} copy starting at t={start:g} has no inbound transfer")
-                )
+        starts = [a for a, _ in spans if not (a <= TOL and server == inst.initial_server)]
+        for start in _unmatched(transfers_in.get(server, []), starts):
+            message = f"unsourced copy: server {server} copy starting at t={start:g} has no inbound transfer"
+            out.append(Violation(start, message))
     return out
 
 

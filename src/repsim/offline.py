@@ -54,9 +54,11 @@ walk emits the schedule, step by step.
 
 from __future__ import annotations
 
+import heapq
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -70,11 +72,10 @@ from .model import (
     ReplicationSchedule,
     Transfer,
     Violation,
-    _any_within_tol,
     _check_transfer_cost,
     _holding_spans,
-    _holds_through,
-    _span_lows,
+    _unmatched,
+    _walk_spans,
 )
 
 DEFAULT_BUDGET = 5_000_000_000
@@ -427,37 +428,43 @@ def validate_offline_structure(schedule: ReplicationSchedule) -> list[Violation]
     of storage; otherwise the drop only saves storage. The oracle prunes
     nothing by the law; ``repsim verify`` holds its schedules to it here.
 
-    Sorted lookups keep it at O((m + copies + transfers) log + m n log) time.
+    Each check walks sorted records forward once: (a) one pointer into the
+    request times, (b) one per server into its spans, (c) a sweep line that
+    merges the spans by start and heaps them on ``end + TOL`` while they hold
+    through a gap. That is O(m n + transfers + spans log n + m * live) time.
     """
     inst = schedule.instance
     out: list[Violation] = []
     req_times = [0.0] + [r.time for r in inst.requests]
-    for tr in schedule.transfers:
-        if not _any_within_tol(req_times, tr.time):
-            out.append(Violation(tr.time, f"transfer at t={tr.time:g} coincides with no request time"))
+    for t in _unmatched(req_times, [tr.time for tr in schedule.transfers]):
+        out.append(Violation(t, f"transfer at t={t:g} coincides with no request time"))
 
     spans = _holding_spans(schedule)
-    lows = _span_lows(spans)
-
+    walked = dict.fromkeys(spans, 0)  # per server, its spans that start by its previous request
     prev_at: dict[int, float] = {inst.initial_server: 0.0}
     for req in inst.requests:
         t_prev = prev_at.get(req.server)
         if t_prev is not None and inst.rate(req.server) * (req.time - t_prev) <= inst.transfer_cost + TOL:
-            if not _holds_through(spans[req.server], lows[req.server], t_prev, req.time):
-                out.append(
-                    Violation(
-                        req.time,
-                        f"request {req.index}: server {req.server} does not hold a copy through "
-                        f"({t_prev:g}, {req.time:g}) although storing is no costlier than a transfer",
-                    )
-                )
+            i = walked[req.server] = _walk_spans(spans[req.server], walked[req.server], t_prev)
+            if not (i and req.time <= spans[req.server][i - 1][1] + TOL):
+                message = f"request {req.index}: server {req.server} does not hold a copy through ({t_prev:g}, {req.time:g})"
+                out.append(Violation(req.time, f"{message} although storing is no costlier than a transfer"))
         prev_at[req.server] = req.time
 
+    entering = heapq.merge(*(zip(spans[s], repeat(s)) for s in range(1, inst.n + 1)))  # ((start, end), server)
+    (a, b), s = next(entering, ((math.inf, math.inf), 0))
+    live: list[tuple[float, int]] = []  # (end + TOL, server) of the spans holding through [t0, t1]
     events = [(0.0, inst.initial_server)] + [(r.time, r.server) for r in inst.requests]
     for i, (t0, t1, far) in enumerate(zip(req_times, req_times[1:], _far_sets(inst, events).tolist())):
-        if far & (far - 1):  # two or more servers are far
-            held = [b + 1 for b in range(inst.n) if far >> b & 1 and _holds_through(spans[b + 1], lows[b + 1], t0, t1)]
+        while a - TOL <= t0:
+            heapq.heappush(live, (b + TOL, s))
+            (a, b), s = next(entering, ((math.inf, math.inf), 0))
+        while live and live[0][0] < t1:
+            heapq.heappop(live)
+        if len(live) > 1 and far & (far - 1):  # two or more servers are far
+            # a set: two spans of one server can both hold through a gap inside the band between them
+            held = {server for _, server in live if far >> (server - 1) & 1}
             if len(held) > 1:
-                message = f"far servers {', '.join(map(str, held))} each hold a copy through ({t0:g}, {t1:g})"
-                out.append(Violation(t0, f"request {i}: {message} although one far holder suffices"))
+                message = f"request {i}: far servers {', '.join(map(str, sorted(held)))} each hold a copy"
+                out.append(Violation(t0, f"{message} through ({t0:g}, {t1:g}) although one far holder suffices"))
     return out

@@ -4,8 +4,8 @@
 ``special_copy_problems`` test every request against every span, every span
 against every inbound transfer, every transfer against every request time
 and every special copy against every other copy. The program's versions find
-the same candidates by sorted lookups; tests require both to return equal
-results, in the same order.
+the same candidates by forward walks and sweeps over the sorted records; tests
+require both to return equal results, in the same order.
 """
 
 from __future__ import annotations

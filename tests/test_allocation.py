@@ -67,6 +67,20 @@ def test_served_by_matches_category():
             assert typ.served_by == "local"
 
 
+def test_request_typings_are_immutable_hashable_rows():
+    run, _, report = _alg1_report(fig3_instance())
+    typing = report.entries[0][1]
+    assert R.RequestTyping._fields == ("index", "category", "provider", "switch_time", "served_by")
+    with pytest.raises(AttributeError):
+        typing.category = 4
+    assert typing == R.RequestTyping(*typing) and hash(typing) == hash(R.RequestTyping(*typing))
+    assert len({typ for _, typ, _ in report.entries}) == len(report.entries)
+    # each row restates its request's serve record
+    for (index, _, _, mode, _, _, provider, switch_time), (req, typ, _) in zip(run.serve_rows, report.entries):
+        assert req.index == typ.index == index
+        assert (typ.provider, typ.switch_time, typ.served_by) == (provider, switch_time, mode)
+
+
 def test_conservation_on_random_instances():
     for k in range(300):
         inst = R.gen_random(seed=5000 + k, n=1 + k % 5, m=1 + k % 30)

@@ -1,15 +1,16 @@
 """The schedule validators against their quadratic references, from tiny to trace scale.
 
-Every schedule here is checked twice: by the program's sorted-lookup
+Every schedule here is checked twice: by the program's forward-walk
 validators and by the direct scans kept in ``reference_validators``. The two
 must return equal lists, in the same order. The mutations shift times by
 fractions and multiples of TOL, also at trace-scale magnitudes (offset 6e5,
-where TOL is a few ulps), so that the lookups are exercised at the
+where TOL is a few ulps), so that the walks are exercised at the
 tolerance's edges.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import replace
 
@@ -144,6 +145,46 @@ def test_validators_at_tolerance_edges():
     assert _check_against_reference(schedule) == {"gap"}
     assert [v.time for v in R.validate_schedule(schedule)] == [1.0]
     assert R.validate_offline_structure(schedule) == []
+
+
+def _far_pair_steps(violations: list[R.Violation]) -> list[str]:
+    """The "request i" that opens each one-far-holder violation."""
+    return [v.description.split(":")[0] for v in violations if KINDS["far-pair"] in v.description]
+
+
+def test_validators_at_exact_tolerance_edges():
+    # the times are computed as the validators compute their bounds, so the span [2, 6] at
+    # server 2 starts by t0 and lasts through t1 with equality at both edges
+    t0, t1 = 2.0 - TOL, 6.0 + TOL
+    inst = R.Instance.build([1.0, 2.0], 1.0, 1, [(t0, 2), (t1, 1)])
+    copies = (R.CopyInterval(1, 0.0, 30.0), R.CopyInterval(2, 2.0, 6.0))
+    schedule = R.ReplicationSchedule(inst, copies, (R.Transfer(2.0, 1, 2),))
+    assert R.validate_schedule(schedule) == ref.validate_schedule(schedule) == []
+    found = R.validate_offline_structure(schedule)
+    assert found == ref.validate_offline_structure(schedule)
+    # both servers are far at step 1 (no request at 2 follows; 1's comes after 4 time units)
+    assert _far_pair_steps(found) == ["request 1"]
+
+
+def test_far_holder_sweep_names_a_server_in_the_tol_band_once():
+    # server 1 holds [0, 10] and again from 10 + 1.5 TOL; both spans hold through the step
+    # from 10 + 0.6 TOL to 10 + 0.9 TOL, whose requests at server 3 lie inside that band
+    t0, t1 = 10 + 0.6 * TOL, 10 + 0.9 * TOL
+    inst = R.Instance.build([1.0, 2.0, 3.0], 1.0, 1, [(t0, 3), (t1, 3), (50.0, 2)])
+    band = [R.CopyInterval(1, 0.0, 10.0), R.CopyInterval(1, 10 + 1.5 * TOL, 100.0), R.CopyInterval(3, t0, t1)]
+    transfers = [R.Transfer(t0, 1, 3), R.Transfer(10 + 1.5 * TOL, 3, 1)]
+    step = f"({t0:g}, {t1:g}) although one far holder suffices"
+    # servers 1 and 2 are far there (no request at 1 follows, the next one at 2 comes at 50); 3 is near
+    alone = R.ReplicationSchedule(inst, band, transfers)
+    found = R.validate_offline_structure(alone)
+    assert found == ref.validate_offline_structure(alone)
+    assert not [v for v in found if step in v.description]
+    # a second far holder through the gap: the violation names server 1 once
+    paired = R.ReplicationSchedule(inst, band + [R.CopyInterval(2, 0.0, 100.0)], transfers + [R.Transfer(0.0, 1, 2)])
+    found = R.validate_offline_structure(paired)
+    assert found == ref.validate_offline_structure(paired)
+    expected = f"request 1: far servers 1, 2 each hold a copy through {step}"
+    assert [v.description for v in found if step in v.description] == [expected]
 
 
 def _run(schedule: R.ReplicationSchedule) -> R.AnnotatedRun:
@@ -299,3 +340,49 @@ def test_validators_at_trace_scale(trace_instance):
     assert R.validate_schedule(shortened) == [unserved]
     both, _ = _drop_one_transfer(shortened)
     assert R.validate_schedule(both) == [unserved, unsourced]
+
+
+def _far(inst: R.Instance, i: int) -> list[int]:
+    """The servers far at step ``i``, as the reference finds them."""
+    events = [(0.0, inst.initial_server)] + [(r.time, r.server) for r in inst.requests]
+    t0 = events[i][0]
+    nxt = {s.index: min((t for t, x in events[i + 1 :] if x == s.index), default=math.inf) for s in inst.servers}
+    return [s.index for s in inst.servers if s.rate * (nxt[s.index] - t0) > inst.transfer_cost + TOL]
+
+
+def _second_far_holder(schedule, start: int):
+    """Add a copy at a second far server through the first gap from step ``start`` on with one far holder.
+
+    The copy is sourced by a transfer from that holder at the gap's start. Returns (schedule, step).
+    """
+    inst = schedule.instance
+    times = [0.0] + [r.time for r in inst.requests]
+    spans = _holding_spans(schedule)
+    for i in range(start, inst.m):
+        far = _far(inst, i)
+        holders = [s for s in far if any(a - TOL <= times[i] and times[i + 1] <= b + TOL for a, b in spans[s])]
+        if len(holders) == 1 and len(far) > 1:
+            other = next(s for s in far if s != holders[0])
+            copies = schedule.copies + (R.CopyInterval(other, times[i], times[i + 1]),)
+            return _with(schedule, copies, schedule.transfers + (R.Transfer(times[i], holders[0], other),)), i
+    raise AssertionError("no gap with one far holder and a second far server")
+
+
+def test_offline_structure_agrees_with_reference_on_a_trace_prefix(trace_instance):
+    # the reference scans every later request per step and server, so a 300-request prefix
+    requests = [(r.time, r.server) for r in trace_instance.requests[:300]]
+    inst = R.Instance.build([s.rate for s in trace_instance.servers], trace_instance.transfer_cost, 1, requests)
+    schedule = R.opt_full(inst).schedule
+    assert R.validate_offline_structure(schedule) == ref.validate_offline_structure(schedule) == []
+    paired, step = _second_far_holder(schedule, 150)
+    found = R.validate_offline_structure(paired)
+    assert found == ref.validate_offline_structure(paired)
+    assert _far_pair_steps(found) == [f"request {step}"]
+    k = len(schedule.transfers) // 2
+    tr = schedule.transfers[k]
+    moved = schedule.transfers[:k] + (tr._replace(time=tr.time + 1e-3),) + schedule.transfers[k + 1 :]
+    both, _ = _second_far_holder(_with(schedule, transfers=moved), 150)
+    for mutated in (_with(schedule, transfers=moved), both):
+        found = R.validate_offline_structure(mutated)
+        assert found == ref.validate_offline_structure(mutated)
+        assert f"transfer at t={tr.time + 1e-3:g} coincides with no request time" in [v.description for v in found]
