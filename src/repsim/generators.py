@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import Instance, compute_cost
-from .policies import Policy, Simulation, make_policy
+from .policies import Policy, Simulation, make_policy, relocates
 
 
 class ParameterError(ValueError):
@@ -120,8 +120,9 @@ def gen_tight(which: int, mu2: float, lam: float = 1.0, epsilon: float = 1e-4, t
     """Tight two-server instances matching the three competitive-ratio regimes.
 
     which=1 (rate spread <= 2): ratio 4*lam / (2*lam + eps).
-    which=2 (2 < spread <= 3): ratio (4*lam + mu2*tau) / (2*lam + tau + eps).
-    which=3 (spread > 3): ratio (3*lam + eps) / (lam + mu2*eps).
+    which=2 (2 < spread, sole copy kept): ratio (4*lam + mu2*tau) / (2*lam + tau + eps).
+    which=3 (sole copy relocated): ratio (3*lam + eps) / (lam + mu2*eps).
+    The threshold policy's own rule, ``relocates(mu2, 1)`` or mu2 > 3 + 1e-9, parts 2 from 3.
     """
     if lam <= 0:
         raise ParameterError(f"lam must satisfy lam > 0, got {lam}")
@@ -136,8 +137,8 @@ def gen_tight(which: int, mu2: float, lam: float = 1.0, epsilon: float = 1e-4, t
         inst = Instance.build([1.0, mu2], lam, 1, [(t1, 2), (lam + epsilon, 1)])
         return TightResult(inst, 4.0 * lam, 2.0 * lam + epsilon)
     if which == 2:
-        if not 2.0 < mu2 <= 3.0:
-            raise ParameterError(f"which=2 requires 2 < mu2 <= 3, got {mu2}")
+        if not 2.0 < mu2 or relocates(mu2, 1.0):
+            raise ParameterError(f"which=2 requires 2 < mu2 <= 3 + 1e-9, got {mu2}")
         if epsilon >= lam / mu2:
             raise ParameterError(f"which=2 requires epsilon < lam/mu2 = {lam / mu2:g}, got {epsilon}")
         if tau <= 0:
@@ -146,8 +147,8 @@ def gen_tight(which: int, mu2: float, lam: float = 1.0, epsilon: float = 1e-4, t
         inst = Instance.build([1.0, mu2], lam, 1, [(t1, 2), (lam + tau + epsilon, 1)])
         return TightResult(inst, 4.0 * lam + mu2 * tau, 2.0 * lam + tau + epsilon)
     if which == 3:
-        if mu2 <= 3.0:
-            raise ParameterError(f"which=3 requires mu2 > 3, got {mu2}")
+        if not relocates(mu2, 1.0):
+            raise ParameterError(f"which=3 requires mu2 > 3 + 1e-9, got {mu2}")
         t1 = lam / mu2 + epsilon
         inst = Instance.build([1.0, mu2], lam, 2, [(t1, 2)])
         return TightResult(inst, 3.0 * lam + epsilon, lam + mu2 * epsilon)

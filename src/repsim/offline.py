@@ -128,23 +128,6 @@ def _rate_sums(instance: Instance) -> np.ndarray:
     return ratesum
 
 
-def _far_sets(instance: Instance, events: list[tuple[float, int]]) -> np.ndarray:
-    """Per step, the bits of the servers that are far under the instance's transfer cost.
-
-    Server ``b + 1`` is far at step ``i`` when storing from ``t_i`` to its
-    next request after ``t_i`` (or forever, without one) costs more than a
-    transfer plus ``TOL``; rounding ties are near. The next requests come
-    from one backward pass, a running minimum over the reversed events.
-    """
-    times = np.array([t for t, _ in events])
-    following = np.full((len(events) + 1, instance.n), math.inf)  # row i: each server's first request from step i on
-    following[np.arange(len(events)), [server - 1 for _, server in events]] = times
-    following = np.minimum.accumulate(following[::-1])[::-1]
-    rates = np.array([server.rate for server in instance.servers])
-    far = rates * (following[1:] - times[:, None]) > instance.transfer_cost + TOL
-    return far @ (1 << np.arange(instance.n))
-
-
 _SHORT_RUN = 4  # views made of runs this short or shorter put the axis across runs last
 
 
@@ -418,7 +401,7 @@ def validate_offline_structure(schedule: ReplicationSchedule) -> list[Violation]
     at each step ``i`` before the last, at most one server is both far at
     step ``i`` and holding a copy through ``[t_i, t_(i+1)]``. Server ``s`` is
     far at step ``i`` when ``rate_s * (next request at s after t_i - t_i) >
-    transfer + TOL`` (``_far_sets``); rounding ties are near.
+    transfer + TOL`` (``inf`` without one); rounding ties are near.
 
     The law holds for some optimal schedule. Of two far holders, drop at
     ``t_i`` the one whose copy ends first. The other survives at least as
@@ -431,11 +414,15 @@ def validate_offline_structure(schedule: ReplicationSchedule) -> list[Violation]
     Each check walks sorted records forward once: (a) one pointer into the
     request times, (b) one per server into its spans, (c) a sweep line that
     merges the spans by start and heaps them on ``end + TOL`` while they hold
-    through a gap. That is O(m n + transfers + spans log n + m * live) time.
+    through a gap; it tests far-ness only for the live spans' servers, each
+    against its next request, which one backward pass over the steps gives per
+    step and the forward walk keeps per server. That is O(m n + transfers +
+    spans log n + m * live) time.
     """
     inst = schedule.instance
     out: list[Violation] = []
-    req_times = [0.0] + [r.time for r in inst.requests]
+    steps = [(0.0, inst.initial_server)] + [(r.time, r.server) for r in inst.requests]
+    req_times = [t for t, _ in steps]
     for t in _unmatched(req_times, [tr.time for tr in schedule.transfers]):
         out.append(Violation(t, f"transfer at t={t:g} coincides with no request time"))
 
@@ -451,19 +438,26 @@ def validate_offline_structure(schedule: ReplicationSchedule) -> list[Violation]
                 out.append(Violation(req.time, f"{message} although storing is no costlier than a transfer"))
         prev_at[req.server] = req.time
 
+    upcoming = [math.inf] * (inst.n + 1)  # per server, its first request after the walked step
+    after = []  # per step, last first, its requester's next request; the forward walk pops them
+    for t, server in reversed(steps):
+        after.append(upcoming[server])
+        upcoming[server] = t
+    rates = [0.0] + [server.rate for server in inst.servers]
+    bar = inst.transfer_cost + TOL
     entering = heapq.merge(*(zip(spans[s], repeat(s)) for s in range(1, inst.n + 1)))  # ((start, end), server)
     (a, b), s = next(entering, ((math.inf, math.inf), 0))
     live: list[tuple[float, int]] = []  # (end + TOL, server) of the spans holding through [t0, t1]
-    events = [(0.0, inst.initial_server)] + [(r.time, r.server) for r in inst.requests]
-    for i, (t0, t1, far) in enumerate(zip(req_times, req_times[1:], _far_sets(inst, events).tolist())):
+    for i, ((t0, q), t1) in enumerate(zip(steps, req_times[1:])):
+        upcoming[q] = after.pop()
         while a - TOL <= t0:
             heapq.heappush(live, (b + TOL, s))
             (a, b), s = next(entering, ((math.inf, math.inf), 0))
         while live and live[0][0] < t1:
             heapq.heappop(live)
-        if len(live) > 1 and far & (far - 1):  # two or more servers are far
+        if len(live) > 1:
             # a set: two spans of one server can both hold through a gap inside the band between them
-            held = {server for _, server in live if far >> (server - 1) & 1}
+            held = {server for _, server in live if rates[server] * (upcoming[server] - t0) > bar}
             if len(held) > 1:
                 message = f"request {i}: far servers {', '.join(map(str, sorted(held)))} each hold a copy"
                 out.append(Violation(t0, f"{message} through ({t0:g}, {t1:g}) although one far holder suffices"))

@@ -97,13 +97,18 @@ class Policy:
         raise NotImplementedError
 
 
+def relocates(rate: float, cheapest: float) -> bool:
+    """The threshold rule: a sole copy at ``rate`` moves to the cheapest server when ``rate > 3 * cheapest + TOL``."""
+    return rate > 3.0 * cheapest + TOL
+
+
 class ThresholdPolicy(Policy):
     """Per-request windows with sole-copy special handling.
 
     After each local request a server keeps the copy for window = transfer
     cost / its rate. On expiry a non-sole copy is dropped. A sole copy is
-    kept indefinitely where the rate is at most three times the cheapest
-    rate, and otherwise moved to the cheapest server and kept there. A
+    kept indefinitely where its rate is at most three times the cheapest plus
+    TOL (``relocates``), and otherwise moved to the cheapest server and kept there. A
     holder that has been silent at least one full window drops its copy
     right after serving an outward transfer.
     """
@@ -127,7 +132,7 @@ class ThresholdPolicy(Policy):
     def expire(self, sim: "Simulation", time: float, server: int) -> None:
         if len(sim.expiry) > 1:
             sim.drop(server)
-        elif self._inst.rate(server) <= 3.0 * self._inst.rate(1) + TOL:
+        elif not relocates(self._inst.rate(server), self._inst.rate(1)):
             sim.mark(server, KIND_RESIDENT_SPECIAL)
             sim.hold(server, math.inf)
         else:

@@ -22,11 +22,10 @@ from .model import (
     Instance,
     compute_cost,
     competitive_bound,
-    max_min_rate_ratio,
     validate_schedule,
 )
 from .offline import BudgetExceeded, DEFAULT_BUDGET, opt_full, validate_offline_structure
-from .policies import AnnotatedRun, simulate
+from .policies import AnnotatedRun, relocates, simulate
 
 
 def _overlaps(a: CopyInterval, b: CopyInterval) -> bool:
@@ -69,8 +68,8 @@ def special_copy_problems(run: AnnotatedRun) -> list[str]:
 
     No two special intervals may overlap, no special interval may overlap a
     regular one, relocated copies live only at a minimum-rate server, and
-    requests served from relocated copies exist only when some rate exceeds
-    three times the cheapest.
+    relocated copies exist only when the dearest rate crosses the threshold
+    policy's rule, ``relocates``: more than three times the cheapest plus TOL.
     """
     inst = run.schedule.instance
     out: list[str] = []
@@ -85,8 +84,8 @@ def special_copy_problems(run: AnnotatedRun) -> list[str]:
     for c in specials:
         if c.kind == KIND_RELOCATED_SPECIAL and inst.rate(c.server) > min_rate + TOL:
             out.append(f"relocated copy at non-minimum-rate server {c.server}")
-    if any(c.kind == KIND_RELOCATED_SPECIAL for c in run.schedule.copies) and max_min_rate_ratio(inst) <= 3.0 + TOL:
-        out.append("relocated copy exists although no rate exceeds three times the cheapest")
+    if any(c.kind == KIND_RELOCATED_SPECIAL for c in specials) and not relocates(inst.servers[-1].rate, min_rate):
+        out.append(f"relocated copy exists although no rate exceeds 3 x {min_rate:g} + 1e-9")
     return out
 
 
@@ -98,14 +97,15 @@ def typing_problems(run: AnnotatedRun) -> list[str]:
 def _typing_problems(run: AnnotatedRun, report: AllocationReport) -> list[str]:
     """``typing_problems`` of ``run``, whose allocation ``report`` is already made."""
     inst = run.schedule.instance
-    lam = inst.transfer_cost
     out: list[str] = []
-    spread = max_min_rate_ratio(inst)
+    cheapest = inst.rate(1)
+    relocating = relocates(inst.servers[-1].rate, cheapest)
+    rule = f"3 x {cheapest:g} + 1e-9"
     all_reqs = inst.all_requests
     prev_at: dict[int, float] = {inst.initial_server: 0.0}
     for req, typing, _alloc in report.entries:
         t_prev = prev_at.get(req.server)
-        window = lam / inst.rate(req.server)
+        window = inst.transfer_cost / inst.rate(req.server)
         if t_prev is not None:
             gap = req.time - t_prev
             if typing.category == 4 and gap > window + TOL:
@@ -114,10 +114,10 @@ def _typing_problems(run: AnnotatedRun, report: AllocationReport) -> list[str]:
                 out.append(f"request {req.index} not window-served although gap {gap:g} <= {window:g}")
         if typing.category in (2, 5):
             provider_rate = inst.rate(all_reqs[typing.provider].server)
-            if provider_rate > 3.0 * inst.rate(1) + TOL:
-                out.append(f"request {req.index} served from a retained copy at rate {provider_rate:g} over threshold")
-        if typing.category in (3, 6) and spread <= 3.0 + TOL:
-            out.append(f"request {req.index} is category {typing.category} although max/min rate ratio is {spread:g}")
+            if relocates(provider_rate, cheapest):
+                out.append(f"request {req.index} served from a retained copy at rate {provider_rate:g} > {rule}")
+        if typing.category in (3, 6) and not relocating:
+            out.append(f"request {req.index} is category {typing.category} although no rate exceeds {rule}")
         prev_at[req.server] = req.time
     return out
 

@@ -19,7 +19,6 @@ from repsim.model import (
     ReplicationSchedule,
     Violation,
     _holding_spans,
-    max_min_rate_ratio,
 )
 from repsim.policies import AnnotatedRun
 
@@ -131,8 +130,8 @@ def special_copy_problems(run: AnnotatedRun) -> list[str]:
 
     No two special intervals may overlap, no special interval may overlap a
     regular one, relocated copies live only at a minimum-rate server, and
-    requests served from relocated copies exist only when some rate exceeds
-    three times the cheapest.
+    relocated copies exist only when some rate exceeds three times the
+    cheapest plus TOL, the threshold policy's absolute form of its rule.
     """
     inst = run.schedule.instance
     out: list[str] = []
@@ -149,6 +148,8 @@ def special_copy_problems(run: AnnotatedRun) -> list[str]:
     for c in specials:
         if c.kind == "relocated_special" and inst.rate(c.server) > min_rate + TOL:
             out.append(f"relocated copy at non-minimum-rate server {c.server}")
-    if any(c.kind == "relocated_special" for c in run.schedule.copies) and max_min_rate_ratio(inst) <= 3.0 + TOL:
-        out.append("relocated copy exists although no rate exceeds three times the cheapest")
+    if any(c.kind == "relocated_special" for c in run.schedule.copies) and all(
+        s.rate <= 3.0 * min_rate + TOL for s in inst.servers
+    ):
+        out.append(f"relocated copy exists although no rate exceeds 3 x {min_rate:g} + 1e-9")
     return out

@@ -123,8 +123,20 @@ def test_tight_bracket_rejections():
         R.gen_tight(2, mu2=2.0)
     with pytest.raises(R.ParameterError):
         R.gen_tight(3, mu2=3.0)
+    with pytest.raises(R.ParameterError, match=r"which=3 requires mu2 > 3 \+ 1e-9"):
+        R.gen_tight(3, mu2=3 + 5e-10)  # the threshold policy keeps a sole copy here
+    with pytest.raises(R.ParameterError, match=r"which=2 requires 2 < mu2 <= 3 \+ 1e-9"):
+        R.gen_tight(2, mu2=3 + 2e-9)
     with pytest.raises(R.ParameterError):
         R.gen_tight(4, mu2=2.0)
+
+
+@pytest.mark.parametrize("which, mu2", [(2, 3 + 5e-10), (3, 3 + 2e-9)])
+def test_tight_brackets_follow_the_threshold_rule(which, mu2):
+    # within TOL of 3 the policy keeps its sole copy, just beyond it relocates, and the closed form follows
+    res = R.gen_tight(which, mu2=mu2)
+    _, cost = R.simulate("alg1", res.instance)
+    assert abs(cost.total - res.online_cost) <= 1e-9 * res.online_cost
 
 
 def test_adversary_branch_formulas():

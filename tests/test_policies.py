@@ -237,6 +237,14 @@ def test_threshold_special_structure_on_random_instances():
         assert R.typing_problems(run) == []
 
 
+def test_verify_accepts_a_relocation_just_over_the_threshold():
+    # 3000.000000002 > 3 x 1000 + TOL, so the sole copy relocates, though the rate ratio is within TOL of 3
+    inst = R.Instance.build([1000.0, 3000.000000002], 1.0, 2, [(1.0, 2)])
+    run, _ = R.simulate("alg1", inst)
+    assert {c.kind for c in run.schedule.copies if c.server == 1} == {"relocated_special"}
+    assert R.verify_instance(inst) == []
+
+
 def test_policies_sound_across_initial_servers():
     # competitive bound of the threshold policy holds from any start; the
     # anchor benchmark's 3x bound specifically assumes the copy starts at

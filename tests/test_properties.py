@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import repsim as R
 from conftest import instances
 from reference_oracle import creation_passes, far_sets, full_prefix_optima, reference_schedule
-from repsim.offline import LIST_STEP_MAX_N, _far_sets, _list_steps, _reconstruct, _table_steps
+from repsim.offline import LIST_STEP_MAX_N, _list_steps, _reconstruct, _table_steps
 
 TOL = 1e-9
 
@@ -138,12 +138,6 @@ def test_reconstructed_schedules_equal_the_came_from_reference(inst):
 
 
 @given(instances(max_n=5))
-def test_far_sets_equal_the_loop_reference(inst):
-    events = [(0.0, inst.initial_server)] + [(r.time, r.server) for r in inst.requests]
-    assert _far_sets(inst, events).tolist() == far_sets(inst)
-
-
-@given(instances(max_n=5))
 def test_reconstructed_schedules_keep_at_most_one_far_holder(inst):
     # the one-far-holder law: between requests, at most one holder waits longer for its
     # next request than storing there until then is worth (rounding ties are near)
@@ -164,6 +158,30 @@ def test_optimum_bounds_every_policy(inst):
         assert cost.total >= opt - TOL, name
         if name == "alg1":
             assert cost.total <= R.competitive_bound(inst) * opt + TOL
+
+
+@st.composite
+def threshold_edge_instances(draw) -> R.Instance:
+    """Two or three servers, the dearest rate within 2 TOL or 1e-12 relative of three times the cheapest.
+
+    The cheapest rate is log-uniform in [1e-3, 1e4]; the transfer cost scales with it, so the
+    windows keep the scale of the gaps between requests.
+    """
+    cheapest = 10.0 ** draw(st.floats(-3.0, 4.0))
+    delta = draw(st.sampled_from((-2 * TOL, -TOL / 2, 0.0, TOL / 2, 2 * TOL, 1e-12 * cheapest, -1e-12 * cheapest)))
+    dearest = 3.0 * cheapest + delta
+    rates = [cheapest] + draw(st.lists(st.floats(cheapest, dearest), max_size=1)) + [dearest]
+    times = list(accumulate(draw(st.lists(st.floats(0.01, 3.0), max_size=12))))
+    servers = draw(st.lists(st.integers(1, len(rates)), min_size=len(times), max_size=len(times)))
+    lam = cheapest * draw(st.floats(0.25, 4.0))
+    return R.Instance.build(rates, lam, draw(st.integers(1, len(rates))), list(zip(times, servers)))
+
+
+@given(threshold_edge_instances())
+def test_threshold_checks_follow_the_policy_rule_at_every_scale(inst):
+    run, _ = R.simulate("alg1", inst)
+    assert R.special_copy_problems(run) == []
+    assert R.typing_problems(run) == []
 
 
 POLICY_NAMES = ("alg1", "wang", "simple")

@@ -15,7 +15,7 @@ import random
 from dataclasses import replace
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import reference_validators as ref
@@ -187,6 +187,33 @@ def test_far_holder_sweep_names_a_server_in_the_tol_band_once():
     assert [v.description for v in found if step in v.description] == [expected]
 
 
+@pytest.mark.parametrize("requester", [1, 2])
+def test_far_tie_is_near_and_one_ulp_above_is_far(requester):
+    # server 1 holds through the gap from step 1 and is never requested again, so it is far;
+    # server 2 holds through it too, and storing there until its next request costs exactly
+    # the transfer plus TOL in floats (near), or one ulp of that request time more (far)
+    rate, t0, bar = 1.5, 0.7, 1.0 + TOL  # the tying gap is one ulp off bar / rate
+    tie = t0 + bar / rate
+    while rate * (tie - t0) > bar:
+        tie = math.nextafter(tie, -math.inf)
+    while rate * (tie - t0) < bar:
+        tie = math.nextafter(tie, math.inf)
+    above = math.nextafter(tie, math.inf)
+    assert rate * (tie - t0) == bar < rate * (above - t0)
+    found = {}
+    for label, t1 in (("tie", tie), ("above", above)):
+        inst = R.Instance.build([1.0, rate], 1.0, 1, [(t0, requester), (t1, 2)])
+        copies = (R.CopyInterval(1, 0.0, 10.0), R.CopyInterval(2, t0, 10.0))
+        schedule = R.ReplicationSchedule(inst, copies, (R.Transfer(t0, 1, 2),))
+        assert R.validate_schedule(schedule) == []
+        found[label] = R.validate_offline_structure(schedule)
+        assert found[label] == ref.validate_offline_structure(schedule)
+    assert found["tie"] == []
+    assert [v.description for v in found["above"]] == [
+        f"request 1: far servers 1, 2 each hold a copy through ({t0:g}, {above:g}) although one far holder suffices"
+    ]
+
+
 def _run(schedule: R.ReplicationSchedule) -> R.AnnotatedRun:
     return R.AnnotatedRun(schedule, (), "alg1")
 
@@ -202,6 +229,7 @@ def threshold_instances(draw) -> R.Instance:
 
 
 @given(threshold_instances())
+@example(R.Instance.build([1000.0, 3000.000000002], 1.0, 2, [(1.0, 2)]))  # relocates: 3000.000000002 > 3 x 1000 + TOL
 def test_special_copy_check_agrees_with_reference(inst):
     run, _ = R.simulate("alg1", inst)
     assert R.special_copy_problems(run) == ref.special_copy_problems(run) == []
@@ -282,7 +310,7 @@ def test_special_copy_check_reports_overlaps_in_reference_order():
         f"special copy overlaps a regular copy: {f} and {c}",
         f"special copy overlaps a regular copy: {e} and {c}",
         "relocated copy at non-minimum-rate server 2",
-        "relocated copy exists although no rate exceeds three times the cheapest",
+        "relocated copy exists although no rate exceeds 3 x 1 + 1e-9",
     ]
 
 
