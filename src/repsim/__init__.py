@@ -44,9 +44,10 @@ from .model import (
     load_instance,
     loads_instance,
     max_min_rate_ratio,
+    validate_offline_structure,
     validate_schedule,
 )
-from .offline import BudgetExceeded, DPSolution, opt_costs, opt_full, opt_restricted, validate_offline_structure
+from .offline import BudgetExceeded, DPSolution, opt_costs, opt_full, opt_restricted
 from .policies import (
     POLICIES,
     AnnotatedRun,

@@ -24,6 +24,12 @@ class ParameterError(ValueError):
     """A generator parameter fell outside its admissible range."""
 
 
+def _check(name: str, value: float, ok: bool, rule: str) -> None:
+    """Refuse parameter ``name`` unless ``value`` is finite and ``ok``, the test of ``rule``; NaN fails every test."""
+    if not (ok and math.isfinite(value)):
+        raise ParameterError(f"{name} must satisfy {rule}, got {value}")
+
+
 @dataclass(frozen=True)
 class CounterexampleResult:
     instance: Instance
@@ -66,15 +72,10 @@ def gen_fig1(m: int, lam: float, delta: float, epsilon: float) -> Counterexample
     """
     if m < 3:
         raise ParameterError(f"m must satisfy m >= 3, got {m}")
-    if lam <= 0:
-        raise ParameterError(f"lam must satisfy lam > 0, got {lam}")
-    if delta <= 0:
-        raise ParameterError(f"delta must satisfy delta > 0, got {delta}")
+    _check("lam", lam, lam > 0, "0 < lam < inf")
+    _check("delta", delta, delta > 0, "0 < delta < inf")
     limit = lam - lam / (1.0 + delta)
-    if not 0 < epsilon < limit:
-        raise ParameterError(
-            f"epsilon must satisfy 0 < epsilon < lam - lam/(1+delta) = {limit:g}, got {epsilon}"
-        )
+    _check("epsilon", epsilon, 0 < epsilon < limit, f"0 < epsilon < lam - lam/(1+delta) = {limit:g}")
     requests = [(epsilon + (k - 2) * lam, 2) for k in range(2, m + 1)]
     inst = Instance.build([1.0, 1.0 + delta], lam, 1, requests)
     wang_bound = (m - 2) * 3.0 * lam + lam + epsilon
@@ -92,12 +93,9 @@ def gen_fig2(m: int, lam: float, mu2: float, epsilon: float) -> CounterexampleRe
     """
     if m < 3:
         raise ParameterError(f"m must satisfy m >= 3, got {m}")
-    if lam <= 0:
-        raise ParameterError(f"lam must satisfy lam > 0, got {lam}")
-    if mu2 < 1:
-        raise ParameterError(f"mu2 must satisfy mu2 >= 1, got {mu2}")
-    if epsilon <= 0:
-        raise ParameterError(f"epsilon must satisfy epsilon > 0, got {epsilon}")
+    _check("lam", lam, lam > 0, "0 < lam < inf")
+    _check("mu2", mu2, mu2 >= 1, "1 <= mu2 < inf")
+    _check("epsilon", epsilon, epsilon > 0, "0 < epsilon < inf")
     spacing = lam + lam / mu2 + epsilon
     t = lam - lam / mu2 + epsilon
     requests = []
@@ -124,10 +122,9 @@ def gen_tight(which: int, mu2: float, lam: float = 1.0, epsilon: float = 1e-4, t
     which=3 (sole copy relocated): ratio (3*lam + eps) / (lam + mu2*eps).
     The threshold policy's own rule, ``relocates(mu2, 1)`` or mu2 > 3 + 1e-9, parts 2 from 3.
     """
-    if lam <= 0:
-        raise ParameterError(f"lam must satisfy lam > 0, got {lam}")
-    if epsilon <= 0:
-        raise ParameterError(f"epsilon must satisfy epsilon > 0, got {epsilon}")
+    _check("lam", lam, lam > 0, "0 < lam < inf")
+    _check("epsilon", epsilon, epsilon > 0, "0 < epsilon < inf")
+    _check("mu2", mu2, mu2 > 1, "1 < mu2 < inf")
     if which == 1:
         if not 1.0 < mu2 <= 2.0:
             raise ParameterError(f"which=1 requires 1 < mu2 <= 2, got {mu2}")
@@ -141,8 +138,7 @@ def gen_tight(which: int, mu2: float, lam: float = 1.0, epsilon: float = 1e-4, t
             raise ParameterError(f"which=2 requires 2 < mu2 <= 3 + 1e-9, got {mu2}")
         if epsilon >= lam / mu2:
             raise ParameterError(f"which=2 requires epsilon < lam/mu2 = {lam / mu2:g}, got {epsilon}")
-        if tau <= 0:
-            raise ParameterError(f"which=2 requires tau > 0, got {tau}")
+        _check("tau", tau, tau > 0, "0 < tau < inf")
         t1 = (1.0 - 1.0 / mu2) * lam + epsilon
         inst = Instance.build([1.0, mu2], lam, 1, [(t1, 2), (lam + tau + epsilon, 1)])
         return TightResult(inst, 4.0 * lam + mu2 * tau, 2.0 * lam + tau + epsilon)
@@ -174,12 +170,9 @@ def run_adversary(policy: "Policy | str", mu: float, lam: float = 1.0, epsilon: 
     above 2; if it abandons the copy earlier, one request right after the
     abandonment does.
     """
-    if mu <= 4:
-        raise ParameterError(f"mu must satisfy mu > 4, got {mu}")
-    if lam <= 0:
-        raise ParameterError(f"lam must satisfy lam > 0, got {lam}")
-    if epsilon <= 0:
-        raise ParameterError(f"epsilon must satisfy epsilon > 0, got {epsilon}")
+    _check("mu", mu, mu > 4, "4 < mu < inf")
+    _check("lam", lam, lam > 0, "0 < lam < inf")
+    _check("epsilon", epsilon, epsilon > 0, "0 < epsilon < inf")
     if isinstance(policy, str):
         policy = make_policy(policy)
     probe = lam / mu + 4.0 * lam / mu**2

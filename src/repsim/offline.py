@@ -49,16 +49,15 @@ cheapest final subset back through each step's passes in reverse, one bit
 lookup per pass run over a bit the subset holds (undoing pass ``b`` toggles
 bit ``b`` only), so on exact ties the schedule is the first strictly cheaper
 path in pass order. Undoing a step gives the holders before it, so the same
-walk emits the schedule, step by step.
+walk emits the schedule, step by step. This module holds the oracle only:
+``model.validate_offline_structure`` checks the laws its schedules obey.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -66,16 +65,12 @@ from .model import (
     KIND_OFFLINE,
     PURPOSE_CREATE,
     PURPOSE_SERVE,
-    TOL,
     CopyInterval,
     Instance,
     ReplicationSchedule,
     Transfer,
-    Violation,
     _check_transfer_cost,
-    _holding_spans,
-    _unmatched,
-    _walk_spans,
+    validate_offline_structure,  # perfbench/spans.py wraps the validator by this name; goes with opt_restricted
 )
 
 DEFAULT_BUDGET = 5_000_000_000
@@ -389,76 +384,3 @@ def opt_costs(instance: Instance, transfer_costs: Sequence[float], *, budget: in
         _check_transfer_cost(float(cost))
     optima, _ = _solve(instance, transfer_costs, budget, False, False)
     return tuple(optima[0].tolist())
-
-
-def validate_offline_structure(schedule: ReplicationSchedule) -> list[Violation]:
-    """Check the structural laws every optimal schedule can be assumed to obey.
-
-    (a) every transfer happens at some request time (the synthetic time-0
-    request included); (b) when two consecutive requests at one server are
-    close enough that storing between them is no costlier than one transfer,
-    the server holds a copy throughout the gap; (c) the one-far-holder law:
-    at each step ``i`` before the last, at most one server is both far at
-    step ``i`` and holding a copy through ``[t_i, t_(i+1)]``. Server ``s`` is
-    far at step ``i`` when ``rate_s * (next request at s after t_i - t_i) >
-    transfer + TOL`` (``inf`` without one); rounding ties are near.
-
-    The law holds for some optimal schedule. Of two far holders, drop at
-    ``t_i`` the one whose copy ends first. The other survives at least as
-    long, so it keeps the object alive and can act as a source. If the
-    dropped copy would have lasted to its server's next request, serving that
-    request by transfer costs one transfer and saves more than one transfer
-    of storage; otherwise the drop only saves storage. The oracle prunes
-    nothing by the law; ``repsim verify`` holds its schedules to it here.
-
-    Each check walks sorted records forward once: (a) one pointer into the
-    request times, (b) one per server into its spans, (c) a sweep line that
-    merges the spans by start and heaps them on ``end + TOL`` while they hold
-    through a gap; it tests far-ness only for the live spans' servers, each
-    against its next request, which one backward pass over the steps gives per
-    step and the forward walk keeps per server. That is O(m n + transfers +
-    spans log n + m * live) time.
-    """
-    inst = schedule.instance
-    out: list[Violation] = []
-    steps = [(0.0, inst.initial_server)] + [(r.time, r.server) for r in inst.requests]
-    req_times = [t for t, _ in steps]
-    for t in _unmatched(req_times, [tr.time for tr in schedule.transfers]):
-        out.append(Violation(t, f"transfer at t={t:g} coincides with no request time"))
-
-    spans = _holding_spans(schedule)
-    walked = dict.fromkeys(spans, 0)  # per server, its spans that start by its previous request
-    prev_at: dict[int, float] = {inst.initial_server: 0.0}
-    for req in inst.requests:
-        t_prev = prev_at.get(req.server)
-        if t_prev is not None and inst.rate(req.server) * (req.time - t_prev) <= inst.transfer_cost + TOL:
-            i = walked[req.server] = _walk_spans(spans[req.server], walked[req.server], t_prev)
-            if not (i and req.time <= spans[req.server][i - 1][1] + TOL):
-                message = f"request {req.index}: server {req.server} does not hold a copy through ({t_prev:g}, {req.time:g})"
-                out.append(Violation(req.time, f"{message} although storing is no costlier than a transfer"))
-        prev_at[req.server] = req.time
-
-    upcoming = [math.inf] * (inst.n + 1)  # per server, its first request after the walked step
-    after = []  # per step, last first, its requester's next request; the forward walk pops them
-    for t, server in reversed(steps):
-        after.append(upcoming[server])
-        upcoming[server] = t
-    rates = [0.0] + [server.rate for server in inst.servers]
-    bar = inst.transfer_cost + TOL
-    entering = heapq.merge(*(zip(spans[s], repeat(s)) for s in range(1, inst.n + 1)))  # ((start, end), server)
-    (a, b), s = next(entering, ((math.inf, math.inf), 0))
-    live: list[tuple[float, int]] = []  # (end + TOL, server) of the spans holding through [t0, t1]
-    for i, ((t0, q), t1) in enumerate(zip(steps, req_times[1:])):
-        upcoming[q] = after.pop()
-        while a - TOL <= t0:
-            heapq.heappush(live, (b + TOL, s))
-            (a, b), s = next(entering, ((math.inf, math.inf), 0))
-        while live and live[0][0] < t1:
-            heapq.heappop(live)
-        if len(live) > 1:
-            # a set: two spans of one server can both hold through a gap inside the band between them
-            held = {server for _, server in live if rates[server] * (upcoming[server] - t0) > bar}
-            if len(held) > 1:
-                message = f"request {i}: far servers {', '.join(map(str, sorted(held)))} each hold a copy"
-                out.append(Violation(t0, f"{message} through ({t0:g}, {t1:g}) although one far holder suffices"))
-    return out

@@ -335,6 +335,8 @@ class Simulation:
             raise PolicyFault(time, "serve transfer outside a request event")
         if dst in live:
             raise PolicyFault(time, f"transfer into server {dst} which already holds a copy")
+        if type(dst) is not int or dst not in self._servers:
+            raise PolicyFault(time, f"transfer into server {dst!r}, which is not in 1..{self.instance.n}")
         if purpose == PURPOSE_SERVE:
             if self._record is not None:
                 raise PolicyFault(time, f"request {request} served twice")

@@ -4,7 +4,9 @@ Used by the ``verify`` command and by the test suite: schedule validity for
 every policy, special-copy structure of threshold-policy runs, allocation
 conservation, the oracle's schedule and its structural laws (the
 one-far-holder law among them), dominance, and the competitive bounds of
-the threshold and anchor policies.
+the threshold and anchor policies. The schedule validators live in ``model``;
+this module adds the threshold-run checks, which ``verify_instance`` calls by
+their public names once per instance.
 """
 
 from __future__ import annotations
@@ -22,9 +24,10 @@ from .model import (
     Instance,
     compute_cost,
     competitive_bound,
+    validate_offline_structure,
     validate_schedule,
 )
-from .offline import BudgetExceeded, DEFAULT_BUDGET, opt_full, validate_offline_structure
+from .offline import BudgetExceeded, DEFAULT_BUDGET, opt_full
 from .policies import AnnotatedRun, relocates, simulate
 
 
@@ -89,13 +92,13 @@ def special_copy_problems(run: AnnotatedRun) -> list[str]:
     return out
 
 
-def typing_problems(run: AnnotatedRun) -> list[str]:
-    """Violations of the request-typing laws in a threshold-policy run."""
-    return _typing_problems(run, classify_and_allocate(run))
+def typing_problems(run: AnnotatedRun, report: AllocationReport | None = None) -> list[str]:
+    """Violations of the request-typing laws in a threshold-policy run.
 
-
-def _typing_problems(run: AnnotatedRun, report: AllocationReport) -> list[str]:
-    """``typing_problems`` of ``run``, whose allocation ``report`` is already made."""
+    ``report`` is the run's allocation when the caller has already made it;
+    without it the run is allocated here.
+    """
+    report = classify_and_allocate(run) if report is None else report
     inst = run.schedule.instance
     out: list[str] = []
     cheapest = inst.rate(1)
@@ -144,7 +147,7 @@ def verify_instance(instance: Instance, budget: int = DEFAULT_BUDGET) -> list[st
     alg1_run, alg1_cost = runs["alg1"]
     problems += [f"alg1: {p}" for p in special_copy_problems(alg1_run)]
     report = classify_and_allocate(alg1_run)
-    problems += [f"alg1: {p}" for p in _typing_problems(alg1_run, report)]
+    problems += [f"alg1: {p}" for p in typing_problems(alg1_run, report)]
     gap = report.total_allocated - alg1_cost.total
     # summing thousands of allocated pieces in another order drifts by ulps of the total
     if abs(gap) > max(1e-9, 1e-12 * alg1_cost.total):

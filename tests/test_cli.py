@@ -74,11 +74,20 @@ def test_verify_single_instance(tmp_path, capsys):
 
 
 def test_verify_instance_allocates_the_alg1_run_once(monkeypatch):
-    calls = []
-    allocate = repsim.verify.classify_and_allocate
+    calls, typings = [], []
+    allocate, typing = repsim.verify.classify_and_allocate, repsim.verify.typing_problems
     monkeypatch.setattr(repsim.verify, "classify_and_allocate", lambda run: calls.append(run) or allocate(run))
+    # the public check, which a wrapper of the module's binding sees, with the allocation already made
+    monkeypatch.setattr(repsim.verify, "typing_problems", lambda *args: typings.append(args) or typing(*args))
     assert repsim.verify_instance(repsim.gen_fig1(4, 1.0, 0.5, 0.1).instance) == []
     assert len(calls) == 1
+    assert len(typings) == 1
+
+
+def test_the_structure_validator_is_one_function_under_every_name():
+    # repsim.offline keeps the name bound for the benchmark's span recorder, which wraps it there
+    v = repsim.offline.validate_offline_structure
+    assert v is repsim.model.validate_offline_structure is repsim.validate_offline_structure
 
 
 def _verify_trace_prefix(tmp_path, capsys, prefix: int) -> None:

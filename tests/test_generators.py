@@ -175,6 +175,34 @@ def test_adversary_parameter_ranges():
         R.run_adversary("alg1", mu=5.0, epsilon=0.0)
 
 
+# each generator with admissible arguments; a case overrides one of them
+GENERATORS = {
+    "fig1": lambda kw: R.gen_fig1(**{"m": 4, "lam": 1.0, "delta": 0.5, "epsilon": 0.1, **kw}),
+    "fig2": lambda kw: R.gen_fig2(**{"m": 4, "lam": 1.0, "mu2": 1.0, "epsilon": 0.01, **kw}),
+    "tight1": lambda kw: R.gen_tight(**{"which": 1, "mu2": 1.5, **kw}),
+    "tight2": lambda kw: R.gen_tight(**{"which": 2, "mu2": 2.5, "tau": 100.0, **kw}),
+    "tight3": lambda kw: R.gen_tight(**{"which": 3, "mu2": 4.0, **kw}),
+    "adversary": lambda kw: R.run_adversary(**{"policy": "alg1", "mu": 5.0, **kw}),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize(
+    "generator, parameter",
+    [
+        ("fig1", "lam"), ("fig1", "delta"), ("fig1", "epsilon"),
+        ("fig2", "lam"), ("fig2", "mu2"), ("fig2", "epsilon"),
+        ("tight1", "mu2"), ("tight2", "lam"), ("tight2", "epsilon"), ("tight2", "mu2"), ("tight2", "tau"),
+        ("tight3", "mu2"),
+        ("adversary", "mu"), ("adversary", "lam"), ("adversary", "epsilon"),
+    ],
+)
+def test_generator_parameters_refuse_nan_and_infinity_by_name(generator, parameter, value):
+    GENERATORS[generator]({})  # the defaults are admissible
+    with pytest.raises(R.ParameterError, match=rf"^{parameter} must satisfy "):
+        GENERATORS[generator]({parameter: value})
+
+
 def test_random_generator_is_deterministic():
     a = R.gen_random(seed=17, n=4, m=9)
     b = R.gen_random(seed=17, n=4, m=9)

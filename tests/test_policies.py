@@ -317,6 +317,27 @@ def test_policy_fault_on_drop_of_non_held_copy():
     assert str(err.value) == "policy fault at t=0.1: drop at server 3 which holds no copy"
 
 
+class _CreatesOutside(R.ThresholdPolicy):
+    """Serves as the threshold policy, then creates a copy at ``dst``, which the instance lacks."""
+
+    def __init__(self, dst):
+        super().__init__()
+        self.dst = dst
+
+    def on_request(self, sim, time, server):
+        super().on_request(sim, time, server)
+        sim.transfer(server, self.dst, "create_copy")
+
+
+@pytest.mark.parametrize("dst", [3, 0, -1, 2.0])
+def test_policy_fault_on_transfer_into_a_server_the_instance_lacks(dst):
+    # such a copy used to fail later, as an IndexError or a KeyError far from the policy's action
+    inst = R.Instance.build([1.0, 2.0], 1.0, 1, [(0.5, 1)])
+    with pytest.raises(R.PolicyFault) as err:
+        R.simulate(_CreatesOutside(dst), inst)
+    assert str(err.value) == f"policy fault at t=0.5: transfer into server {dst}, which is not in 1..2"
+
+
 # hook replaced in alg1, server of the one request at t=0.5, the replacement, the fault
 DRIVER_CHECKS = {
     "transfer-from-non-holder": (
