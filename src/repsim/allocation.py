@@ -88,8 +88,8 @@ def classify_and_allocate(run: AnnotatedRun) -> AllocationReport:
 
     Only threshold-policy runs carry the copy-kind annotations the taxonomy
     needs; runs from other policies are rejected. One pass over the run's
-    serve log does it all, so it relies on that log listing exactly the
-    requests of the schedule's instance, in order, as every run's does.
+    serve log does it all: the driver makes that log list exactly the
+    requests of the schedule's instance, in order, by construction.
     """
     if run.policy_name != "alg1":
         raise ValueError(

@@ -73,34 +73,33 @@ def _cmd_verify(args) -> int:
     return 1 if problems else 0
 
 
-def _emit_instance(instance, out: str | None) -> None:
-    if out:
-        dump_instance(instance, out)
-    else:
-        sys.stdout.write(dumps_instance(instance))
+MU2_DEFAULTS = {"fig2": 1.5, "tight1": 1.5, "tight2": 2.5, "tight3": 4.0}  # each inside its kind's range
 
 
 def _cmd_gen(args) -> int:
-    kind = args.kind
-    if kind == "fig1":
-        res = gen_fig1(args.m, args.lam, args.delta, args.epsilon)
-        print(f"# rival lower bound {_fmt(res.wang_lower_bound)} optimum {_fmt(res.optimal_cost)}", file=sys.stderr)
-        _emit_instance(res.instance, args.out)
-    elif kind == "fig2":
-        res = gen_fig2(args.m, args.lam, args.mu2, args.epsilon)
-        print(f"# rival lower bound {_fmt(res.wang_lower_bound)} optimum {_fmt(res.optimal_cost)}", file=sys.stderr)
-        _emit_instance(res.instance, args.out)
-    elif kind in ("tight1", "tight2", "tight3"):
-        res = gen_tight(int(kind[-1]), args.mu2, args.lam, args.epsilon, args.tau)
-        print(f"# expected online {_fmt(res.online_cost)} optimum {_fmt(res.optimal_cost)} "
-              f"ratio {_fmt(res.ratio)}", file=sys.stderr)
-        _emit_instance(res.instance, args.out)
-    elif kind == "random":
-        _emit_instance(gen_random(args.seed, args.n, args.m), args.out)
+    kind, note = args.kind, None
+    mu2 = MU2_DEFAULTS.get(kind) if args.mu2 is None else args.mu2
+    if kind == "random":
+        instance = gen_random(args.seed, args.n, args.m)
     elif kind == "adversary":
-        outcome = run_adversary(args.policy, args.mu, args.lam, args.epsilon)
-        print(f"# realized branch {outcome.branch} ratio {_fmt(outcome.ratio)}", file=sys.stderr)
-        _emit_instance(outcome.instance, args.out)
+        res = run_adversary(args.policy, args.mu, args.lam, args.epsilon)
+        instance, note = res.instance, f"realized branch {res.branch} ratio {_fmt(res.ratio)}"
+    elif kind.startswith("tight"):
+        res = gen_tight(int(kind[-1]), mu2, args.lam, args.epsilon, args.tau)
+        instance, note = res.instance, f"expected online {_fmt(res.online_cost)} optimum {_fmt(res.optimal_cost)} "
+        note += f"ratio {_fmt(res.ratio)}"
+    elif kind == "fig1":
+        res = gen_fig1(args.m, args.lam, args.delta, args.epsilon)
+    else:
+        res = gen_fig2(args.m, args.lam, mu2, args.epsilon)
+    if kind.startswith("fig"):
+        instance, note = res.instance, f"rival lower bound {_fmt(res.wang_lower_bound)} optimum {_fmt(res.optimal_cost)}"
+    if note:
+        print(f"# {note}", file=sys.stderr)
+    if args.out:
+        dump_instance(instance, args.out)
+    else:
+        sys.stdout.write(dumps_instance(instance))
     return 0
 
 
@@ -116,12 +115,19 @@ def _cmd_adversary(args) -> int:
 MAX_LAMBDA_POINTS = 2_000  # an oracle pass holds about 115 KB per grid point at n=10, so about 230 MB
 
 
+def non_negative_int(text: str) -> int:
+    """A ``--seed`` value: numpy's generators take only a non-negative one."""
+    if (value := int(text)) < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
+    return value
+
+
 def _lambda_grid(lo: float, hi: float, step: float) -> tuple[float, ...]:
     """lo, lo + step, lo + 2*step, ... up to hi, which is included when on the grid."""
     if not (math.isfinite(step) and step > 0):
         raise ValueError(f"--lambda-step must be a positive number, got {step:g}")
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
-        raise ValueError(f"--lambda-min {lo:g} must not exceed --lambda-max {hi:g}")
+    if not (math.isfinite(lo) and math.isfinite(hi) and 0 < lo <= hi):
+        raise ValueError(f"--lambda-min {lo:g} and --lambda-max {hi:g} must satisfy 0 < min <= max < inf")
     steps = (hi - lo) / step + 1e-9  # the slack keeps a rounded hi on the grid; a tiny step makes it inf
     if not steps < MAX_LAMBDA_POINTS:
         count = math.floor(steps) + 1 if math.isfinite(steps) else steps
@@ -201,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the invariant suites")
     p.add_argument("--instance")
     p.add_argument("--random", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=non_negative_int, default=0)
     p.add_argument("--count", type=int, default=100)
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help=BUDGET_HELP)
     p.set_defaults(func=_cmd_verify)
@@ -212,11 +218,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lam", type=float, default=1.0)
     p.add_argument("--delta", type=float, default=0.5)
     p.add_argument("--epsilon", type=float, default=1e-2)
-    p.add_argument("--mu2", type=float, default=1.5)
+    p.add_argument("--mu2", type=float, help="rate of server 2; default 1.5 (fig2, tight1), 2.5 (tight2), 4 (tight3)")
     p.add_argument("--tau", type=float, default=1.0)
     p.add_argument("--mu", type=float, default=5.0)
     p.add_argument("--policy", default="alg1", choices=sorted(POLICIES))
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=non_negative_int, default=0)
     p.add_argument("--n", type=int, default=3)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_gen)
@@ -240,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--col-object", default="object_id")
     p.add_argument("--poisson-requests", type=int, default=11683)
     p.add_argument("--poisson-gap", type=float, default=50.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=non_negative_int, default=0)
     p.add_argument("--policies", default="alg1,wang,simple")
     p.add_argument("--prefix", type=int)
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help=BUDGET_HELP)

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Instance, compute_cost
-from .policies import Policy, Simulation, make_policy, relocates
+from .model import Instance
+from .policies import Policy, Simulation, make_policy, relocates, simulate
 
 
 class ParameterError(ValueError):
@@ -169,6 +169,12 @@ def run_adversary(policy: "Policy | str", mu: float, lam: float = 1.0, epsilon: 
     lam/mu + 4*lam/mu^2, one request at the cheap server forces the ratio
     above 2; if it abandons the copy earlier, one request right after the
     abandonment does.
+
+    The adversary watches the policy's alarms on a simulation without
+    requests, then simulates the policy afresh on the instance with the one
+    chosen request. That run behaves as the watched one up to the request:
+    the policies are online, so a run up to a time depends only on the
+    requests before it, and ``Policy.start`` begins a fresh run.
     """
     _check("mu", mu, mu > 4, "4 < mu < inf")
     _check("lam", lam, lam > 0, "0 < lam < inf")
@@ -176,26 +182,19 @@ def run_adversary(policy: "Policy | str", mu: float, lam: float = 1.0, epsilon: 
     if isinstance(policy, str):
         policy = make_policy(policy)
     probe = lam / mu + 4.0 * lam / mu**2
-    base = Instance.build([1.0, mu], lam, 2, [])
-    sim = Simulation(policy, base)
-    abandoned_at: float | None = None
-    if 2 not in sim.expiry:
-        abandoned_at = 0.0  # dropped at the start
+    sim = Simulation(policy, Instance.build([1.0, mu], lam, 2, []))
+    abandoned_at = None if 2 in sim.expiry else 0.0  # 0: dropped at the start
     while abandoned_at is None and (alarm := sim.step_alarm(probe)) is not None:
         if 2 not in sim.expiry:
             abandoned_at = alarm
     if abandoned_at is None:
-        sim.inject_request(probe, 1)
-        run = sim.finalize()
-        online = compute_cost(run.schedule, probe).total
-        offline = probe * 1.0 + lam
-        return AdversaryOutcome(run.schedule.instance, online, offline, 1, probe)
-    t_req = abandoned_at + epsilon
-    sim.inject_request(t_req, 2)
-    run = sim.finalize()
-    online = compute_cost(run.schedule, t_req).total
-    offline = t_req * mu
-    return AdversaryOutcome(run.schedule.instance, online, offline, 2, abandoned_at)
+        branch, decision_time, request, offline = 1, probe, (probe, 1), probe + lam
+    else:
+        t_req = abandoned_at + epsilon
+        branch, decision_time, request, offline = 2, abandoned_at, (t_req, 2), t_req * mu
+    instance = Instance.build([1.0, mu], lam, 2, [request])
+    _, cost = simulate(policy, instance)
+    return AdversaryOutcome(instance, cost.total, offline, branch, decision_time)
 
 
 def gen_random(

@@ -6,7 +6,8 @@ time (``inf`` for a copy kept until further notice) is the only holder
 table; its keys are the holders. A policy reads that map and acts on it
 only through four checked driver methods: ``transfer``, ``drop``, ``mark``
 (a kind change in place) and ``hold`` (a new expiry time). The driver aborts
-with a policy fault when an action would break feasibility.
+with a policy fault when an action would break feasibility. It serves exactly
+the requests of its instance, so a run's serve log lists them by construction.
 
 Three policies are provided, selectable by name:
 
@@ -22,7 +23,7 @@ Three policies are provided, selectable by name:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from heapq import heappop, heappush
 from typing import NamedTuple
@@ -39,9 +40,7 @@ from .model import (
     CopyInterval,
     CostBreakdown,
     Instance,
-    InstanceFormatError,
     ReplicationSchedule,
-    Request,
     Transfer,
     compute_cost,
     schedule_lines,
@@ -74,7 +73,7 @@ class Policy:
     name = "abstract"
 
     def start(self, sim: "Simulation") -> None:
-        """Begin a run at time 0: the initial copy holds one window."""
+        """Begin a fresh run at time 0, keeping no state of an earlier run: the initial copy holds one window."""
         self._begin(sim)
         g = self._inst.initial_server
         sim.hold(g, self._window[g])
@@ -294,7 +293,10 @@ class _LiveCopy:
 
 
 class Simulation:
-    """Stepwise driver; supports full-trace runs and adaptive request injection.
+    """The driver of one policy over one instance.
+
+    ``run`` serves exactly the instance's requests, so the serve log lists them
+    by construction; before it, ``step_alarm`` lets a caller watch the alarms.
 
     ``expiry`` maps each holder to its copy's expiry time. Policies read it
     and change it only through ``transfer``, ``drop``, ``mark`` and ``hold``,
@@ -312,10 +314,9 @@ class Simulation:
         self._live: dict[int, _LiveCopy] = {g: _LiveCopy(0.0, KIND_REGULAR, 0, None)}
         self._segments: list[CopyInterval] = []
         self._transfers: list[Transfer] = []
-        self._serves: list[tuple] = []  # a ServeRecord row per delivered request, so also the request log
+        self._serves: list[tuple] = []  # a ServeRecord row per served request
         self._servers = frozenset(range(1, instance.n + 1))
-        self._last = 0.0  # the previous request's time; the synthetic request is at 0
-        self._finalized = False
+        self._ran = False
         self._now = 0.0
         self._request: int | None = None  # index of the request being served
         self._record: tuple | None = None  # how that request was served so far, as a ServeRecord row
@@ -382,11 +383,6 @@ class Simulation:
         c = self._live.pop(server)
         self._segments.append(CopyInterval(server, c.start, end, c.kind))
 
-    def run_alarms_before(self, limit: float) -> None:
-        """Process all alarms strictly earlier than ``limit``."""
-        while self.step_alarm(limit) is not None:
-            pass
-
     def step_alarm(self, before: float = math.inf) -> float | None:
         """Expire the copies due next if their time falls strictly before ``before``.
 
@@ -413,75 +409,49 @@ class Simulation:
                     raise PolicyFault(alarm, f"expire left the copy at server {server} due at t={alarm:g}")
         return alarm
 
-    def inject_request(self, time: float, server: int) -> None:
-        """Deliver one request after draining earlier alarms.
+    def run(self) -> AnnotatedRun:
+        """Serve the instance's requests in order, each after its earlier alarms, then wind down.
 
-        A request must come strictly after the previous one, at a finite
-        time and at a server of the instance; otherwise it is rejected here,
-        before any alarm runs.
+        Copies then expire until every expiry is ``inf``, and those alive are
+        recorded as held forever; ``compute_cost`` clips every record at the
+        final request. The serve log lists exactly the instance's requests,
+        and the run's instance is the one given. A simulation runs once.
         """
-        index = len(self._serves) + 1
-        if not self._last < time < math.inf or type(server) is not int or server not in self._servers:
-            if type(server) is not int or server not in self._servers:
-                problem = f"server is not an int in 1..{self.instance.n}"
-            elif not time < math.inf:
-                problem = "time is not finite"
-            else:
-                problem = "time does not strictly increase"
-            raise InstanceFormatError(
-                f"request {index} at t={time:g}, server {server!r} (previous request at t={self._last:g}): {problem}"
-            )
-        self._last = time
-        if self._alarms and self._alarms[0][0] < time:
-            self.run_alarms_before(time)
-        self._now, self._request, self._record = time, index, None
-        held = self._live.get(server)
-        if held is not None:
-            self._record = (index, time, server, MODE_LOCAL, None, held.kind, held.origin, held.switch)
-            if held.kind != KIND_REGULAR:
-                self._close_segment(server, time)
-                self._live[server] = _LiveCopy(time, KIND_REGULAR, index, None)
-            else:
-                held.origin = index
-        self._policy.on_request(self, time, server)
-        record, self._request = self._record, None
-        if record is None or record[2] != server:  # the row's server field
-            raise PolicyFault(time, f"request {index} at server {server} left unserved")
-        self._serves.append(record)
-
-    def finalize(self) -> AnnotatedRun:
-        """Expire copies until every expiry is ``inf``, then assemble the run.
-
-        Copies alive at that point are recorded as held forever. No record is
-        split or flagged: records start and end only at policy actions and kind
-        changes, and ``compute_cost`` clips them at the final request. The run's
-        instance is the one given when its requests are the delivered ones,
-        and otherwise one built from the delivered requests.
-        """
-        if self._finalized:
-            raise RuntimeError("simulation already finalized")
-        self._finalized = True
-        serves = self._serves
-        self.run_alarms_before(math.inf)
-        for server, c in self._live.items():
+        if self._ran:
+            raise RuntimeError("simulation already run")
+        self._ran = True
+        serves, live, alarms, policy = self._serves, self._live, self._alarms, self._policy
+        for req in self.instance.requests:
+            index, time, server = req.index, req.time, req.server
+            while alarms and alarms[0][0] < time:
+                self.step_alarm(time)
+            self._now, self._request, self._record = time, index, None
+            held = live.get(server)
+            if held is not None:
+                self._record = (index, time, server, MODE_LOCAL, None, held.kind, held.origin, held.switch)
+                if held.kind != KIND_REGULAR:
+                    self._close_segment(server, time)
+                    live[server] = _LiveCopy(time, KIND_REGULAR, index, None)
+                else:
+                    held.origin = index
+            policy.on_request(self, time, server)
+            record, self._request = self._record, None
+            if record is None or record[2] != server:  # the row's server field
+                raise PolicyFault(time, f"request {index} at server {server} left unserved")
+            serves.append(record)
+        while alarms:
+            self.step_alarm()
+        for server, c in live.items():
             self._segments.append(CopyInterval(server, c.start, math.inf, c.kind))
-        self._live.clear()
+        live.clear()
         self.expiry.clear()
-        instance = self.instance
-        if len(instance.requests) != len(serves) or not all(
-            r.time == row[1] and r.server == row[2] for r, row in zip(instance.requests, serves)
-        ):
-            instance = replace(instance, requests=tuple(Request(i, float(t), s) for i, t, s, *_ in serves))
-        schedule = ReplicationSchedule(instance, self._segments, self._transfers)
-        return AnnotatedRun(schedule, tuple(serves), self._policy.name)
+        schedule = ReplicationSchedule(self.instance, self._segments, self._transfers)
+        return AnnotatedRun(schedule, tuple(serves), policy.name)
 
 
 def simulate(policy: "Policy | str", instance: Instance) -> tuple[AnnotatedRun, CostBreakdown]:
     """Run a policy over a full instance; cost is taken at the final request."""
     if isinstance(policy, str):
         policy = make_policy(policy)
-    sim = Simulation(policy, instance)
-    for req in instance.requests:
-        sim.inject_request(req.time, req.server)
-    run = sim.finalize()
-    return run, compute_cost(run.schedule, instance.horizon)
+    run = Simulation(policy, instance).run()
+    return run, compute_cost(run.schedule)

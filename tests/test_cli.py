@@ -194,6 +194,33 @@ def test_gen_outputs_parseable_instances(capsys, tmp_path):
         assert inst.n >= 2 or argv[1] == "random"
 
 
+@pytest.mark.parametrize("kind", ["tight2", "tight3"])
+def test_gen_tight_without_mu2_uses_a_default_inside_its_bracket(kind, tmp_path, capsys):
+    out_file = str(tmp_path / f"{kind}.json")
+    code, _, err = _run(["gen", kind, "--out", out_file], capsys)
+    assert (code, err.startswith("# expected online ")) == (0, True)
+    code, out, _ = _run(["verify", "--instance", out_file], capsys)
+    assert (code, out) == (0, "verify: 0 violation(s)\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "random", "--seed", "-1"],
+        ["verify", "--random", "--seed", "-5"],
+        ["sweep", "--rates", "1,2", "--poisson-requests", "5", "--seed", "-1"],
+    ],
+    ids=["gen", "verify", "sweep"],
+)
+def test_a_negative_seed_is_refused_by_name(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out) == (2, "")
+    seed = argv[argv.index("--seed") + 1]
+    assert captured.err.endswith(f"error: argument --seed: must be a non-negative integer, got {seed}\n")
+
+
 def test_sweep_rates_from_file(tmp_path, capsys):
     rates_file = tmp_path / "rates.txt"
     rates_file.write_text("1.0, 1.5\n2.0\n")
@@ -265,6 +292,8 @@ def test_sweep_lambda_grid(capsys, bounds, want):
         (("2", "4", "-1"), "--lambda-step"),
         (("2", "4", "nan"), "--lambda-step"),
         (("5", "4", "1"), "--lambda-min"),
+        (("-5", "2", "1"), "--lambda-min"),
+        (("0", "2", "1"), "--lambda-min"),
     ],
 )
 def test_sweep_rejects_bad_lambda_grid(capsys, bounds, flag):

@@ -209,10 +209,34 @@ def test_with_transfer_cost_shares_the_checked_requests():
     ids=["request-server", "initial-server"],
 )
 def test_instance_rejects_a_bool_server(initial, requests, message):
-    # the simulation driver rejects a bool server at injection; the instance does so too
     servers = R.Instance.build([1.0, 2.0], 1.0, 1).servers
     with pytest.raises(R.InstanceFormatError) as err:
         R.Instance(servers, 1.0, initial, requests)
+    assert str(err.value) == message
+
+
+TIED_OR_OUT_OF_ORDER = "(tied or out-of-order timestamps are rejected)"
+
+
+@pytest.mark.parametrize(
+    "requests, message",
+    [
+        ([(5.0, 2), (3.0, 2)], f"requests[1]: time 3.0 does not strictly increase past 5.0 {TIED_OR_OUT_OF_ORDER}"),
+        ([(5.0, 1), (5.0, 1)], f"requests[1]: time 5.0 does not strictly increase past 5.0 {TIED_OR_OUT_OF_ORDER}"),
+        ([(5.0, 1), (6.0, 3)], "requests[1]: server 3 is not an integer in 1..2"),
+        ([(5.0, 1), (6.0, 2.0)], "requests[1]: server 2.0 is not an integer in 1..2"),
+        ([(5.0, True)], "requests[0]: server True is not an integer in 1..2"),
+    ],
+    ids=["earlier", "tied", "no-such-server", "float-server", "bool-server"],
+)
+def test_instance_rejects_a_bad_request(requests, message):
+    # the instance is the one check of a request: a simulation serves exactly
+    # its instance's requests; ``Request`` is used directly, since ``build``
+    # turns 2.0 and True into ints
+    servers = R.Instance.build([1.0, 2.0], 1.0, 1).servers
+    reqs = tuple(R.Request(j + 1, t, s) for j, (t, s) in enumerate(requests))
+    with pytest.raises(R.InstanceFormatError) as err:
+        R.Instance(servers, 1.0, 1, reqs)
     assert str(err.value) == message
 
 

@@ -397,32 +397,43 @@ class _MarksAnUnknownKind(Policy):
 
 
 def test_an_unknown_copy_kind_is_rejected_when_the_schedule_is_made():
-    sim = R.Simulation(_MarksAnUnknownKind(), R.Instance.build([1.0, 2.0], 1.0, 1, [(0.5, 1)]))
-    sim.inject_request(0.5, 1)
     with pytest.raises(ValueError) as err:
-        sim.finalize()
+        R.simulate(_MarksAnUnknownKind(), R.Instance.build([1.0, 2.0], 1.0, 1, [(0.5, 1)]))
     assert str(err.value) == "unknown copy kind 'spare'"
 
 
-@pytest.mark.parametrize(
-    "injected",
-    [[(0.5, 2)], [(0.5, 1)], [(0.5, 2), (3.0, 1), (4.0, 2)]],
-    ids=["served-prefix", "different-request", "every-request"],
-)
-def test_the_run_instance_holds_exactly_the_delivered_requests(injected):
+def test_the_run_instance_is_the_given_instance():
     inst = R.Instance.build([1.0, 2.0], 1.0, 1, [(0.5, 2), (3.0, 1), (4.0, 2)])
-    sim = R.Simulation(R.make_policy("alg1"), inst)
-    for time, server in injected:
-        sim.inject_request(time, server)
-    run = sim.finalize()
-    got = run.schedule.instance
-    assert [(r.index, r.time, r.server) for r in got.requests] == [(j + 1, t, s) for j, (t, s) in enumerate(injected)]
-    assert (got.servers, got.transfer_cost, got.initial_server) == (inst.servers, inst.transfer_cost, 1)
-    assert (got is inst) == (len(injected) == inst.m)
+    for name in R.POLICIES:
+        assert R.simulate(name, inst)[0].schedule.instance is inst, name
+    run, cost = R.simulate("alg1", inst)
+    assert [row[:3] for row in run.serve_rows] == [(r.index, r.time, r.server) for r in inst.requests]
     assert R.validate_schedule(run.schedule) == []
-    cost = R.compute_cost(run.schedule).total
-    assert cost == R.compute_cost(run.schedule, injected[-1][0]).total
-    assert R.classify_and_allocate(run).total_allocated == pytest.approx(cost, abs=1e-9)  # conservation
+    assert R.classify_and_allocate(run).total_allocated == pytest.approx(cost.total, abs=1e-9)  # conservation
+
+
+def test_a_simulation_runs_once():
+    sim = R.Simulation(R.make_policy("alg1"), fig3_instance())
+    sim.run()
+    with pytest.raises(RuntimeError):
+        sim.run()
+
+
+@pytest.mark.parametrize("mu", [5.0, 8.0, 20.0])
+@pytest.mark.parametrize("name", sorted(R.POLICIES))
+def test_an_adversary_outcome_is_a_plain_run_of_its_instance(name, mu):
+    # the adversary watches a run without requests, then simulates the policy
+    # afresh on its instance; the watched run's decision shows in that run
+    out = R.run_adversary(name, mu=mu)
+    run, cost = R.simulate(name, out.instance)
+    assert run.schedule.instance is out.instance
+    assert cost.total == out.online_cost  # bit for bit
+    initial = [c.end for c in run.schedule.copies if c.server == 2 and c.start == 0.0]
+    if out.branch == 2:
+        assert initial == [out.decision_time]  # the initial copy ends where it was abandoned
+    else:
+        assert out.decision_time == 1.0 / mu + 4.0 / mu**2  # the probe time
+        assert len(initial) == 1 and initial[0] >= out.decision_time
 
 
 class _HoldsBelowTheAlarm(Policy):
@@ -511,29 +522,6 @@ def test_a_hold_to_the_alarm_time_fires_after_the_copies_already_due():
     ]
 
 
-@pytest.mark.parametrize(
-    "requests, problem",
-    [
-        ([(5.0, 2), (3.0, 2)], "request 2 at t=3, server 2 (previous request at t=5): time does not strictly increase"),
-        ([(5.0, 1), (5.0, 1)], "request 2 at t=5, server 1 (previous request at t=5): time does not strictly increase"),
-        ([(5.0, 1), (6.0, 3)], "request 2 at t=6, server 3 (previous request at t=5): server is not an int in 1..2"),
-        ([(5.0, 1), (6.0, 2.0)], "request 2 at t=6, server 2.0 (previous request at t=5): server is not an int in 1..2"),
-        ([(5.0, True)], "request 1 at t=5, server True (previous request at t=0): server is not an int in 1..2"),
-    ],
-    ids=["earlier", "tied", "no-such-server", "float-server", "bool-server"],
-)
-def test_injected_requests_are_checked_at_injection(requests, problem):
-    sim = R.Simulation(R.make_policy("alg1"), R.Instance.build([1.0, 2.0], 1.0, 1, []))
-    *ok, (time, server) = requests
-    for t, s in ok:
-        sim.inject_request(t, s)
-    expiry = dict(sim.expiry)
-    with pytest.raises(R.InstanceFormatError) as err:
-        sim.inject_request(time, server)
-    assert str(err.value) == problem
-    assert sim.expiry == expiry  # rejected before any alarm ran
-
-
 def test_serve_records_are_immutable_hashable_and_keep_their_fields():
     run, _ = R.simulate("alg1", fig3_instance())
     rec = run.serves[0]
@@ -572,7 +560,7 @@ def test_runs_free_their_simulation_without_the_cycle_collector(monkeypatch):
     finally:
         if enabled:
             gc.enable()
-    assert len(sims) == 6
+    assert len(sims) == 9  # each adversary run watches one simulation and runs another
 
 
 def test_event_log_format():
