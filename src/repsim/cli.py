@@ -122,6 +122,14 @@ def non_negative_int(text: str) -> int:
     return value
 
 
+def _rate(token: str, source: str) -> float:
+    """A ``--rates`` value; one that is not a number is an input error naming ``source`` and the token."""
+    try:
+        return float(token)
+    except ValueError:
+        raise ValueError(f"{source}: {token!r} is not a number") from None
+
+
 def _lambda_grid(lo: float, hi: float, step: float) -> tuple[float, ...]:
     """lo, lo + step, lo + 2*step, ... up to hi, which is included when on the grid."""
     if not (math.isfinite(step) and step > 0):
@@ -151,11 +159,10 @@ def _cmd_sweep(args) -> int:
         rate_sets = dict(experiments.RATE_SETS)
     elif os.path.exists(args.rates):
         with open(args.rates, "r", encoding="utf-8") as fh:
-            rates = tuple(float(v) for v in fh.read().replace(",", " ").split())
+            rates = tuple(_rate(v, f"rates file {args.rates}") for v in fh.read().replace(",", " ").split())
         rate_sets = {os.path.basename(args.rates): rates}
     else:
-        rates = tuple(float(v) for v in args.rates.split(","))
-        rate_sets = {"custom": rates}
+        rate_sets = {"custom": tuple(_rate(v, "--rates, read as a comma list") for v in args.rates.split(","))}
     lambdas = _lambda_grid(args.lambda_min, args.lambda_max, args.lambda_step)
     spec = experiments.ExperimentSpec(
         times=tuple(times),

@@ -229,7 +229,7 @@ def run_sweep(spec: ExperimentSpec, workers: int = 1) -> list[SweepRow]:
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # here, not at start-up: only a pool needs it
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(groups))) as pool:
             for batch in pool.map(_run_group, groups):
                 rows.extend(batch)
     else:

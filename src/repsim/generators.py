@@ -172,9 +172,9 @@ def run_adversary(policy: "Policy | str", mu: float, lam: float = 1.0, epsilon: 
 
     The adversary watches the policy's alarms on a simulation without
     requests, then simulates the policy afresh on the instance with the one
-    chosen request. That run behaves as the watched one up to the request:
-    the policies are online, so a run up to a time depends only on the
-    requests before it, and ``Policy.start`` begins a fresh run.
+    chosen request. That run matches the watched one up to the request: the
+    policies are online by construction (a policy sees prices and the past
+    only), and ``Policy.start`` begins a fresh run.
     """
     _check("mu", mu, mu > 4, "4 < mu < inf")
     _check("lam", lam, lam > 0, "0 < lam < inf")

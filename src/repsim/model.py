@@ -82,10 +82,6 @@ class Request:
     time: float
     server: int
 
-    @property
-    def is_dummy(self) -> bool:
-        return self.index == 0
-
 
 def _check_transfer_cost(cost: float) -> None:
     if not (math.isfinite(cost) and cost > 0):
@@ -456,19 +452,13 @@ def compute_cost(schedule: ReplicationSchedule, horizon: float | None = None) ->
 
 def dumps_instance(instance: Instance) -> str:
     """Serialize to the toolkit's JSON instance format, one request per line."""
-    lines = ["{"]
-    lines.append(f'  "lambda": {instance.transfer_cost!r},')
-    lines.append(f'  "initial_server": {instance.initial_server},')
-    lines.append(f'  "rates": {json.dumps([s.rate for s in instance.servers])},')
-    if instance.requests:
-        lines.append('  "requests": [')
-        body = [f'    {{"t": {r.time!r}, "s": {r.server}}}' for r in instance.requests]
-        lines.append(",\n".join(body))
-        lines.append("  ]")
-    else:
-        lines.append('  "requests": []')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    rates = json.dumps([s.rate for s in instance.servers])
+    body = ",\n".join(f'    {{"t": {r.time!r}, "s": {r.server}}}' for r in instance.requests)
+    requests = f"[\n{body}\n  ]" if body else "[]"
+    return (
+        f'{{\n  "lambda": {instance.transfer_cost!r},\n  "initial_server": {instance.initial_server},\n'
+        f'  "rates": {rates},\n  "requests": {requests}\n}}\n'
+    )
 
 
 def dump_instance(instance: Instance, path: str) -> None:

@@ -8,6 +8,7 @@ only through four checked driver methods: ``transfer``, ``drop``, ``mark``
 (a kind change in place) and ``hold`` (a new expiry time). The driver aborts
 with a policy fault when an action would break feasibility. It serves exactly
 the requests of its instance, so a run's serve log lists them by construction.
+Policies are online by construction: a policy sees prices and the past only.
 
 Three policies are provided, selectable by name:
 
@@ -61,26 +62,29 @@ class PolicyFault(RuntimeError):
 class Policy:
     """Base class for online policies: the rules, with no copy state of their own.
 
-    Each hook receives the running ``Simulation`` and acts through its
-    ``transfer``, ``drop``, ``mark`` and ``hold`` methods. A hook must not keep
-    the simulation beyond the call. A new copy expires at ``inf`` until the
-    policy holds it to a finite time; the driver calls ``expire`` for each copy
-    whose expiry time has come, also after the final request, until every
-    expiry is ``inf``. Copies alive then are recorded as held forever, so a
-    copy that would renew forever must hold an infinite expiry.
+    Online by construction: a policy sees prices and the past only. Each hook
+    receives the running ``Simulation`` and acts through its ``transfer``,
+    ``drop``, ``mark`` and ``hold`` methods. A hook must not keep the
+    simulation beyond the call. A new copy expires at ``inf`` until the policy
+    holds it to a finite time; the driver calls ``expire`` for each copy whose
+    expiry time has come, also after the final request, until every expiry is
+    ``inf``. Copies alive then are recorded as held forever, so a copy that
+    would renew forever must hold an infinite expiry.
     """
 
     name = "abstract"
 
     def start(self, sim: "Simulation") -> None:
-        """Begin a fresh run at time 0, keeping no state of an earlier run: the initial copy holds one window."""
+        """Begin a fresh run at time 0 from ``sim.prices``, keeping no state of an earlier run: the initial
+        copy holds one window. Online by construction: a policy sees prices and the past only.
+        """
         self._begin(sim)
         g = self._inst.initial_server
         sim.hold(g, self._window[g])
 
     def _begin(self, sim: "Simulation") -> None:
-        """Take the run's instance and each server's window, transfer cost / rate."""
-        self._inst = inst = sim.instance
+        """Take the run's prices and each server's window, transfer cost / rate."""
+        self._inst = inst = sim.prices
         self._window = {s.index: inst.transfer_cost / s.rate for s in inst.servers}
 
     def on_request(self, sim: "Simulation", time: float, server: int) -> None:
@@ -307,7 +311,8 @@ class Simulation:
 
     def __init__(self, policy: Policy, instance: Instance):
         self._policy = policy
-        self.instance = instance
+        self._instance = instance
+        self.prices = Instance(instance.servers, instance.transfer_cost, instance.initial_server, ())
         g = instance.initial_server
         self.expiry: dict[int, float] = {g: math.inf}
         self._alarms: list[tuple[float, int]] = []  # the alarm heap, stale entries included
@@ -315,7 +320,6 @@ class Simulation:
         self._segments: list[CopyInterval] = []
         self._transfers: list[Transfer] = []
         self._serves: list[tuple] = []  # a ServeRecord row per served request
-        self._servers = frozenset(range(1, instance.n + 1))
         self._ran = False
         self._now = 0.0
         self._request: int | None = None  # index of the request being served
@@ -336,8 +340,8 @@ class Simulation:
             raise PolicyFault(time, "serve transfer outside a request event")
         if dst in live:
             raise PolicyFault(time, f"transfer into server {dst} which already holds a copy")
-        if type(dst) is not int or dst not in self._servers:
-            raise PolicyFault(time, f"transfer into server {dst!r}, which is not in 1..{self.instance.n}")
+        if type(dst) is not int or not 1 <= dst <= self.prices.n:
+            raise PolicyFault(time, f"transfer into server {dst!r}, which is not in 1..{self.prices.n}")
         if purpose == PURPOSE_SERVE:
             if self._record is not None:
                 raise PolicyFault(time, f"request {request} served twice")
@@ -421,7 +425,7 @@ class Simulation:
             raise RuntimeError("simulation already run")
         self._ran = True
         serves, live, alarms, policy = self._serves, self._live, self._alarms, self._policy
-        for req in self.instance.requests:
+        for req in self._instance.requests:
             index, time, server = req.index, req.time, req.server
             while alarms and alarms[0][0] < time:
                 self.step_alarm(time)
@@ -445,7 +449,7 @@ class Simulation:
             self._segments.append(CopyInterval(server, c.start, math.inf, c.kind))
         live.clear()
         self.expiry.clear()
-        schedule = ReplicationSchedule(self.instance, self._segments, self._transfers)
+        schedule = ReplicationSchedule(self._instance, self._segments, self._transfers)
         return AnnotatedRun(schedule, tuple(serves), policy.name)
 
 

@@ -141,8 +141,7 @@ def verify_instance(instance: Instance, budget: int = DEFAULT_BUDGET) -> list[st
     for name in ("alg1", "wang", "simple"):
         run, cost = simulate(name, instance)
         runs[name] = (run, cost)
-        for v in validate_schedule(run.schedule):
-            problems.append(f"{name}: invalid schedule: {v.description}")
+        problems += [f"{name}: invalid schedule: {v.description}" for v in validate_schedule(run.schedule)]
 
     alg1_run, alg1_cost = runs["alg1"]
     problems += [f"alg1: {p}" for p in special_copy_problems(alg1_run)]

@@ -350,6 +350,25 @@ def test_sweep_rejects_bad_sizes(capsys, flags, problem):
     assert err == f"error: {problem}\n"
 
 
+@pytest.mark.parametrize(
+    "rates, problem",
+    [
+        ("set5", "--rates, read as a comma list: 'set5' is not a number"),
+        ("1,x", "--rates, read as a comma list: 'x' is not a number"),
+        ("", "--rates, read as a comma list: '' is not a number"),
+        ("1,,2", "--rates, read as a comma list: '' is not a number"),
+        ("file", "rates file {path}: 'abc' is not a number"),
+    ],
+    ids=["unknown-set", "bad-token", "empty", "empty-token", "file"],
+)
+def test_sweep_names_the_source_of_a_bad_rate(tmp_path, capsys, rates, problem):
+    path = tmp_path / "rates.txt"
+    path.write_text("1.5 abc\n")
+    code, out, err = _run(SMALL_SWEEP + ["--rates", str(path) if rates == "file" else rates], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: {problem.format(path=path)}\n"
+
+
 def test_sweep_prefix_keeps_the_first_requests(capsys):
     code, out, _ = _run(SMALL_SWEEP + ["--prefix", "5"], capsys)
     assert code == 0

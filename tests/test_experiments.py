@@ -214,6 +214,44 @@ def test_sweep_worker_pool_matches_serial():
         assert R.run_sweep(spec, workers=workers) == serial
 
 
+class _SerialPool:
+    """Stands in for ``ProcessPoolExecutor``: records each worker count and maps in this process."""
+
+    worker_counts: list[int] = []
+
+    def __init__(self, max_workers: int):
+        self.worker_counts.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize(
+    "rate_sets, lambda_values, workers, processes",
+    [
+        ({"set1": R.RATE_SETS["set1"]}, (50.0, 1200.0), 64, 2),  # repsim sweep --rates set1 --lambda-step 1150
+        ({"custom": (1.0, 1.5, 2.0)}, (2.0, 5.0), 3, 2),  # 2 tasks
+        ({"a": (1.0, 2.0), "b": (1.0, 3.0)}, (2.0, 5.0, 9.0), 2, 2),  # 4 tasks on 2 workers
+    ],
+)
+def test_the_sweep_pool_starts_no_more_processes_than_tasks(monkeypatch, rate_sets, lambda_values, workers, processes):
+    import concurrent.futures
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(_SerialPool, "worker_counts", [])
+    times = R.gen_poisson_trace(seed=5, total_requests=30, mean_gap=10.0)
+    spec = R.ExperimentSpec(times=tuple(times), rate_sets=rate_sets, lambda_values=lambda_values)
+    rows = R.run_sweep(spec, workers=workers)
+    assert _SerialPool.worker_counts == [processes]
+    assert rows == R.run_sweep(spec, workers=1)
+
+
 def test_import_leaves_the_process_pool_out():
     # the pool module is imported by a sweep with workers > 1, not at start-up
     probe = "import sys, repsim; print('concurrent.futures.process' in sys.modules)"

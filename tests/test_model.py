@@ -299,7 +299,5 @@ def test_dummy_request_materialized():
     assert inst.dummy.index == 0
     assert inst.dummy.time == 0.0
     assert inst.dummy.server == 2
-    assert inst.all_requests[0].is_dummy
-    assert not inst.all_requests[1].is_dummy
     assert inst.horizon == 1.0
     assert R.Instance.build([1.0], 1.0, 1, []).horizon == 0.0

@@ -10,12 +10,14 @@ from dataclasses import replace
 from itertools import accumulate
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import repsim as R
-from conftest import instances
+from conftest import fig3_instance, instances
 from reference_oracle import creation_passes, far_sets, full_prefix_optima, reference_schedule
+from repsim.model import PURPOSE_CREATE
 from repsim.offline import LIST_STEP_MAX_N, _list_steps, _reconstruct, _table_steps
 
 TOL = 1e-9
@@ -219,3 +221,71 @@ def test_doubling_times_at_half_the_rates_keeps_every_policy_cost(inst):
         assert [(t.time, t.src, t.dst) for t in run2.schedule.transfers] == [
             (2 * t.time, t.src, t.dst) for t in run.schedule.transfers
         ], name
+
+
+def _prefixes_off_the_full_run(policy_for, inst: R.Instance) -> list[int]:
+    """Each k in 0..m-1 whose run over the first k requests departs from the full run.
+
+    The prefix law: an online policy's run up to a time depends only on the
+    requests before it, so the prefix run serves its requests as the full run
+    does and costs, bit for bit, what the full run costs up to the prefix's
+    last request. ``policy_for(instance)`` makes a fresh policy for a run.
+    """
+    full, _ = R.simulate(policy_for(inst), inst)
+    off = []
+    for k in range(inst.m):
+        prefix = replace(inst, requests=inst.requests[:k])
+        run, cost = R.simulate(policy_for(prefix), prefix)
+        if run.serve_rows != full.serve_rows[:k] or cost.total != R.compute_cost(full.schedule, prefix.horizon).total:
+            off.append(k)
+    return off
+
+
+@given(instances(max_n=5, max_m=12), st.sampled_from((0.0, 1e3, 6e5, 1e6)))
+def test_every_policy_is_online(inst, offset):
+    shifted = replace(inst, requests=tuple(replace(r, time=r.time + offset) for r in inst.requests))
+    for name in POLICY_NAMES:
+        assert _prefixes_off_the_full_run(lambda _: R.make_policy(name), shifted) == [], name
+
+
+class _ReadsTheRequests(R.ThresholdPolicy):
+    """``alg1`` that looks the requests up on the simulation it is handed."""
+
+    def start(self, sim: R.Simulation) -> None:
+        self._future = sim.instance.requests
+        super().start(sim)
+
+
+def test_a_policy_cannot_read_the_requests_off_the_simulation():
+    inst = fig3_instance()
+    with pytest.raises(AttributeError):
+        R.simulate(_ReadsTheRequests(), inst)
+    sim = R.Simulation(R.make_policy("alg1"), inst)
+    assert {name for name in vars(sim) if not name.startswith("_")} == {"prices", "expiry"}
+    assert sim.prices == replace(inst, requests=())
+
+
+class _Prefetching(R.ThresholdPolicy):
+    """``alg1`` handed the requests of its run: each request also copies the object to the next requester."""
+
+    def __init__(self, requests: tuple[R.Request, ...]):
+        self._requests = requests
+
+    def start(self, sim: R.Simulation) -> None:
+        super().start(sim)
+        self._next = iter(self._requests[1:])
+
+    def on_request(self, sim: R.Simulation, time: float, server: int) -> None:
+        super().on_request(sim, time, server)
+        upcoming = next(self._next, None)
+        if upcoming is not None and upcoming.server not in sim.expiry:
+            sim.transfer(server, upcoming.server, PURPOSE_CREATE)
+            sim.hold(upcoming.server, upcoming.time)
+
+
+def test_the_prefix_law_catches_a_policy_that_looks_ahead():
+    inst = fig3_instance()
+    run, _ = R.simulate(_Prefetching(inst.requests), inst)
+    assert R.validate_schedule(run.schedule) == []  # a feasible run: only the law tells it apart
+    assert _prefixes_off_the_full_run(lambda i: _Prefetching(i.requests), inst) != []
+    assert _prefixes_off_the_full_run(lambda _: R.make_policy("alg1"), inst) == []
