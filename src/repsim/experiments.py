@@ -17,7 +17,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .model import Instance
+from .model import Instance, _check_transfer_cost
 from .offline import BudgetExceeded, DEFAULT_BUDGET, opt_costs
 from .policies import make_policy, simulate
 
@@ -167,8 +167,9 @@ class ExperimentSpec:
         if self.prefix is not None and self.prefix < 1:
             raise ValueError(f"prefix must be at least 1 request, got {self.prefix}")
         for rates in self.rate_sets.values():
-            for lam in self.lambda_values:
-                Instance.build(rates, lam, 1)
+            Instance.build(rates, self.lambda_values[0], 1)
+        for lam in self.lambda_values[1:]:
+            _check_transfer_cost(float(lam))
         for policy in self.policies:
             make_policy(policy)
 

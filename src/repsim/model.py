@@ -54,8 +54,6 @@ class InstanceFormatError(ValueError):
         text = message if request is None else f"requests[{request}]: {message}"
         super().__init__(f"{ctx}: {text}" if ctx else text)
         self.message = message
-        self.path = path
-        self.line = line
         self.request = request
 
 
@@ -140,8 +138,12 @@ class Instance:
     def with_transfer_cost(self, cost: float) -> Instance:
         """This instance under transfer cost ``cost``, sharing its checked servers and requests."""
         _check_transfer_cost(cost)
+        return self._replaced(transfer_cost=cost)
+
+    def _replaced(self, **fields) -> Instance:
+        """This instance with ``fields`` replaced and not checked again; the caller vouches for them."""
         new = object.__new__(type(self))
-        new.__dict__.update(self.__dict__, transfer_cost=cost)
+        new.__dict__.update(self.__dict__, **fields)
         return new
 
     @classmethod

@@ -3,12 +3,13 @@
 The driver owns the ground truth: which servers hold copies, when each copy
 expires, and the recorded schedule. Its ``expiry`` map from server to expiry
 time (``inf`` for a copy kept until further notice) is the only holder
-table; its keys are the holders. A policy reads that map and acts on it
-only through four checked driver methods: ``transfer``, ``drop``, ``mark``
-(a kind change in place) and ``hold`` (a new expiry time). The driver aborts
-with a policy fault when an action would break feasibility. It serves exactly
-the requests of its instance, so a run's serve log lists them by construction.
-Policies are online by construction: a policy sees prices and the past only.
+table; its keys are the holders. The driver serves each request of its
+instance once: locally where the requester holds a copy, else by a transfer
+from the lowest-numbered holder. A policy keeps only its holding rules. It
+acts on the map only through four checked methods: ``transfer`` (to create
+or relocate a copy), ``drop``, ``mark`` (a kind change in place) and ``hold``
+(a new expiry time); an action that would break feasibility is a policy
+fault. Policies are online by construction: a policy sees prices and the past only.
 
 Three policies are provided, selectable by name:
 
@@ -52,7 +53,7 @@ MODE_TRANSFER = "transfer"
 
 
 class PolicyFault(RuntimeError):
-    """A policy took an infeasible action or left a request unserved."""
+    """A policy took an infeasible action."""
 
     def __init__(self, time: float, message: str):
         super().__init__(f"policy fault at t={time:g}: {message}")
@@ -87,8 +88,8 @@ class Policy:
         self._inst = inst = sim.prices
         self._window = {s.index: inst.transfer_cost / s.rate for s in inst.servers}
 
-    def on_request(self, sim: "Simulation", time: float, server: int) -> None:
-        """Serve a request at ``server``; it must hold a copy afterwards."""
+    def on_request(self, sim: "Simulation", time: float, server: int, source: int | None) -> None:
+        """The rule after the driver served a request at ``server`` from holder ``source``, None if local."""
         raise NotImplementedError
 
     def expire(self, sim: "Simulation", time: float, server: int) -> None:
@@ -122,13 +123,10 @@ class ThresholdPolicy(Policy):
         super().start(sim)
         self._last_request: dict[int, float] = {self._inst.initial_server: 0.0}
 
-    def on_request(self, sim: "Simulation", time: float, server: int) -> None:
-        if server not in sim.expiry:
-            src = min(sim.expiry)
-            sim.transfer(src, server)
-            if time - self._last_request.get(src, -math.inf) >= self._window[src] - TOL:
-                # outward transfer from a special (or just-expired) copy
-                sim.drop(src)
+    def on_request(self, sim: "Simulation", time: float, server: int, source: int | None) -> None:
+        if source is not None and time - self._last_request.get(source, -math.inf) >= self._window[source] - TOL:
+            # outward transfer from a special (or just-expired) copy
+            sim.drop(source)
         sim.hold(server, time + self._window[server])
         self._last_request[server] = time
 
@@ -161,11 +159,9 @@ class FixedRenewalPolicy(Policy):
         self._renewed: set[int] = set()
         self._idle_end = math.inf  # the first renewed window end of an idle sole copy at server 1
 
-    def on_request(self, sim: "Simulation", time: float, server: int) -> None:
-        if server not in sim.expiry:
-            if sim.expiry.get(1) == math.inf:
-                sim.hold(1, self._idle_expiry(time))
-            sim.transfer(min(sim.expiry), server)
+    def on_request(self, sim: "Simulation", time: float, server: int, source: int | None) -> None:
+        if source == 1 and sim.expiry[1] == math.inf:  # the idle copy was the source; a new copy at 1 also reads inf
+            sim.hold(1, self._idle_expiry(time))
         sim.hold(server, time + self._window[server])
         self._renewed.discard(server)
 
@@ -204,8 +200,8 @@ class FixedRenewalPolicy(Policy):
 class AnchorPolicy(Policy):
     """Benchmark keeping a permanent copy at the cheapest server.
 
-    Every other server holds a per-request window after each local request;
-    requests at copyless servers are served by a transfer from the anchor.
+    Every other server holds a per-request window after each of its requests;
+    the driver serves one without a copy from the anchor at server 1.
     When the initial copy is elsewhere, the anchor is created by a transfer
     at time 0 and the initial copy dropped immediately.
     """
@@ -219,12 +215,9 @@ class AnchorPolicy(Policy):
             sim.transfer(g, 1, PURPOSE_CREATE)
             sim.drop(g)
 
-    def on_request(self, sim: "Simulation", time: float, server: int) -> None:
-        if server == 1:
-            return
-        if server not in sim.expiry:
-            sim.transfer(1, server)
-        sim.hold(server, time + self._window[server])
+    def on_request(self, sim: "Simulation", time: float, server: int, source: int | None) -> None:
+        if server != 1:
+            sim.hold(server, time + self._window[server])
 
     def expire(self, sim: "Simulation", time: float, server: int) -> None:
         sim.drop(server)
@@ -312,7 +305,7 @@ class Simulation:
     def __init__(self, policy: Policy, instance: Instance):
         self._policy = policy
         self._instance = instance
-        self.prices = Instance(instance.servers, instance.transfer_cost, instance.initial_server, ())
+        self.prices = instance._replaced(requests=())
         g = instance.initial_server
         self.expiry: dict[int, float] = {g: math.inf}
         self._alarms: list[tuple[float, int]] = []  # the alarm heap, stale entries included
@@ -322,35 +315,29 @@ class Simulation:
         self._serves: list[tuple] = []  # a ServeRecord row per served request
         self._ran = False
         self._now = 0.0
-        self._request: int | None = None  # index of the request being served
-        self._record: tuple | None = None  # how that request was served so far, as a ServeRecord row
+        self._request = 0  # index of the request being handled; 0 outside a request
         policy.start(self)
 
     # -- policy actions -----------------------------------------------------
 
-    def transfer(self, src: int, dst: int, purpose: str = PURPOSE_SERVE, kind: str = KIND_REGULAR) -> None:
-        """Copy the object from ``src`` to ``dst``; the new copy expires at ``inf``."""
+    def transfer(self, src: int, dst: int, purpose: str, kind: str = KIND_REGULAR) -> None:
+        """Copy the object from ``src`` to ``dst`` for ``create_copy`` or ``relocate``; it expires at ``inf``."""
         time = self._now
+        if purpose not in (PURPOSE_CREATE, PURPOSE_RELOCATE):
+            raise PolicyFault(time, f"transfer for {purpose!r}, not {PURPOSE_CREATE!r} or {PURPOSE_RELOCATE!r}")
         live = self._live
         copy = live.get(src)
         if copy is None:
             raise PolicyFault(time, f"transfer from server {src} which holds no copy")
-        request = self._request
-        if purpose == PURPOSE_SERVE and request is None:
-            raise PolicyFault(time, "serve transfer outside a request event")
         if dst in live:
             raise PolicyFault(time, f"transfer into server {dst} which already holds a copy")
         if type(dst) is not int or not 1 <= dst <= self.prices.n:
             raise PolicyFault(time, f"transfer into server {dst!r}, which is not in 1..{self.prices.n}")
-        if purpose == PURPOSE_SERVE:
-            if self._record is not None:
-                raise PolicyFault(time, f"request {request} served twice")
-            self._record = (request, time, dst, MODE_TRANSFER, src, copy.kind, copy.origin, copy.switch)
         self._transfers.append(Transfer(time, src, dst, purpose))
         if purpose == PURPOSE_RELOCATE:
             live[dst] = _LiveCopy(time, kind, copy.origin, time if kind in SPECIAL_KINDS else None)
         else:
-            live[dst] = _LiveCopy(time, kind, request or 0, None)
+            live[dst] = _LiveCopy(time, kind, self._request, None)
         self.expiry[dst] = math.inf
 
     def drop(self, server: int) -> None:
@@ -416,39 +403,47 @@ class Simulation:
     def run(self) -> AnnotatedRun:
         """Serve the instance's requests in order, each after its earlier alarms, then wind down.
 
-        Copies then expire until every expiry is ``inf``, and those alive are
-        recorded as held forever; ``compute_cost`` clips every record at the
-        final request. The serve log lists exactly the instance's requests,
-        and the run's instance is the one given. A simulation runs once.
+        A request at a server without a copy is served by a transfer from the
+        lowest-numbered holder, which adds a regular copy there; ``on_request``
+        then runs with that source, or None for a local serve. Copies then
+        expire until every expiry is ``inf``, and those alive are recorded as
+        held forever; ``compute_cost`` clips every record at the final request.
+        The serve log lists exactly the instance's requests, and the run's
+        instance is the one given. A simulation runs once.
         """
         if self._ran:
             raise RuntimeError("simulation already run")
         self._ran = True
-        serves, live, alarms, policy = self._serves, self._live, self._alarms, self._policy
+        serves, live, expiry, alarms, policy = self._serves, self._live, self.expiry, self._alarms, self._policy
         for req in self._instance.requests:
             index, time, server = req.index, req.time, req.server
             while alarms and alarms[0][0] < time:
                 self.step_alarm(time)
-            self._now, self._request, self._record = time, index, None
+            self._now, self._request = time, index
             held = live.get(server)
-            if held is not None:
-                self._record = (index, time, server, MODE_LOCAL, None, held.kind, held.origin, held.switch)
+            if held is None:
+                source = min(expiry)
+                copy = live[source]
+                serves.append((index, time, server, MODE_TRANSFER, source, copy.kind, copy.origin, copy.switch))
+                self._transfers.append(Transfer(time, source, server, PURPOSE_SERVE))
+                live[server] = _LiveCopy(time, KIND_REGULAR, index, None)
+                expiry[server] = math.inf
+            else:
+                source = None
+                serves.append((index, time, server, MODE_LOCAL, None, held.kind, held.origin, held.switch))
                 if held.kind != KIND_REGULAR:
                     self._close_segment(server, time)
                     live[server] = _LiveCopy(time, KIND_REGULAR, index, None)
                 else:
                     held.origin = index
-            policy.on_request(self, time, server)
-            record, self._request = self._record, None
-            if record is None or record[2] != server:  # the row's server field
-                raise PolicyFault(time, f"request {index} at server {server} left unserved")
-            serves.append(record)
+            policy.on_request(self, time, server, source)
+            self._request = 0
         while alarms:
             self.step_alarm()
         for server, c in live.items():
             self._segments.append(CopyInterval(server, c.start, math.inf, c.kind))
         live.clear()
-        self.expiry.clear()
+        expiry.clear()
         schedule = ReplicationSchedule(self._instance, self._segments, self._transfers)
         return AnnotatedRun(schedule, tuple(serves), policy.name)
 

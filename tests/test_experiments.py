@@ -273,6 +273,16 @@ def test_spec_validation():
         R.ExperimentSpec(times=(1.0,), rate_sets={"x": (1.0, 2.0)}, lambda_values=(math.inf,))
 
 
+def test_spec_builds_one_instance_per_rate_set_and_checks_every_transfer_cost(monkeypatch):
+    builds = []
+    build = R.Instance.build.__func__
+    monkeypatch.setattr(R.Instance, "build", classmethod(lambda cls, *args: builds.append(args) or build(cls, *args)))
+    R.ExperimentSpec(times=(1.0,))
+    assert len(builds) == len(R.RATE_SETS)
+    with pytest.raises(ValueError, match="transfer cost must be finite and strictly positive, got 0.0"):
+        R.ExperimentSpec(times=(1.0,), rate_sets={"x": (1.0, 2.0)}, lambda_values=(1.0, 0.0))
+
+
 def test_sweep_server_count_is_the_rate_sets_length():
     times = (1.0, 2.0, 3.0)
     spec = R.ExperimentSpec(times=times, rate_sets={"one": (2.0,)}, lambda_values=(1.0,), policies=("simple",))

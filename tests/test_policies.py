@@ -281,18 +281,13 @@ def test_window_rule_characterizes_local_regular_serves():
 
 
 class _TransferFromEmpty(R.ThresholdPolicy):
-    def on_request(self, sim, time, server):
-        sim.transfer(self._inst.n, server)
-
-
-class _NeverServes(R.ThresholdPolicy):
-    def on_request(self, sim, time, server):
-        pass
+    def on_request(self, sim, time, server, source):
+        sim.transfer(self._inst.n, server, "create_copy")
 
 
 class _DropsNonHeld(R.ThresholdPolicy):
-    def on_request(self, sim, time, server):
-        super().on_request(sim, time, server)
+    def on_request(self, sim, time, server, source):
+        super().on_request(sim, time, server, source)
         sim.drop(self._inst.n)
 
 
@@ -301,13 +296,6 @@ def test_policy_fault_on_bad_transfer():
     with pytest.raises(R.PolicyFault) as err:
         R.simulate(_TransferFromEmpty(), inst)
     assert str(err.value) == "policy fault at t=1: transfer from server 3 which holds no copy"
-
-
-def test_policy_fault_on_unserved_request():
-    inst = R.Instance.build([1.0, 2.0], 1.0, 1, [(5.0, 2)])
-    with pytest.raises(R.PolicyFault) as err:
-        R.simulate(_NeverServes(), inst)
-    assert str(err.value) == "policy fault at t=5: request 1 at server 2 left unserved"
 
 
 def test_policy_fault_on_drop_of_non_held_copy():
@@ -324,8 +312,8 @@ class _CreatesOutside(R.ThresholdPolicy):
         super().__init__()
         self.dst = dst
 
-    def on_request(self, sim, time, server):
-        super().on_request(sim, time, server)
+    def on_request(self, sim, time, server, source):
+        super().on_request(sim, time, server, source)
         sim.transfer(server, self.dst, "create_copy")
 
 
@@ -338,39 +326,51 @@ def test_policy_fault_on_transfer_into_a_server_the_instance_lacks(dst):
     assert str(err.value) == f"policy fault at t=0.5: transfer into server {dst}, which is not in 1..2"
 
 
+SERVE_FAULT = "t={}: transfer for 'serve_request', not 'create_copy' or 'relocate'"
+PURPOSE_FAULT = "t={}: transfer for 'prefetch', not 'create_copy' or 'relocate'"
+
 # hook replaced in alg1, server of the one request at t=0.5, the replacement, the fault
 DRIVER_CHECKS = {
     "transfer-from-non-holder": (
-        "on_request", 2, lambda sim, t, s: sim.transfer(3, s), "t=0.5: transfer from server 3 which holds no copy"
+        "on_request", 2, lambda sim, t, s, src: sim.transfer(3, 1, "create_copy"),
+        "t=0.5: transfer from server 3 which holds no copy",
     ),
-    # a second serve of a locally served request: the holder check fires first
+    # the driver already served the request from server 1's copy
     "transfer-into-holder": (
-        "on_request", 1, lambda sim, t, s: sim.transfer(1, s), "t=0.5: transfer into server 1 which already holds a copy"
+        "on_request", 2, lambda sim, t, s, src: sim.transfer(src, s, "create_copy"),
+        "t=0.5: transfer into server 2 which already holds a copy",
     ),
-    "serve-at-start": ("start", 2, lambda sim: sim.transfer(1, 2), "t=0: serve transfer outside a request event"),
-    "serve-at-expiry": ("expire", 2, lambda sim, t, s: sim.transfer(s, 3), "t=1: serve transfer outside a request event"),
-    "served-twice": (
-        "on_request", 2, lambda sim, t, s: [sim.transfer(1, s), sim.transfer(1, 3)], "t=0.5: request 1 served twice"
+    # only the driver serves a request, so a policy's serve transfer is a fault wherever it is made
+    "serve-at-start": ("start", 2, lambda sim: sim.transfer(1, 2, "serve_request"), SERVE_FAULT.format(0)),
+    "serve-at-request": (
+        "on_request", 1, lambda sim, t, s, src: sim.transfer(s, 3, "serve_request"), SERVE_FAULT.format(0.5)
     ),
-    "drop-at-non-holder": ("on_request", 1, lambda sim, t, s: sim.drop(3), "t=0.5: drop at server 3 which holds no copy"),
+    "serve-at-expiry": ("expire", 2, lambda sim, t, s: sim.transfer(s, 3, "serve_request"), SERVE_FAULT.format(1)),
+    "unknown-purpose-at-start": ("start", 2, lambda sim: sim.transfer(1, 2, "prefetch"), PURPOSE_FAULT.format(0)),
+    "unknown-purpose-at-request": (
+        "on_request", 1, lambda sim, t, s, src: sim.transfer(s, 3, "prefetch"), PURPOSE_FAULT.format(0.5)
+    ),
+    "unknown-purpose-at-expiry": (
+        "expire", 2, lambda sim, t, s: sim.transfer(s, 3, "prefetch"), PURPOSE_FAULT.format(1)
+    ),
+    "drop-at-non-holder": (
+        "on_request", 1, lambda sim, t, s, src: sim.drop(3), "t=0.5: drop at server 3 which holds no copy"
+    ),
     # both copies expire at t=1: server 1 is dropped, then server 2 holds the sole copy
     "drop-of-sole-copy": ("expire", 2, lambda sim, t, s: sim.drop(s), "t=1: drop of the sole copy at server 2"),
     "mark-at-non-holder": (
-        "on_request", 1, lambda sim, t, s: sim.mark(3, "resident_special"),
+        "on_request", 1, lambda sim, t, s, src: sim.mark(3, "resident_special"),
         "t=0.5: kind change at server 3 which holds no copy",
     ),
     "hold-at-non-holder": (
-        "on_request", 1, lambda sim, t, s: sim.hold(3, 9.0), "t=0.5: hold at server 3 which holds no copy"
+        "on_request", 1, lambda sim, t, s, src: sim.hold(3, 9.0), "t=0.5: hold at server 3 which holds no copy"
     ),
     "hold-into-the-past": (
-        "on_request", 1, lambda sim, t, s: sim.hold(s, 0.25), "t=0.5: hold at server 1 to t=0.25, before the current time"
+        "on_request", 1, lambda sim, t, s, src: sim.hold(s, 0.25),
+        "t=0.5: hold at server 1 to t=0.25, before the current time",
     ),
     "hold-to-nan": (
-        "on_request", 1, lambda sim, t, s: sim.hold(s, math.nan), "t=0.5: hold at server 1 to t=nan, not a time"
-    ),
-    "unserved": ("on_request", 2, lambda sim, t, s: None, "t=0.5: request 1 at server 2 left unserved"),
-    "served-elsewhere": (
-        "on_request", 2, lambda sim, t, s: sim.transfer(1, 3), "t=0.5: request 1 at server 2 left unserved"
+        "on_request", 1, lambda sim, t, s, src: sim.hold(s, math.nan), "t=0.5: hold at server 1 to t=nan, not a time"
     ),
 }
 
@@ -392,7 +392,7 @@ class _MarksAnUnknownKind(Policy):
     def start(self, sim):
         pass
 
-    def on_request(self, sim, time, server):
+    def on_request(self, sim, time, server, source):
         sim.mark(server, "spare")
 
 
@@ -445,10 +445,9 @@ class _HoldsBelowTheAlarm(Policy):
     def start(self, sim):
         sim.hold(1, 10.0)
 
-    def on_request(self, sim, time, server):
+    def on_request(self, sim, time, server, source):
         self.log.append(("request", time, server))
-        if server not in sim.expiry:
-            sim.transfer(1, server)
+        if source is not None:
             sim.hold(server, 3.0)
 
     def expire(self, sim, time, server):
@@ -479,9 +478,8 @@ class _TwoExpireAtOnce(Policy):
     def start(self, sim):
         sim.hold(1, 5.0)
 
-    def on_request(self, sim, time, server):
-        if server not in sim.expiry:
-            sim.transfer(1, server)
+    def on_request(self, sim, time, server, source):
+        if source is not None:
             sim.hold(server, 2.0)
 
     def expire(self, sim, time, server):
@@ -578,7 +576,7 @@ class _IgnoresItsAlarm(Policy):
     def start(self, sim):
         sim.hold(1, 2.0)
 
-    def on_request(self, sim, time, server):
+    def on_request(self, sim, time, server, source):
         pass
 
     def expire(self, sim, time, server):

@@ -241,11 +241,29 @@ def _prefixes_off_the_full_run(policy_for, inst: R.Instance) -> list[int]:
     return off
 
 
+def _shifted(inst: R.Instance, offset: float) -> R.Instance:
+    return replace(inst, requests=tuple(replace(r, time=r.time + offset) for r in inst.requests))
+
+
 @given(instances(max_n=5, max_m=12), st.sampled_from((0.0, 1e3, 6e5, 1e6)))
 def test_every_policy_is_online(inst, offset):
-    shifted = replace(inst, requests=tuple(replace(r, time=r.time + offset) for r in inst.requests))
+    shifted = _shifted(inst, offset)
     for name in POLICY_NAMES:
         assert _prefixes_off_the_full_run(lambda _: R.make_policy(name), shifted) == [], name
+
+
+@given(instances(), st.sampled_from((0.0, 6e5)))
+def test_every_transfer_serve_comes_from_the_lowest_numbered_holder(inst, offset):
+    # the driver's one serve rule, whatever the policy: nothing happens at a
+    # request's time before it is served, so its holders are the copies alive
+    # just before it
+    shifted = _shifted(inst, offset)
+    for name in POLICY_NAMES:
+        run, _ = R.simulate(name, shifted)
+        copies = run.schedule.copies
+        for rec in run.serves:
+            if rec.mode == "transfer":
+                assert rec.source == min(c.server for c in copies if c.start < rec.time <= c.end), (name, rec)
 
 
 class _ReadsTheRequests(R.ThresholdPolicy):
@@ -275,8 +293,8 @@ class _Prefetching(R.ThresholdPolicy):
         super().start(sim)
         self._next = iter(self._requests[1:])
 
-    def on_request(self, sim: R.Simulation, time: float, server: int) -> None:
-        super().on_request(sim, time, server)
+    def on_request(self, sim: R.Simulation, time: float, server: int, source: int | None) -> None:
+        super().on_request(sim, time, server, source)
         upcoming = next(self._next, None)
         if upcoming is not None and upcoming.server not in sim.expiry:
             sim.transfer(server, upcoming.server, PURPOSE_CREATE)
