@@ -37,24 +37,34 @@ per-step scratch: storage adds 0 to it, and the next step overwrites it.
 Two step loops run these steps with the same float operations in the same
 order, so their optima and schedules agree bit for bit. For one transfer
 cost and at most ``LIST_STEP_MAX_N`` servers the table is a Python list,
-since numpy's cost per call outweighs the work on at most 64 entries; else
-it is a numpy table with one column per transfer cost.
+since numpy's cost per call outweighs the work on at most 32 entries; else
+it is a numpy table with one column per transfer cost. Both put server 1 on
+the table's top bit, server 2 on bit 0 and servers 3..n on bits n-2..1
+(``_row_map``). Almost every step runs the passes toward the cheapest
+servers, as a step from any dearer requester may create a copy there, and a
+numpy call costs more on more strided views: so the pass over server 1 works
+on the table's two halves, 1-D views, and the one over server 2 on its even
+and odd rows, 1-D views for one column. Other passes work on 2-D views of
+runs of rows, walked across the runs when runs have at most 4 entries.
 
 For a schedule either loop records one move bit per creation pass and
 entry it relaxes: set where the candidate from across the pass's bit is
 strictly cheaper, the only entries the minimum changes. A step's n * 2^(n-1)
 bits are packed into one row, and the step also keeps its cheapest singleton;
-the half copy is unconditional and needs no bit. The backtrack walks the first
-cheapest final subset back through each step's passes in reverse, one bit
-lookup per pass run over a bit the subset holds (undoing pass ``b`` toggles
-bit ``b`` only), so on exact ties the schedule is the first strictly cheaper
-path in pass order. Undoing a step gives the holders before it, so the same
-walk emits the schedule, step by step. This module holds the oracle only:
+the half copy is unconditional and needs no bit. The numpy loop keeps both
+for a block of ``_BLOCK`` steps and packs each block at once. The backtrack
+walks the first cheapest final subset (in subset order, not row order) back
+through each step's passes in reverse, one bit lookup per pass run over a
+bit the subset holds (undoing pass ``b`` toggles bit ``b`` only), so on
+exact ties the schedule is the first strictly cheaper path in pass order.
+Undoing a step gives the holders before it, so the same walk emits the
+schedule, step by step. This module holds the oracle only:
 ``model.validate_offline_structure`` checks the laws its schedules obey.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -74,7 +84,8 @@ from .model import (
 )
 
 DEFAULT_BUDGET = 5_000_000_000
-LIST_STEP_MAX_N = 6  # the most servers at which a reconstructing list step beats a table step (2-core VM)
+_BLOCK = 16  # steps whose move bits and singletons are packed at once
+LIST_STEP_MAX_N = 5  # the most servers at which a list step beats a table step, with or without a schedule (2-core VM)
 
 
 class BudgetExceeded(RuntimeError):
@@ -88,10 +99,6 @@ class DPSolution:
     opt_cost: float
     schedule: ReplicationSchedule | None
     prefix_costs: tuple[float, ...]  # prefix_costs[i] = optimum for the first i requests
-
-
-def _bit(server: int) -> int:
-    return 1 << (server - 1)
 
 
 def _check_budget(instance: Instance, budget: int) -> None:
@@ -114,38 +121,42 @@ def _check_budget(instance: Instance, budget: int) -> None:
         )
 
 
-def _rate_sums(instance: Instance) -> np.ndarray:
-    """Each holder subset's rate sum; subset ``mask`` holds server ``b + 1`` when bit ``b`` is set."""
-    ratesum = np.zeros(1 << instance.n)
-    for b, server in enumerate(instance.servers):
-        half = 1 << b
-        ratesum[half : 2 * half] = ratesum[:half] + server.rate
+@functools.cache
+def _row_map(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The table bit of each server bit, and the table row of each holder subset.
+
+    Server 1 gets the top bit, server 2 bit 0 and servers 3..n bits n-2..1.
+    """
+    places = (n - 1, 0, *range(n - 2, 0, -1))[:n]
+    rows = [0]
+    for place in places:
+        rows += [row | 1 << place for row in rows]
+    return places, tuple(rows)
+
+
+def _rate_sums(instance: Instance) -> list[float]:
+    """Each table row's rate sum, its holders' rates added in server order."""
+    rows = _row_map(instance.n)[1]
+    ratesum = [0.0] * len(rows)
+    for b, server in enumerate(instance.servers):  # the subsets with bit b are those without it, plus b
+        for row, with_b in zip(rows[: 1 << b], rows[1 << b : 2 << b]):
+            ratesum[with_b] = ratesum[row] + server.rate
     return ratesum
 
 
-_SHORT_RUN = 4  # views made of runs this short or shorter put the axis across runs last
+def _runs(view: np.ndarray) -> tuple[np.ndarray, str]:
+    """A ``(count, run)`` view as 1-D if either is 1, across the runs in C order if runs are short, else as is."""
+    count, run = view.shape
+    if count == 1 or run == 1:
+        return view.reshape(-1), "K"
+    return (view.T, "C") if run <= 4 else (view, "K")
 
 
-def _runs_last(view: np.ndarray) -> np.ndarray:
-    """A ``(runs, run, columns)`` view, with the axis across runs last when runs are short."""
-    return view.transpose(1, 2, 0) if view.shape[1] * view.shape[2] <= _SHORT_RUN else view
-
-
-def _halves(table: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per bit ``b``, views of the rows of ``table`` whose subset lacks and has bit ``b``.
-
-    The two views of a bit pair each subset with the one that differs from it
-    in that bit only, and tables of one shape get views of one shape. A view
-    is made of runs of ``(1 << b) * columns`` contiguous entries. When runs
-    are short, numpy's per-run cost dominates, so those views put the axis
-    across runs last; ufuncs over them must then run in C order.
-    """
-    size, cols = table.shape
-    out = []
-    for b in range(size.bit_length() - 1):
-        side = table.reshape(size >> (b + 1), 2, 1 << b, cols)
-        out.append((_runs_last(side[:, 0]), _runs_last(side[:, 1])))
-    return out
+def _pass_views(table: np.ndarray, place: int) -> tuple[np.ndarray, np.ndarray, str]:
+    """Views of the rows of ``table`` lacking and having bit ``place``, paired entry by entry, and their ufunc order."""
+    side = table.reshape(table.shape[0] >> (place + 1), 2, -1)
+    (lo, order), (hi, _) = _runs(side[:, 0]), _runs(side[:, 1])
+    return lo, hi, order
 
 
 def _solve(
@@ -180,87 +191,101 @@ def _table_steps(
     instance: Instance, events: list[tuple[float, int]], allowed: list[int], transfer_costs: Sequence[float],
     prefix: bool, reconstruct: bool,
 ) -> tuple[np.ndarray, tuple[np.ndarray, list[int], int] | None]:
-    """The step loop over a numpy table, in place on views and temporaries that are all built before it."""
+    """The step loop over a numpy table, in place on views and temporaries that are all built before it.
+
+    With ``reconstruct`` step ``i`` keeps its move bits and singletons in slot ``i % _BLOCK`` of a block.
+    """
     n = instance.n
     size = 1 << n
     cols = len(transfer_costs)
-    ratesum = np.repeat(_rate_sums(instance)[:, None], cols, axis=1)  # a full table keeps the storage pass contiguous
-    transfer = _halves(np.tile(np.asarray(transfer_costs, dtype=float), (size, 1)))
-    singles = 1 << np.arange(n)
+    places, rows = _row_map(n)
+    ratesum = np.repeat(np.array(_rate_sums(instance))[:, None], cols, axis=1)  # a full table keeps storage contiguous
+    costs = np.tile(np.asarray(transfer_costs, dtype=float), (size, 1))
+    singles = np.array([1 << place for place in places])
     dp = np.full((size, cols), math.inf)
-    dp[_bit(instance.initial_server)] = 0.0
-    halves = _halves(dp)
+    dp[singles[instance.initial_server - 1]] = 0.0
+    halves = [_pass_views(dp, place) for place in places]
     storage = np.empty_like(dp)
-    singletons = np.empty((n, cols))  # gathered once per step
+    block = _BLOCK if reconstruct else 1
+    singletons = np.empty((block, n, cols))  # gathered once per step
+    gathered = list(singletons)
     optima = np.empty((len(events) if prefix else 1, cols))
-    slots = [None] * n
+    slots = [None]
     if reconstruct:
-        moves = np.zeros((n, size >> 1), dtype=bool)  # pass b records its move bits in row b
-        slots = [_runs_last(moves[b].reshape(size >> (b + 1), 1 << b, 1)) for b in range(n)]
-        record = np.empty((len(events), (moves.size + 7) // 8), dtype=np.uint8)
-        cheapest = np.zeros(len(events), dtype=np.uint8)
+        moves = np.zeros((block, n, size >> 1), dtype=bool)  # pass b records its move bits in row b of a slot
+        slots = [
+            [_runs(moved[b].reshape(size >> (place + 1), 1 << place))[0] for b, place in enumerate(places)]
+            for moved in moves
+        ]
+        record = np.empty((len(events), (moves[0].size + 7) // 8), dtype=np.uint8)
+        cheapest = np.empty(len(events), dtype=np.uint8)
     # pass b creates a copy at server b + 1 for one transfer; sequential passes cover multi-copy
     # creations, and contiguous copies of the cost views keep the adds fast
     passes = [
-        (lo, hi, np.ascontiguousarray(transfer[b][0]), np.empty_like(lo), slots[b]) for b, (lo, hi) in enumerate(halves)
+        (lo, hi, order, np.ascontiguousarray(_pass_views(costs, place)[0]), np.empty_like(lo))
+        for (lo, hi, order), place in zip(halves, places)
     ]
-    step_passes = [[p for b, p in enumerate(passes) if mask >> b & 1] for mask in allowed]
+    step_passes = [[(*passes[b], b) for b in range(n) if mask >> b & 1] for mask in allowed]
 
-    add, minimum, less, take, copyto = np.add, np.minimum, np.less, np.take, np.copyto
+    add, minimum, less, copyto, take = np.add, np.minimum, np.less, np.copyto, dp.take
+    last = len(events) - 1
     prev_t = 0.0
     for i, (time, server) in enumerate(events):
         dp += np.multiply(ratesum, time - prev_t, out=storage)
         prev_t = time
         q = server - 1
+        k = i % block
+        moved = slots[k]
         # the closed form F[s] = G[s | q] of the module docstring: row 0 stands for
         # "serve from the cheapest sole holder, then drop it", and the creation
         # pass over bit q is the serve
-        minimum.reduce(take(dp, singles, axis=0, out=singletons, mode="clip"), axis=0, out=dp[0])
-        if reconstruct:
-            cheapest[i] = singletons[:, 0].argmin()
-        for lo, hi, cost, spare, moved in step_passes[q]:
-            src = add(lo, cost, out=spare, order="C")
+        minimum.reduce(take(singles, axis=0, out=gathered[k], mode="clip"), axis=0, out=dp[0])
+        for lo, hi, order, cost, spare, b in step_passes[q]:
+            src = add(lo, cost, out=spare, order=order)
             if moved is not None:
-                less(src, hi, out=moved, order="C")
-            minimum(hi, src, out=hi, order="C")
-        copyto(halves[q][0], halves[q][1])  # dropping q is free; row 0 gets G[{q}], dead until the next step
+                less(src, hi, out=moved[b], order=order)
+            minimum(hi, src, out=hi, order=order)
+        copyto(*halves[q][:2])  # dropping q is free; row 0 gets G[{q}], dead until the next step
         if prefix:
-            optima[i] = dp[1 << q]  # the least entry: the step's optimum
-        if reconstruct:
-            record[i] = np.packbits(moves, bitorder="little")
+            optima[i] = dp[singles[q]]  # the least entry: the step's optimum
+        if reconstruct and (k == block - 1 or i == last):
+            record[i - k : i + 1] = np.packbits(moves[: k + 1].reshape(k + 1, -1), axis=1, bitorder="little")
+            cheapest[i - k : i + 1] = singletons[: k + 1, :, 0].argmin(axis=1)
     if not prefix:
-        optima[0] = dp[1 << q]
+        optima[0] = dp[singles[q]]
     if not reconstruct:
         return optima, None
     dp[0] = math.inf
-    return optima, (record, cheapest.tolist(), int(np.argmin(dp[:, 0])))
+    return optima, (record, cheapest.tolist(), int(np.argmin(dp[rows, 0])))  # the first cheapest subset, not row
 
 
 def _list_steps(
     instance: Instance, events: list[tuple[float, int]], allowed: list[int], transfer_costs: Sequence[float],
     prefix: bool, reconstruct: bool,
 ) -> tuple[np.ndarray, tuple[np.ndarray, list[int], int] | None]:
-    """``_table_steps`` for one transfer cost over a list, each float operation in the table loop's order.
+    """``_table_steps`` for one transfer cost over a list, with the table's row order and each float operation in order.
 
     Rows of the record for the passes a step skips stay 0; ``_reconstruct`` never reads them.
     """
     cost = float(transfer_costs[0])
     n = instance.n
     size, half = 1 << n, 1 << (n - 1)
-    ratesum = _rate_sums(instance).tolist()
+    places, rows = _row_map(n)
+    ratesum = _rate_sums(instance)
+    singles = [1 << place for place in places]
     dp = [math.inf] * size
-    dp[_bit(instance.initial_server)] = 0.0
-    # pass b relaxes each subset with bit b from its partner without it; the j-th pair is move bit b * half + j
-    pairs = [[(s, s | 1 << b) for s in range(size) if not s >> b & 1] for b in range(n)]
+    dp[singles[instance.initial_server - 1]] = 0.0
+    # pass b relaxes each row with bit places[b] from its partner without it; the j-th pair is move bit b * half + j
+    pairs = [[(s, s | 1 << place) for s in range(size) if not s >> place & 1] for place in places]
     step_passes = [[(b * half, pairs[b]) for b in range(n) if mask >> b & 1] for mask in allowed]
     nbytes = (n * half + 7) // 8
-    optima, rows, cheapest = [], [], []
+    optima, record, cheapest = [], [], []
     prev_t = 0.0
     for time, server in events:
         dt, prev_t = time - prev_t, time
         dp = [v + r * dt for v, r in zip(dp, ratesum)]
         q = server - 1
-        singletons = [dp[1 << b] for b in range(n)]
+        singletons = [dp[row] for row in singles]
         dp[0] = least = min(singletons)
         moved = 0
         for first, pass_pairs in step_passes[q]:
@@ -271,16 +296,17 @@ def _list_steps(
                     moved |= 1 << j
         for lo, hi in pairs[q]:  # the half copy
             dp[lo] = dp[hi]
-        optima.append(dp[1 << q])
+        optima.append(dp[singles[q]])
         if reconstruct:
             cheapest.append(singletons.index(least))
-            rows.append(moved.to_bytes(nbytes, "little"))
+            record.append(moved.to_bytes(nbytes, "little"))
     optima = np.array(optima if prefix else optima[-1:])[:, None]
     if not reconstruct:
         return optima, None
     dp[0] = math.inf
-    record = np.frombuffer(b"".join(rows), dtype=np.uint8).reshape(len(events), nbytes)
-    return optima, (record, cheapest, dp.index(min(dp)))
+    final = [dp[row] for row in rows]
+    record = np.frombuffer(b"".join(record), dtype=np.uint8).reshape(len(events), nbytes)
+    return optima, (record, cheapest, final.index(min(final)))
 
 
 def _reconstruct(
@@ -294,10 +320,10 @@ def _reconstruct(
     """The schedule that walks ``final_state`` back through each step's recorded moves.
 
     ``record[i]`` packs step ``i``'s move bits little-endian, 2^(n-1) per
-    creation pass in bit order, each at its subset's index with the pass's
-    bit removed. A subset with the pass's bit whose move bit is set came
-    from its partner without it; a step from server ``q + 1`` ran only the
-    passes over ``allowed[q]``. Each step ends with the requester's half
+    creation pass in server order, each at its subset's table row with the
+    pass's table bit removed. A subset with the pass's bit whose move bit is
+    set came from its partner without it; a step from server ``q + 1`` ran
+    only the passes over ``allowed[q]``. Each step ends with the requester's half
     copied into the half without it, and its row 0 is the singleton with bit
     ``cheapest[i]``. Undoing step ``i`` gives the holders before it, so the
     one backward walk emits the step's transfers and copies right there.
@@ -307,23 +333,27 @@ def _reconstruct(
     bits = memoryview(record.reshape(-1))
     row_bits = 8 * record.shape[1]
     offsets = [b * half for b in range(n)]
+    places, rows = _row_map(n)
+    tops = [1 << place for place in places]
     copies: list[CopyInterval] = []
     transfers: list[Transfer] = []
     ends = {b + 1: events[-1][0] for b in range(n) if final_state >> b & 1}  # copies whose start is still ahead
     after = final_state
     for i in range(len(events) - 1, -1, -1):
         time, server = events[i]
-        qbit = _bit(server)
+        qbit = 1 << (server - 1)
         state = after | qbit
         base = i * row_bits
+        row = rows[state]
         held = state & allowed[server - 1]  # rows of the passes the step skipped are stale
         while held:  # undoing pass b toggles bit b only, so the lower set bits stay the passes to undo
             b = held.bit_length() - 1
-            top = 1 << b
-            held ^= top
-            at = base + offsets[b] + ((state >> 1) & -top | state & (top - 1))
+            held ^= 1 << b
+            top = tops[b]
+            at = base + offsets[b] + ((row >> 1) & -top | row & (top - 1))
             if bits[at >> 3] >> (at & 7) & 1:
-                state ^= top
+                state ^= 1 << b
+                row ^= top
         state = state or 1 << cheapest[i]
         # ``state`` holds the holders before step i; before step 0 every entry but the
         # initial server's is inf, so undoing step 0 always lands on that server alone

@@ -24,6 +24,9 @@ which tests check.
 
 ``far_sets`` finds the far servers of each step with a plain loop, apart
 from the program's vectorised lookup.
+
+The references share no helper with the program: their tables keep server
+``b + 1`` on bit ``b``, while the program's order their rows otherwise.
 """
 
 from __future__ import annotations
@@ -43,7 +46,29 @@ from repsim.model import (
     ReplicationSchedule,
     Transfer,
 )
-from repsim.offline import _bit, _halves, _rate_sums
+
+
+def _bit(server: int) -> int:
+    """The table bit of ``server``: server ``b + 1`` on bit ``b``."""
+    return 1 << (server - 1)
+
+
+def _rate_sums(instance: Instance) -> np.ndarray:
+    """Each holder subset's rate sum, adding the rates in server order."""
+    ratesum = np.zeros(1 << instance.n)
+    for b, server in enumerate(instance.servers):
+        ratesum[1 << b : 2 << b] = ratesum[: 1 << b] + server.rate
+    return ratesum
+
+
+def _halves(table: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per bit ``b``, views of the rows of ``table`` whose subset lacks and has bit ``b``, paired entry by entry."""
+    size, cols = table.shape
+    out = []
+    for b in range(size.bit_length() - 1):
+        side = table.reshape(size >> (b + 1), 2, 1 << b, cols)
+        out.append((side[:, 0], side[:, 1]))
+    return out
 
 
 def creation_passes(instance: Instance, all_passes: bool = False) -> list[list[int]]:

@@ -215,6 +215,39 @@ def test_reconstructed_schedules_equal_the_came_from_reference_on_a_trace_prefix
                 assert (sol.opt_cost, sol.schedule) == reference_schedule(inst, restricted), (rate_set, lam, restricted)
 
 
+def _row_map_instances(n: int):
+    """Seeded instances on ``n`` servers: equal, tied and distinct rates, every initial server, 1 to 8 requests.
+
+    Gaps and transfer costs are multiples of 1/4, so distinct schedules often cost exactly the same.
+    """
+    rng = np.random.default_rng([n, 28])
+    for kind in ("equal", "tied", "distinct"):
+        if kind == "equal":
+            rates = [1.5] * n
+        elif kind == "tied":
+            rates = sorted(rng.choice([0.5, 1.0, 2.0], n).tolist())
+        else:
+            rates = sorted(((rng.permutation(64)[:n] + 1) / 4).tolist())
+        for initial in range(1, n + 1):
+            m = int(rng.integers(1, 9))
+            times = np.cumsum(rng.integers(1, 12, m) / 4).tolist()
+            servers = rng.integers(1, n + 1, m).tolist()
+            yield R.Instance.build(rates, int(rng.integers(1, 16)) / 4, initial, list(zip(times, servers)))
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_every_table_row_map_equals_the_plain_layout_references(n):
+    # the table puts server 1 on its top bit and server 2 on bit 0; the references keep server b + 1 on bit b
+    for inst in _row_map_instances(n):
+        lams = [inst.transfer_cost, 0.25, 3.0, inst.transfer_cost * 2, 0.75]
+        expected = full_prefix_optima(inst, lams)
+        for cols in (1, 2, 5):
+            assert R.opt_costs(inst, lams[:cols]) == tuple(expected[-1, :cols].tolist()), (inst, cols)
+        sol = R.opt_full(inst)
+        assert sol.prefix_costs == tuple(expected[:, 0].tolist()), inst
+        assert (sol.opt_cost, sol.schedule) == reference_schedule(inst, restricted=False), inst
+
+
 def test_reconstruction_memory_is_the_move_record_plus_a_fixed_slack():
     # per step, one move bit per creation pass and destination entry, n 2^(n - 1)
     # bits, and one byte for the cheapest singleton
