@@ -183,9 +183,9 @@ def run_adversary(policy: "Policy | str", mu: float, lam: float = 1.0, epsilon: 
         policy = make_policy(policy)
     probe = lam / mu + 4.0 * lam / mu**2
     sim = Simulation(policy, Instance.build([1.0, mu], lam, 2, []))
-    abandoned_at = None if 2 in sim.expiry else 0.0  # 0: dropped at the start
+    abandoned_at = None if 2 in sim.holders else 0.0  # 0: dropped at the start
     while abandoned_at is None and (alarm := sim.step_alarm(probe)) is not None:
-        if 2 not in sim.expiry:
+        if 2 not in sim.holders:
             abandoned_at = alarm
     if abandoned_at is None:
         branch, decision_time, request, offline = 1, probe, (probe, 1), probe + lam

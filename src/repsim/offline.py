@@ -134,6 +134,12 @@ def _row_map(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return places, tuple(rows)
 
 
+@functools.cache
+def _pass_pairs(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The list loop's passes: per server bit, each table row without its place paired with the row with it."""
+    return tuple(tuple((s, s | 1 << place) for s in range(1 << n) if not s >> place & 1) for place in _row_map(n)[0])
+
+
 def _rate_sums(instance: Instance) -> list[float]:
     """Each table row's rate sum, its holders' rates added in server order."""
     rows = _row_map(instance.n)[1]
@@ -276,7 +282,7 @@ def _list_steps(
     dp = [math.inf] * size
     dp[singles[instance.initial_server - 1]] = 0.0
     # pass b relaxes each row with bit places[b] from its partner without it; the j-th pair is move bit b * half + j
-    pairs = [[(s, s | 1 << place) for s in range(size) if not s >> place & 1] for place in places]
+    pairs = _pass_pairs(n)
     step_passes = [[(b * half, pairs[b]) for b in range(n) if mask >> b & 1] for mask in allowed]
     nbytes = (n * half + 7) // 8
     optima, record, cheapest = [], [], []

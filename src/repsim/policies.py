@@ -1,15 +1,15 @@
 """Online policies and the event-driven simulation driver.
 
-The driver owns the ground truth: which servers hold copies, when each copy
-expires, and the recorded schedule. Its ``expiry`` map from server to expiry
-time (``inf`` for a copy kept until further notice) is the only holder
-table; its keys are the holders. The driver serves each request of its
-instance once: locally where the requester holds a copy, else by a transfer
-from the lowest-numbered holder. A policy keeps only its holding rules. It
-acts on the map only through four checked methods: ``transfer`` (to create
-or relocate a copy), ``drop``, ``mark`` (a kind change in place) and ``hold``
-(a new expiry time); an action that would break feasibility is a policy
-fault. Policies are online by construction: a policy sees prices and the past only.
+The driver owns the ground truth. Its ``holders`` map is the one holder
+table: each holder maps to one record of its live copy, with the record's
+start, kind and origin request and the copy's expiry time (``inf`` until
+held). The driver serves each request of its instance once: locally where the
+requester holds a copy, else by a transfer from the lowest-numbered holder. A
+policy keeps only its holding rules. It acts on the table only through four
+checked methods: ``transfer`` (to create or relocate a copy), ``drop``,
+``mark`` (a kind change in place) and ``hold`` (a new expiry time); an action
+that would break feasibility is a policy fault. Policies are online by
+construction: a policy sees prices and the past only.
 
 Three policies are provided, selectable by name:
 
@@ -37,7 +37,6 @@ from .model import (
     PURPOSE_CREATE,
     PURPOSE_RELOCATE,
     PURPOSE_SERVE,
-    SPECIAL_KINDS,
     TOL,
     CopyInterval,
     CostBreakdown,
@@ -64,13 +63,13 @@ class Policy:
     """Base class for online policies: the rules, with no copy state of their own.
 
     Online by construction: a policy sees prices and the past only. Each hook
-    receives the running ``Simulation`` and acts through its ``transfer``,
-    ``drop``, ``mark`` and ``hold`` methods. A hook must not keep the
-    simulation beyond the call. A new copy expires at ``inf`` until the policy
-    holds it to a finite time; the driver calls ``expire`` for each copy whose
-    expiry time has come, also after the final request, until every expiry is
-    ``inf``. Copies alive then are recorded as held forever, so a copy that
-    would renew forever must hold an infinite expiry.
+    gets the running ``Simulation``, reads its holder table ``holders`` and
+    acts through its ``transfer``, ``drop``, ``mark`` and ``hold`` methods,
+    keeping no simulation beyond the call. A new copy expires at ``inf`` until
+    the policy holds it to a finite time; the driver calls ``expire`` for each
+    copy whose expiry time has come, also after the final request, until every
+    expiry is ``inf``. Copies alive then are recorded as held forever, so a
+    copy that would renew forever must hold an infinite expiry.
     """
 
     name = "abstract"
@@ -131,7 +130,7 @@ class ThresholdPolicy(Policy):
         self._last_request[server] = time
 
     def expire(self, sim: "Simulation", time: float, server: int) -> None:
-        if len(sim.expiry) > 1:
+        if len(sim.holders) > 1:
             sim.drop(server)
         elif not relocates(self._inst.rate(server), self._inst.rate(1)):
             sim.mark(server, KIND_RESIDENT_SPECIAL)
@@ -160,7 +159,7 @@ class FixedRenewalPolicy(Policy):
         self._idle_end = math.inf  # the first renewed window end of an idle sole copy at server 1
 
     def on_request(self, sim: "Simulation", time: float, server: int, source: int | None) -> None:
-        if source == 1 and sim.expiry[1] == math.inf:  # the idle copy was the source; a new copy at 1 also reads inf
+        if source == 1 and sim.holders[1].expiry == math.inf:  # the idle copy was the source; a new copy at 1 also reads inf
             sim.hold(1, self._idle_expiry(time))
         sim.hold(server, time + self._window[server])
         self._renewed.discard(server)
@@ -179,7 +178,7 @@ class FixedRenewalPolicy(Policy):
         return end
 
     def expire(self, sim: "Simulation", time: float, server: int) -> None:
-        if len(sim.expiry) > 1:
+        if len(sim.holders) > 1:
             sim.drop(server)
             self._renewed.discard(server)
         elif server == 1:
@@ -281,12 +280,15 @@ class AnnotatedRun:
 
 @dataclass(slots=True)
 class _LiveCopy:
-    """The copy a server holds now, since ``start``."""
+    """The copy a server holds now: its record since ``start`` and its expiry time."""
 
-    start: float
+    start: float  # also the instant a special copy turned special
     kind: str
     origin: int  # request index whose service created or last renewed the copy
-    switch: float | None
+    expiry: float = math.inf
+
+
+_NO_COPY = _LiveCopy(math.nan, KIND_REGULAR, 0, math.nan)  # no alarm time equals its expiry
 
 
 class Simulation:
@@ -295,21 +297,20 @@ class Simulation:
     ``run`` serves exactly the instance's requests, so the serve log lists them
     by construction; before it, ``step_alarm`` lets a caller watch the alarms.
 
-    ``expiry`` maps each holder to its copy's expiry time. Policies read it
+    ``holders`` is the one holder table: it maps each holder to its live
+    copy, one record with its start, kind and expiry time. Policies read it
     and change it only through ``transfer``, ``drop``, ``mark`` and ``hold``,
     which act at the current event's time. Each finite ``hold`` pushes
     ``(expiry, server)`` onto the alarm heap; an entry that no longer matches
-    ``expiry`` (the copy was dropped or held again) is popped unfired.
+    its holder's expiry (the copy was dropped or held again) is popped unfired.
     """
 
     def __init__(self, policy: Policy, instance: Instance):
         self._policy = policy
         self._instance = instance
         self.prices = instance._replaced(requests=())
-        g = instance.initial_server
-        self.expiry: dict[int, float] = {g: math.inf}
+        self.holders: dict[int, _LiveCopy] = {instance.initial_server: _LiveCopy(0.0, KIND_REGULAR, 0)}
         self._alarms: list[tuple[float, int]] = []  # the alarm heap, stale entries included
-        self._live: dict[int, _LiveCopy] = {g: _LiveCopy(0.0, KIND_REGULAR, 0, None)}
         self._segments: list[CopyInterval] = []
         self._transfers: list[Transfer] = []
         self._serves: list[tuple] = []  # a ServeRecord row per served request
@@ -325,54 +326,47 @@ class Simulation:
         time = self._now
         if purpose not in (PURPOSE_CREATE, PURPOSE_RELOCATE):
             raise PolicyFault(time, f"transfer for {purpose!r}, not {PURPOSE_CREATE!r} or {PURPOSE_RELOCATE!r}")
-        live = self._live
-        copy = live.get(src)
+        holders = self.holders
+        copy = holders.get(src)
         if copy is None:
             raise PolicyFault(time, f"transfer from server {src} which holds no copy")
-        if dst in live:
+        if dst in holders:
             raise PolicyFault(time, f"transfer into server {dst} which already holds a copy")
         if type(dst) is not int or not 1 <= dst <= self.prices.n:
             raise PolicyFault(time, f"transfer into server {dst!r}, which is not in 1..{self.prices.n}")
         self._transfers.append(Transfer(time, src, dst, purpose))
-        if purpose == PURPOSE_RELOCATE:
-            live[dst] = _LiveCopy(time, kind, copy.origin, time if kind in SPECIAL_KINDS else None)
-        else:
-            live[dst] = _LiveCopy(time, kind, self._request, None)
-        self.expiry[dst] = math.inf
+        holders[dst] = _LiveCopy(time, kind, copy.origin if purpose == PURPOSE_RELOCATE else self._request)
 
     def drop(self, server: int) -> None:
-        if server not in self._live:
+        holders = self.holders
+        if server not in holders:
             raise PolicyFault(self._now, f"drop at server {server} which holds no copy")
-        if len(self.expiry) == 1:
+        if len(holders) == 1:
             raise PolicyFault(self._now, f"drop of the sole copy at server {server}")
-        self._close_segment(server, self._now)
-        del self.expiry[server]
+        c = holders.pop(server)
+        self._segments.append(CopyInterval(server, c.start, self._now, c.kind))
 
     def mark(self, server: int, kind: str) -> None:
-        """Switch the kind of the copy at ``server`` in place (regular to special)."""
-        cur = self._live.get(server)
-        if cur is None:
+        """Change the kind of the copy at ``server`` in place: its record closes and a new one starts now."""
+        c = self.holders.get(server)
+        if c is None:
             raise PolicyFault(self._now, f"kind change at server {server} which holds no copy")
-        self._close_segment(server, self._now)
-        self._live[server] = _LiveCopy(self._now, kind, cur.origin, self._now)
+        self._segments.append(CopyInterval(server, c.start, self._now, c.kind))
+        c.start, c.kind = self._now, kind
 
     def hold(self, server: int, until: float) -> None:
         """Set the expiry time of the copy at ``server``."""
-        expiry = self.expiry
-        if server not in expiry:
+        c = self.holders.get(server)
+        if c is None:
             raise PolicyFault(self._now, f"hold at server {server} which holds no copy")
         if not until >= self._now:
             problem = "not a time" if until != until else "before the current time"
             raise PolicyFault(self._now, f"hold at server {server} to t={until:g}, {problem}")
-        expiry[server] = until
+        c.expiry = until
         if until < math.inf:
             heappush(self._alarms, (until, server))
 
     # -- event processing ---------------------------------------------------
-
-    def _close_segment(self, server: int, end: float) -> None:
-        c = self._live.pop(server)
-        self._segments.append(CopyInterval(server, c.start, end, c.kind))
 
     def step_alarm(self, before: float = math.inf) -> float | None:
         """Expire the copies due next if their time falls strictly before ``before``.
@@ -384,8 +378,8 @@ class Simulation:
         ``PolicyFault``. Returns the alarm's time, or None when no such alarm
         is pending.
         """
-        heap, expiry = self._alarms, self.expiry
-        while heap and expiry.get(heap[0][1]) != heap[0][0]:
+        heap, holders = self._alarms, self.holders
+        while heap and holders.get(heap[0][1], _NO_COPY).expiry != heap[0][0]:
             heappop(heap)
         if not heap or heap[0][0] >= before:
             return None
@@ -394,9 +388,9 @@ class Simulation:
         while heap and heap[0][0] == alarm:
             due[heappop(heap)[1]] = None
         for server in due:
-            if expiry.get(server) == alarm:
+            if holders.get(server, _NO_COPY).expiry == alarm:
                 self._policy.expire(self, alarm, server)
-                if expiry.get(server) == alarm:
+                if holders.get(server, _NO_COPY).expiry == alarm:
                     raise PolicyFault(alarm, f"expire left the copy at server {server} due at t={alarm:g}")
         return alarm
 
@@ -414,36 +408,34 @@ class Simulation:
         if self._ran:
             raise RuntimeError("simulation already run")
         self._ran = True
-        serves, live, expiry, alarms, policy = self._serves, self._live, self.expiry, self._alarms, self._policy
+        serves, holders, alarms, policy = self._serves, self.holders, self._alarms, self._policy
         for req in self._instance.requests:
             index, time, server = req.index, req.time, req.server
             while alarms and alarms[0][0] < time:
                 self.step_alarm(time)
             self._now, self._request = time, index
-            held = live.get(server)
+            held = holders.get(server)
             if held is None:
-                source = min(expiry)
-                copy = live[source]
-                serves.append((index, time, server, MODE_TRANSFER, source, copy.kind, copy.origin, copy.switch))
+                source = min(holders)
+                c = holders[source]
+                switch = None if c.kind == KIND_REGULAR else c.start
+                serves.append((index, time, server, MODE_TRANSFER, source, c.kind, c.origin, switch))
                 self._transfers.append(Transfer(time, source, server, PURPOSE_SERVE))
-                live[server] = _LiveCopy(time, KIND_REGULAR, index, None)
-                expiry[server] = math.inf
+                holders[server] = _LiveCopy(time, KIND_REGULAR, index)
             else:
                 source = None
-                serves.append((index, time, server, MODE_LOCAL, None, held.kind, held.origin, held.switch))
+                switch = None if held.kind == KIND_REGULAR else held.start
+                serves.append((index, time, server, MODE_LOCAL, None, held.kind, held.origin, switch))
                 if held.kind != KIND_REGULAR:
-                    self._close_segment(server, time)
-                    live[server] = _LiveCopy(time, KIND_REGULAR, index, None)
-                else:
-                    held.origin = index
+                    self.mark(server, KIND_REGULAR)
+                held.origin = index
             policy.on_request(self, time, server, source)
             self._request = 0
         while alarms:
             self.step_alarm()
-        for server, c in live.items():
+        for server, c in holders.items():
             self._segments.append(CopyInterval(server, c.start, math.inf, c.kind))
-        live.clear()
-        expiry.clear()
+        holders.clear()
         schedule = ReplicationSchedule(self._instance, self._segments, self._transfers)
         return AnnotatedRun(schedule, tuple(serves), policy.name)
 

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import repsim as R
 from conftest import fig3_instance, instances
+from repsim.model import KIND_REGULAR, KIND_RESIDENT_SPECIAL, PURPOSE_CREATE
 from repsim.policies import Policy
 
 TOL = 1e-9
@@ -402,6 +403,24 @@ def test_an_unknown_copy_kind_is_rejected_when_the_schedule_is_made():
     assert str(err.value) == "unknown copy kind 'spare'"
 
 
+class _CreatesASpecialCopy(Policy):
+    """Creates a resident special copy at server 2 at t=0 and keeps every copy forever."""
+
+    def start(self, sim):
+        sim.transfer(1, 2, PURPOSE_CREATE, KIND_RESIDENT_SPECIAL)
+
+    def on_request(self, sim, time, server, source):
+        pass
+
+
+def test_a_created_special_copy_switched_at_its_start():
+    run, _ = R.simulate(_CreatesASpecialCopy(), R.Instance.build([1.0, 2.0], 1.0, 1, [(1.0, 2)]))
+    (serve,) = run.serves
+    assert (serve.mode, serve.copy_kind, serve.switch_time) == ("local", KIND_RESIDENT_SPECIAL, 0.0)
+    at_2 = [(c.start, c.end, c.kind) for c in run.schedule.copies if c.server == 2]
+    assert at_2 == [(0.0, 1.0, KIND_RESIDENT_SPECIAL), (1.0, math.inf, KIND_REGULAR)]
+
+
 def test_the_run_instance_is_the_given_instance():
     inst = R.Instance.build([1.0, 2.0], 1.0, 1, [(0.5, 2), (3.0, 1), (4.0, 2)])
     for name in R.POLICIES:
@@ -452,7 +471,7 @@ class _HoldsBelowTheAlarm(Policy):
 
     def expire(self, sim, time, server):
         self.log.append(("expire", time, server))
-        if len(sim.expiry) > 1:
+        if len(sim.holders) > 1:
             sim.drop(server)
         else:
             sim.hold(server, math.inf)
@@ -486,7 +505,7 @@ class _TwoExpireAtOnce(Policy):
         self.log.append((time, server))
         if self.rehold and server == 2:
             sim.hold(3, 4.0)
-        if len(sim.expiry) > 1:
+        if len(sim.holders) > 1:
             sim.drop(server)
         else:
             sim.hold(server, math.inf)

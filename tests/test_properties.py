@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import repsim as R
 from conftest import fig3_instance, instances
 from reference_oracle import creation_passes, far_sets, full_prefix_optima, reference_schedule
-from repsim.model import PURPOSE_CREATE
+from repsim.model import KIND_REGULAR, PURPOSE_CREATE
 from repsim.offline import LIST_STEP_MAX_N, _list_steps, _reconstruct, _table_steps
 
 TOL = 1e-9
@@ -266,6 +266,26 @@ def test_every_transfer_serve_comes_from_the_lowest_numbered_holder(inst, offset
                 assert rec.source == min(c.server for c in copies if c.start < rec.time <= c.end), (name, rec)
 
 
+@given(instances(), st.sampled_from((0.0, 6e5)))
+def test_every_special_serve_switch_time_is_its_copy_record_start(inst, offset):
+    # a special copy turned special when its record started: at a mark, a
+    # relocation or its creation; a regular copy has no switch time
+    shifted = _shifted(inst, offset)
+    for name in POLICY_NAMES:
+        run, _ = R.simulate(name, shifted)
+        copies = run.schedule.copies
+        for rec in run.serves:
+            if rec.copy_kind == KIND_REGULAR:
+                assert rec.switch_time is None, (name, rec)
+                continue
+            provider = rec.server if rec.source is None else rec.source
+            starts = [
+                c.start for c in copies
+                if c.server == provider and c.kind == rec.copy_kind and c.start <= rec.time <= c.end
+            ]
+            assert starts == [rec.switch_time], (name, rec)
+
+
 class _ReadsTheRequests(R.ThresholdPolicy):
     """``alg1`` that looks the requests up on the simulation it is handed."""
 
@@ -279,7 +299,7 @@ def test_a_policy_cannot_read_the_requests_off_the_simulation():
     with pytest.raises(AttributeError):
         R.simulate(_ReadsTheRequests(), inst)
     sim = R.Simulation(R.make_policy("alg1"), inst)
-    assert {name for name in vars(sim) if not name.startswith("_")} == {"prices", "expiry"}
+    assert {name for name in vars(sim) if not name.startswith("_")} == {"prices", "holders"}
     assert sim.prices == replace(inst, requests=())
 
 
@@ -296,7 +316,7 @@ class _Prefetching(R.ThresholdPolicy):
     def on_request(self, sim: R.Simulation, time: float, server: int, source: int | None) -> None:
         super().on_request(sim, time, server, source)
         upcoming = next(self._next, None)
-        if upcoming is not None and upcoming.server not in sim.expiry:
+        if upcoming is not None and upcoming.server not in sim.holders:
             sim.transfer(server, upcoming.server, PURPOSE_CREATE)
             sim.hold(upcoming.server, upcoming.time)
 
