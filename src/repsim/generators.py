@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import Instance
-from .policies import Policy, Simulation, make_policy, relocates, simulate
+from .policies import Policy, relocates, simulate
 
 
 class ParameterError(ValueError):
@@ -157,8 +157,8 @@ def adversary_branch1_ratio(mu: float, lam: float = 1.0) -> float:
 
 
 def adversary_branch2_ratio(t: float, mu: float, lam: float = 1.0) -> float:
-    """Limiting ratio forced when the policy abandons the copy at time t."""
-    return (t * mu + 2.0 * lam) / (t * mu)
+    """Limiting ratio forced when the policy abandons the copy at time t; unbounded at t = 0."""
+    return math.inf if t == 0 else (t * mu + 2.0 * lam) / (t * mu)
 
 
 def run_adversary(policy: "Policy | str", mu: float, lam: float = 1.0, epsilon: float = 1e-4) -> AdversaryOutcome:
@@ -170,28 +170,29 @@ def run_adversary(policy: "Policy | str", mu: float, lam: float = 1.0, epsilon: 
     above 2; if it abandons the copy earlier, one request right after the
     abandonment does.
 
-    The adversary watches the policy's alarms on a simulation without
-    requests, then simulates the policy afresh on the instance with the one
-    chosen request. That run matches the watched one up to the request: the
-    policies are online by construction (a policy sees prices and the past
-    only), and ``Policy.start`` begins a fresh run.
+    The decision is read off a plain run of the outcome instance without
+    requests: the end of server 2's first holding span there, records that
+    touch merged so that a kind change is no abandonment. An end before the
+    probe time takes branch 2 at that end, any other branch 1. The policy is then
+    simulated afresh on the instance with the one chosen request. The two runs
+    agree up to the request because the policies are online by construction
+    (a policy sees prices and the past only), and ``Policy.start`` begins a
+    fresh run.
     """
     _check("mu", mu, mu > 4, "4 < mu < inf")
     _check("lam", lam, lam > 0, "0 < lam < inf")
     _check("epsilon", epsilon, epsilon > 0, "0 < epsilon < inf")
-    if isinstance(policy, str):
-        policy = make_policy(policy)
     probe = lam / mu + 4.0 * lam / mu**2
-    sim = Simulation(policy, Instance.build([1.0, mu], lam, 2, []))
-    abandoned_at = None if 2 in sim.holders else 0.0  # 0: dropped at the start
-    while abandoned_at is None and (alarm := sim.step_alarm(probe)) is not None:
-        if 2 not in sim.holders:
-            abandoned_at = alarm
-    if abandoned_at is None:
+    watched, _ = simulate(policy, Instance.build([1.0, mu], lam, 2, []))
+    held_until = 0.0  # the end of server 2's first holding span, whose initial copy starts at 0
+    for c in watched.schedule.copies:  # in start order
+        if c.server == 2 and c.start == held_until:
+            held_until = c.end
+    if held_until >= probe:
         branch, decision_time, request, offline = 1, probe, (probe, 1), probe + lam
     else:
-        t_req = abandoned_at + epsilon
-        branch, decision_time, request, offline = 2, abandoned_at, (t_req, 2), t_req * mu
+        t_req = held_until + epsilon
+        branch, decision_time, request, offline = 2, held_until, (t_req, 2), t_req * mu
     instance = Instance.build([1.0, mu], lam, 2, [request])
     _, cost = simulate(policy, instance)
     return AdversaryOutcome(instance, cost.total, offline, branch, decision_time)

@@ -295,7 +295,7 @@ class Simulation:
     """The driver of one policy over one instance.
 
     ``run`` serves exactly the instance's requests, so the serve log lists them
-    by construction; before it, ``step_alarm`` lets a caller watch the alarms.
+    by construction.
 
     ``holders`` is the one holder table: it maps each holder to its live
     copy, one record with its start, kind and expiry time. Policies read it
@@ -368,31 +368,30 @@ class Simulation:
 
     # -- event processing ---------------------------------------------------
 
-    def step_alarm(self, before: float = math.inf) -> float | None:
-        """Expire the copies due next if their time falls strictly before ``before``.
+    def _expire_before(self, time: float) -> None:
+        """Expire the copies due strictly before ``time``, one alarm time at a time.
 
-        The policy's ``expire`` runs for each server due at that time, in
-        server order, skipping one whose expiry an earlier call changed; a
-        hold to that time made meanwhile fires in the next call. An
-        ``expire`` that leaves its own copy due at the alarm time is a
-        ``PolicyFault``. Returns the alarm's time, or None when no such alarm
-        is pending.
+        At each alarm time the policy's ``expire`` runs for each server due
+        then, in server order, skipping one whose expiry an earlier call
+        changed; a hold to that time made meanwhile fires in the next group.
+        An ``expire`` that leaves its own copy due at the alarm time is a
+        ``PolicyFault``.
         """
-        heap, holders = self._alarms, self.holders
-        while heap and holders.get(heap[0][1], _NO_COPY).expiry != heap[0][0]:
-            heappop(heap)
-        if not heap or heap[0][0] >= before:
-            return None
-        alarm = self._now = heap[0][0]
-        due = {}  # the servers with an entry at ``alarm``, in server order, each once
-        while heap and heap[0][0] == alarm:
-            due[heappop(heap)[1]] = None
-        for server in due:
-            if holders.get(server, _NO_COPY).expiry == alarm:
-                self._policy.expire(self, alarm, server)
+        heap, holders, policy = self._alarms, self.holders, self._policy
+        while True:
+            while heap and holders.get(heap[0][1], _NO_COPY).expiry != heap[0][0]:
+                heappop(heap)
+            if not heap or heap[0][0] >= time:
+                return
+            alarm = self._now = heap[0][0]
+            due = {}  # the servers with an entry at ``alarm``, in server order, each once
+            while heap and heap[0][0] == alarm:
+                due[heappop(heap)[1]] = None
+            for server in due:
                 if holders.get(server, _NO_COPY).expiry == alarm:
-                    raise PolicyFault(alarm, f"expire left the copy at server {server} due at t={alarm:g}")
-        return alarm
+                    policy.expire(self, alarm, server)
+                    if holders.get(server, _NO_COPY).expiry == alarm:
+                        raise PolicyFault(alarm, f"expire left the copy at server {server} due at t={alarm:g}")
 
     def run(self) -> AnnotatedRun:
         """Serve the instance's requests in order, each after its earlier alarms, then wind down.
@@ -411,8 +410,8 @@ class Simulation:
         serves, holders, alarms, policy = self._serves, self.holders, self._alarms, self._policy
         for req in self._instance.requests:
             index, time, server = req.index, req.time, req.server
-            while alarms and alarms[0][0] < time:
-                self.step_alarm(time)
+            if alarms and alarms[0][0] < time:
+                self._expire_before(time)
             self._now, self._request = time, index
             held = holders.get(server)
             if held is None:
@@ -431,8 +430,7 @@ class Simulation:
                 held.origin = index
             policy.on_request(self, time, server, source)
             self._request = 0
-        while alarms:
-            self.step_alarm()
+        self._expire_before(math.inf)
         for server, c in holders.items():
             self._segments.append(CopyInterval(server, c.start, math.inf, c.kind))
         holders.clear()

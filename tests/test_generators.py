@@ -8,6 +8,8 @@ import pytest
 
 import repsim as R
 from reference_oracle import reference_schedule
+from repsim.model import KIND_RELOCATED_SPECIAL, KIND_RESIDENT_SPECIAL, PURPOSE_RELOCATE
+from repsim.policies import Policy
 
 TOL = 1e-9
 
@@ -145,6 +147,13 @@ def test_adversary_branch_formulas():
     assert abs(R.adversary_branch2_ratio(0.1, 5.0, 1.0) - 5.0) <= 1e-12
 
 
+def test_an_abandonment_at_time_zero_forces_an_unbounded_ratio():
+    # the anchor policy drops the pricier initial copy at the start
+    t = R.run_adversary("simple", mu=5.0).decision_time
+    assert t == 0.0
+    assert R.adversary_branch2_ratio(t, 5.0, 1.0) == math.inf
+
+
 def test_adversary_beats_all_three_policies():
     for name in ("alg1", "wang", "simple"):
         out = R.run_adversary(name, mu=5.0, lam=1.0, epsilon=1e-4)
@@ -166,6 +175,56 @@ def test_adversary_branch2_realized_by_threshold():
     t, mu, lam, eps = out.decision_time, 5.0, 1.0, 1e-4
     assert abs(out.online_cost - (t * mu + eps * 1.0 + 2 * lam)) <= 1e-9
     assert abs(out.offline_cost - (t + eps) * mu) <= 1e-9
+
+
+class _MarksThenRelocates(Policy):
+    """Marks the initial copy at server 2 special at t=0.1, then relocates it to server 1 at t=0.25."""
+
+    name = "marks-then-relocates"
+
+    def start(self, sim) -> None:
+        sim.hold(2, 0.1)
+
+    def on_request(self, sim, time, server, source) -> None:
+        pass
+
+    def expire(self, sim, time, server) -> None:
+        if time == 0.1:
+            sim.mark(2, KIND_RESIDENT_SPECIAL)
+            sim.hold(2, 0.25)
+        else:
+            sim.transfer(2, 1, PURPOSE_RELOCATE, KIND_RELOCATED_SPECIAL)
+            sim.drop(2)
+
+
+class _RelocatesAtTheProbe(Policy):
+    """Holds the initial copy at server 2 to the probe time, then drops it, first relocating it to a copyless server 1."""
+
+    name = "relocates-at-the-probe"
+
+    def start(self, sim) -> None:
+        lam, mu = sim.prices.transfer_cost, sim.prices.rate(2)
+        sim.hold(2, lam / mu + 4.0 * lam / mu**2)
+
+    def on_request(self, sim, time, server, source) -> None:
+        pass
+
+    def expire(self, sim, time, server) -> None:
+        if 1 not in sim.holders:
+            sim.transfer(2, 1, PURPOSE_RELOCATE)
+        sim.drop(2)
+
+
+def test_a_kind_change_is_not_an_abandonment():
+    # the probe time is 0.36 at mu 5; the copy turns special at 0.1 and leaves at 0.25
+    out = R.run_adversary(_MarksThenRelocates(), mu=5.0)
+    assert (out.branch, out.decision_time) == (2, 0.25)
+
+
+def test_an_abandonment_at_the_probe_time_does_not_decide():
+    # only alarms strictly before the probe time decide
+    out = R.run_adversary(_RelocatesAtTheProbe(), mu=5.0)
+    assert (out.branch, out.decision_time) == (1, 1.0 / 5.0 + 4.0 / 5.0**2)
 
 
 def test_adversary_parameter_ranges():

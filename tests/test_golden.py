@@ -1,7 +1,8 @@
 """Golden outputs: CLI results pinned byte for byte by sha256 digest.
 
 The digests cover the event logs of all three policies, the allocation CSV,
-a small trace sweep, the adaptive adversary, the three policies' event logs
+a small trace sweep, the adaptive adversary (through the CLI and on a seeded
+grid of its parameters), the three policies' event logs
 and exact costs on a trace-scale instance, and the oracle's optimal
 schedules: through the CLI on every golden instance, and with every bit of
 the optimum and the prefix optima on the trace-scale instance. A change that only
@@ -15,6 +16,7 @@ import contextlib
 import hashlib
 import io
 
+import numpy as np
 import pytest
 
 import repsim as R
@@ -28,6 +30,7 @@ GOLDEN = {
     "simulate.simple": "ca45cac114350ee0fb1350ee47242dfe58acf32936c9d3adf814e99c591a7f28",
     "allocate": "b768d1dbc026ddd30ec7fccbc817408e379d415e2b391e8936380f24937eed90",
     "adversary": "66020ad66b2d507d2c9497d97c178705b0de23494230b81d6a217b4cd7bf3b3a",
+    "adversary.grid": "f846a13893981922d5efdd8b3f6a6c13e875bdefa92e352b9e446c80eb217b08",
     "sweep": "6f0eb1aa2cea573ab0ce8b70cd1251d775b260a46c18b0848600c1a2f64c5403",
     "sweep.default_grid": "edd76c310bb1ecddfbcffc0b38c9890c52f567fa4f5cc819c8638b8614ba40df",
     "simulate.trace": "d6d2aae57c3c5b94f2ab58f81145d97f30c0b891f984b5e987cb12b3cd48cf0b",
@@ -126,6 +129,30 @@ def test_golden_adversary():
         "%d %s" % _cli(["adversary", "--policy", name, "--mu", mu]) for name in POLICY_NAMES for mu in ("5", "8", "20")
     ]
     assert _sha(outputs) == GOLDEN["adversary"]
+
+
+def test_golden_adversary_grid():
+    # 200 seeded draws per policy: mu uniform in (4, 64), lambda log-uniform in
+    # (0.01, 50), epsilon log-uniform in (1e-7, 1e-2); repr keeps every bit
+    rng = np.random.default_rng(12)
+    draws = [
+        (float(rng.uniform(4.0, 64.0)), float(np.exp(rng.uniform(np.log(0.01), np.log(50.0)))),
+         float(np.exp(rng.uniform(np.log(1e-7), np.log(1e-2)))))
+        for _ in range(200)
+    ]
+    outputs, branches = [], set()
+    for name in POLICY_NAMES:
+        for mu, lam, epsilon in draws:
+            out = R.run_adversary(name, mu, lam, epsilon)
+            run, _ = R.simulate(name, out.instance)
+            outputs += [
+                repr((out.branch, out.decision_time, out.online_cost, out.offline_cost)),
+                R.dumps_instance(out.instance),
+                run.event_log(),
+            ]
+            branches.add(out.branch)
+    assert branches == {1, 2}
+    assert _sha(outputs) == GOLDEN["adversary.grid"]
 
 
 @pytest.fixture(scope="module")

@@ -441,8 +441,8 @@ def test_a_simulation_runs_once():
 @pytest.mark.parametrize("mu", [5.0, 8.0, 20.0])
 @pytest.mark.parametrize("name", sorted(R.POLICIES))
 def test_an_adversary_outcome_is_a_plain_run_of_its_instance(name, mu):
-    # the adversary watches a run without requests, then simulates the policy
-    # afresh on its instance; the watched run's decision shows in that run
+    # the adversary decides on a plain run without requests, then simulates the
+    # policy afresh on its instance; the decision shows in that run
     out = R.run_adversary(name, mu=mu)
     run, cost = R.simulate(name, out.instance)
     assert run.schedule.instance is out.instance
@@ -577,7 +577,7 @@ def test_runs_free_their_simulation_without_the_cycle_collector(monkeypatch):
     finally:
         if enabled:
             gc.enable()
-    assert len(sims) == 9  # each adversary run watches one simulation and runs another
+    assert len(sims) == 9  # each adversary run simulates twice: without requests, then on its instance
 
 
 def test_event_log_format():

@@ -300,6 +300,7 @@ def test_a_policy_cannot_read_the_requests_off_the_simulation():
         R.simulate(_ReadsTheRequests(), inst)
     sim = R.Simulation(R.make_policy("alg1"), inst)
     assert {name for name in vars(sim) if not name.startswith("_")} == {"prices", "holders"}
+    assert {name for name in dir(R.Simulation) if not name.startswith("_")} == {"transfer", "drop", "mark", "hold", "run"}
     assert sim.prices == replace(inst, requests=())
 
 
