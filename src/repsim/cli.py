@@ -22,11 +22,9 @@ from .generators import (
     run_adversary,
 )
 from .model import InstanceFormatError, dump_instance, dumps_instance, load_instance, schedule_lines
-from .offline import BudgetExceeded, DEFAULT_BUDGET, opt_full
+from .offline import BudgetExceeded, opt_full
 from .policies import POLICIES, PolicyFault, simulate
 from .verify import verify_instance, verify_random_batch
-
-BUDGET_HELP = "oracle work bound per transfer cost, in table entries relaxed or copied, (m+1)(n+1)2^(n-1) (default %(default)s)"
 
 
 def _fmt(x: float) -> str:
@@ -45,7 +43,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_opt(args) -> int:
     instance = load_instance(args.instance)
-    sol = opt_full(instance, budget=args.budget, reconstruct=args.events)
+    sol = opt_full(instance, reconstruct=args.events)
     print(f"oracle full optimum {_fmt(sol.opt_cost)}")
     if args.events and sol.schedule is not None:
         sys.stdout.writelines(line + "\n" for line in schedule_lines(sol.schedule))
@@ -64,9 +62,9 @@ def _cmd_verify(args) -> int:
         print("verify: give exactly one of --instance or --random", file=sys.stderr)
         return 2
     if args.random:
-        problems = verify_random_batch(args.seed, args.count, budget=args.budget)
+        problems = verify_random_batch(args.seed, args.count)
     else:
-        problems = verify_instance(load_instance(args.instance), budget=args.budget)
+        problems = verify_instance(load_instance(args.instance))
     for p in problems:
         print(f"VIOLATION {p}")
     print(f"verify: {len(problems)} violation(s)")
@@ -171,7 +169,6 @@ def _cmd_sweep(args) -> int:
         seed=args.seed,
         policies=tuple(args.policies.split(",")),
         prefix=args.prefix,
-        budget=args.budget,
     )
     rows = experiments.run_sweep(spec, workers=args.workers)
     csv_text = experiments.sweep_csv(rows)
@@ -203,7 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("opt", help="compute the exact offline optimum")
     p.add_argument("--instance", required=True)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help=BUDGET_HELP)
     p.add_argument("--events", action="store_true", help="print the optimal schedule")
     p.set_defaults(func=_cmd_opt)
 
@@ -216,7 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--random", action="store_true")
     p.add_argument("--seed", type=non_negative_int, default=0)
     p.add_argument("--count", type=int, default=100)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help=BUDGET_HELP)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("gen", help="emit a generated instance file")
@@ -256,7 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=non_negative_int, default=0)
     p.add_argument("--policies", default="alg1,wang,simple")
     p.add_argument("--prefix", type=int)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help=BUDGET_HELP)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_sweep)

@@ -18,7 +18,7 @@ from operator import itemgetter
 import numpy as np
 
 from .model import Instance, _check_transfer_cost
-from .offline import BudgetExceeded, DEFAULT_BUDGET, opt_costs
+from .offline import BudgetExceeded, opt_costs
 from .policies import make_policy, simulate
 
 RATE_SETS: dict[str, tuple[float, ...]] = {
@@ -152,7 +152,6 @@ class ExperimentSpec:
     seed: int = 0
     policies: tuple[str, ...] = DEFAULT_POLICIES
     prefix: int | None = None
-    budget: int = DEFAULT_BUDGET
 
     def __post_init__(self) -> None:
         for name in ("rate_sets", "lambda_values", "policies"):
@@ -188,10 +187,10 @@ class SweepRow:
 
 def _run_group(args) -> list[SweepRow]:
     """One rate set over a run of transfer costs: one oracle pass, then every policy per cost."""
-    set_name, rates, lams, policies, times, seed, budget = args
+    set_name, rates, lams, policies, times, seed = args
     first = Instance.build(rates, lams[0], 1, assign_servers(times, len(rates), seed))
     try:
-        optima = opt_costs(first, lams, budget=budget)
+        optima = opt_costs(first, lams)
     except BudgetExceeded:
         optima = (None,) * len(lams)
     rows = []
@@ -212,7 +211,7 @@ def _split(values: tuple[float, ...], parts: int) -> list[tuple[float, ...]]:
 
 def run_sweep(spec: ExperimentSpec, workers: int = 1) -> list[SweepRow]:
     """Simulate every (rate set, transfer cost, policy) cell and normalize by
-    the full oracle; cells whose oracle run exceeds the budget report raw costs only.
+    the full oracle; cells whose oracle run is refused (``BudgetExceeded``) report raw costs only.
 
     Cells are grouped by rate set, and each group runs one oracle pass over
     all of its transfer costs. With several workers each rate set's transfer
@@ -222,15 +221,16 @@ def run_sweep(spec: ExperimentSpec, workers: int = 1) -> list[SweepRow]:
         raise ValueError(f"workers must be at least 1, got {workers}")
     times = spec.times[: spec.prefix]
     groups = [
-        (name, spec.rate_sets[name], lams, spec.policies, times, spec.seed, spec.budget)
+        (name, spec.rate_sets[name], lams, spec.policies, times, spec.seed)
         for name in sorted(spec.rate_sets)
         for lams in _split(spec.lambda_values, workers)
     ]
     rows: list[SweepRow] = []
-    if workers > 1:
+    processes = min(workers, len(groups))  # one task needs no pool
+    if processes > 1:
         from concurrent.futures import ProcessPoolExecutor  # here, not at start-up: only a pool needs it
 
-        with ProcessPoolExecutor(max_workers=min(workers, len(groups))) as pool:
+        with ProcessPoolExecutor(max_workers=processes) as pool:
             for batch in pool.map(_run_group, groups):
                 rows.extend(batch)
     else:

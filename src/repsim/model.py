@@ -14,14 +14,13 @@ private to this module.
 
 from __future__ import annotations
 
-import heapq
 import json
 import math
 import operator
 import re
+from bisect import bisect_left, bisect_right
 from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import repeat
 from typing import NamedTuple
 
 TOL = 1e-9
@@ -361,12 +360,11 @@ def validate_offline_structure(schedule: ReplicationSchedule) -> list[Violation]
     nothing by the law; ``repsim verify`` holds its schedules to it here.
 
     Each check walks sorted records forward once: (a) one pointer into the
-    request times, (b) one per server into its spans, (c) a sweep line that
-    merges the spans by start and heaps them on ``end + TOL`` while they hold
-    through a gap; it tests far-ness only for the live spans' servers, each
-    against its next request, which one backward pass over the steps gives per
-    step and the forward walk keeps per server. That is O(m n + transfers +
-    spans log n + m * live) time.
+    request times; (b) each server's consecutive steps, with one pointer into
+    its spans; (c) each span the steps it holds through, from a bisection of
+    the request times for its start, with a pointer into its server's steps
+    for each step's next request there. That is O(m + transfers + spans log m
+    + m * holders) time, plus sorting what (b) and (c) find by step.
     """
     inst = schedule.instance
     out: list[Violation] = []
@@ -376,40 +374,43 @@ def validate_offline_structure(schedule: ReplicationSchedule) -> list[Violation]
         out.append(Violation(t, f"transfer at t={t:g} coincides with no request time"))
 
     spans = _holding_spans(schedule)
-    walked = dict.fromkeys(spans, 0)  # per server, its spans that start by its previous request
-    prev_at: dict[int, float] = {inst.initial_server: 0.0}
-    for req in inst.requests:
-        t_prev = prev_at.get(req.server)
-        if t_prev is not None and inst.rate(req.server) * (req.time - t_prev) <= inst.transfer_cost + TOL:
-            i = walked[req.server] = _walk_spans(spans[req.server], walked[req.server], t_prev)
-            if not (i and req.time <= spans[req.server][i - 1][1] + TOL):
-                message = f"request {req.index}: server {req.server} does not hold a copy through ({t_prev:g}, {req.time:g})"
-                out.append(Violation(req.time, f"{message} although storing is no costlier than a transfer"))
-        prev_at[req.server] = req.time
-
-    upcoming = [math.inf] * (inst.n + 1)  # per server, its first request after the walked step
-    after = []  # per step, last first, its requester's next request; the forward walk pops them
-    for t, server in reversed(steps):
-        after.append(upcoming[server])
-        upcoming[server] = t
+    own_steps: list[list[int]] = [[] for _ in range(inst.n + 1)]  # per server, its steps in order
+    for i, (_, server) in enumerate(steps):
+        own_steps[server].append(i)
     rates = [0.0] + [server.rate for server in inst.servers]
     bar = inst.transfer_cost + TOL
-    entering = heapq.merge(*(zip(spans[s], repeat(s)) for s in range(1, inst.n + 1)))  # ((start, end), server)
-    (a, b), s = next(entering, ((math.inf, math.inf), 0))
-    live: list[tuple[float, int]] = []  # (end + TOL, server) of the spans holding through [t0, t1]
-    for i, ((t0, q), t1) in enumerate(zip(steps, req_times[1:])):
-        upcoming[q] = after.pop()
-        while a - TOL <= t0:
-            heapq.heappush(live, (b + TOL, s))
-            (a, b), s = next(entering, ((math.inf, math.inf), 0))
-        while live and live[0][0] < t1:
-            heapq.heappop(live)
-        if len(live) > 1:
-            # a set: two spans of one server can both hold through a gap inside the band between them
-            held = {server for _, server in live if rates[server] * (upcoming[server] - t0) > bar}
-            if len(held) > 1:
-                message = f"request {i}: far servers {', '.join(map(str, sorted(held)))} each hold a copy"
-                out.append(Violation(t0, f"{message} through ({t0:g}, {t1:g}) although one far holder suffices"))
+    unheld: dict[int, Violation] = {}  # by step
+    for server in range(1, inst.n + 1):
+        walked = 0  # the server's spans that start by its previous step
+        for i, j in zip(own_steps[server], own_steps[server][1:]):
+            t_prev, t = req_times[i], req_times[j]
+            if rates[server] * (t - t_prev) <= bar:
+                walked = _walk_spans(spans[server], walked, t_prev)
+                if not (walked and t <= spans[server][walked - 1][1] + TOL):
+                    message = f"request {j}: server {server} does not hold a copy through ({t_prev:g}, {t:g})"
+                    unheld[j] = Violation(t, f"{message} although storing is no costlier than a transfer")
+    out += [unheld[j] for j in sorted(unheld)]
+
+    far_holders: dict[int, list[int]] = {}  # by step
+    last = len(steps) - 1
+    for server in range(1, inst.n + 1):
+        rate, mine = rates[server], own_steps[server] + [last + 1]  # a sentinel past the last step
+        ahead = [req_times[j] for j in mine[:-1]] + [math.inf]  # the time of each step of ``mine``
+        for a, b in spans[server]:
+            i, end = bisect_left(req_times, a - TOL), b + TOL
+            k = bisect_right(mine, i)  # the server's next step after step i
+            while i < last and req_times[i + 1] <= end:
+                if rate * (ahead[k] - req_times[i]) > bar:
+                    far_holders.setdefault(i, []).append(server)
+                i += 1
+                if mine[k] == i:
+                    k += 1
+    for i in sorted(far_holders):
+        # a set: two spans of one server can both hold through a gap inside the TOL band between them
+        if len(held := set(far_holders[i])) > 1:
+            t0, t1 = req_times[i], req_times[i + 1]
+            message = f"request {i}: far servers {', '.join(map(str, sorted(held)))} each hold a copy"
+            out.append(Violation(t0, f"{message} through ({t0:g}, {t1:g}) although one far holder suffices"))
     return out
 
 

@@ -26,7 +26,8 @@ transfer to ``b`` at its first request in that span: no more transfers, no
 more storage (less if ``b`` is dearer), the same sources, and holder changes
 still at request instants, so some optimum never creates it. A step relaxes
 at most n * 2^(n-1) entries and copies 2^(n-1); each run is charged that
-worst case, (n + 1) * 2^(n-1) per step and transfer cost.
+worst case, (n + 1) * 2^(n-1) per step and transfer cost, and refused when
+its charge per transfer cost exceeds ``WORK_BUDGET``, a fixed 5e9.
 
 A step makes no reduction over the table. Its optimum is the requester's
 singleton row ``G[{q}]``: a set that holds ``q`` costs at least ``S[{q}]``,
@@ -83,13 +84,13 @@ from .model import (
     validate_offline_structure,  # perfbench/spans.py wraps the validator by this name; goes with opt_restricted
 )
 
-DEFAULT_BUDGET = 5_000_000_000
+WORK_BUDGET = 5_000_000_000  # the most entries a run may relax or copy per transfer cost
 _BLOCK = 16  # steps whose move bits and singletons are packed at once
 LIST_STEP_MAX_N = 5  # the most servers at which a list step beats a table step, with or without a schedule (2-core VM)
 
 
 class BudgetExceeded(RuntimeError):
-    """The requested oracle run exceeds the configured work budget."""
+    """The requested oracle run exceeds the work budget or the server cap."""
 
 
 @dataclass(frozen=True)
@@ -101,22 +102,22 @@ class DPSolution:
     prefix_costs: tuple[float, ...]  # prefix_costs[i] = optimum for the first i requests
 
 
-def _check_budget(instance: Instance, budget: int) -> None:
-    """Refuse a run whose work per transfer cost exceeds ``budget``.
+def _check_budget(instance: Instance) -> None:
+    """Refuse a run whose work per transfer cost exceeds ``WORK_BUDGET``.
 
     The charge, (m + 1) * (n + 1) * 2^(n-1), counts the table entries each
     step relaxes or copies in the worst case, paid when every request comes
     from a server dearer than all others: n passes over half the table and
-    one half copy. A pass over K transfer costs does K times this work; the
-    budget bounds the work of each one.
+    one half copy. A pass over K transfer costs does K times this work;
+    ``WORK_BUDGET`` bounds the work of each one.
     """
     n, m = instance.n, instance.m
     if n > 12:
         raise BudgetExceeded(f"oracle supports at most 12 servers, instance has {n}")
     work = (m + 1) * (n + 1) * (1 << (n - 1))
-    if work > budget:
+    if work > WORK_BUDGET:
         raise BudgetExceeded(
-            f"estimated work {work:.4g} entries relaxed or copied per transfer cost exceeds budget {budget:.4g}"
+            f"estimated work {work:.4g} entries relaxed or copied per transfer cost exceeds budget {WORK_BUDGET:.4g}"
             f" (n={n}, m={m})"
         )
 
@@ -168,7 +169,6 @@ def _pass_views(table: np.ndarray, place: int) -> tuple[np.ndarray, np.ndarray, 
 def _solve(
     instance: Instance,
     transfer_costs: Sequence[float],
-    budget: int,
     prefix: bool,
     reconstruct: bool,
 ) -> tuple[np.ndarray, ReplicationSchedule | None]:
@@ -184,7 +184,7 @@ def _solve(
     the same optima and, for ``_reconstruct``, the same move bits of the
     passes run, cheapest singletons and final subset.
     """
-    _check_budget(instance, budget)
+    _check_budget(instance)
     events = [(0.0, instance.initial_server)] + [(r.time, r.server) for r in instance.requests]
     rates = [server.rate for server in instance.servers]
     allowed = [sum(1 << b for b in range(instance.n) if rates[b] < rate) | 1 << q for q, rate in enumerate(rates)]
@@ -387,36 +387,36 @@ def _reconstruct(
     return ReplicationSchedule(instance, copies, transfers)
 
 
-def _single(instance: Instance, budget: int, reconstruct: bool) -> DPSolution:
-    prefix, schedule = _solve(instance, (instance.transfer_cost,), budget, True, reconstruct)
+def _single(instance: Instance, reconstruct: bool) -> DPSolution:
+    prefix, schedule = _solve(instance, (instance.transfer_cost,), True, reconstruct)
     costs = tuple(prefix[:, 0].tolist())
     return DPSolution(costs[-1], schedule, costs)
 
 
-def opt_full(instance: Instance, budget: int = DEFAULT_BUDGET, reconstruct: bool = True) -> DPSolution:
+def opt_full(instance: Instance, reconstruct: bool = True) -> DPSolution:
     """Exact optimum with copies creatable at any server on request instants."""
-    return _single(instance, budget, reconstruct)
+    return _single(instance, reconstruct)
 
 
-def opt_restricted(instance: Instance, budget: int = DEFAULT_BUDGET, reconstruct: bool = True) -> DPSolution:
+def opt_restricted(instance: Instance, reconstruct: bool = True) -> DPSolution:
     """The restricted optimum, over holder sets with at most one far server: the full one.
 
     The one-far-holder law makes the full optimum the restricted one, and
     check (c) of ``validate_offline_structure`` holds its schedule to the law.
     This name goes when a benchmark change moves ``trace-audit`` to ``opt_full``.
     """
-    return _single(instance, budget, reconstruct)
+    return _single(instance, reconstruct)
 
 
-def opt_costs(instance: Instance, transfer_costs: Sequence[float], *, budget: int = DEFAULT_BUDGET) -> tuple[float, ...]:
+def opt_costs(instance: Instance, transfer_costs: Sequence[float]) -> tuple[float, ...]:
     """The optimum of ``instance`` under each transfer cost, from one full-oracle DP pass.
 
     The instance's own transfer cost is ignored. Each result equals
-    ``opt_full`` of the instance with that transfer cost. The budget bounds
-    the work per transfer cost, which is the same for every cost, so the
-    pass is refused for all or for none.
+    ``opt_full`` of the instance with that transfer cost. ``WORK_BUDGET``
+    bounds the work per transfer cost, which is the same for every cost, so
+    the pass is refused for all or for none.
     """
     for cost in transfer_costs:
         _check_transfer_cost(float(cost))
-    optima, _ = _solve(instance, transfer_costs, budget, False, False)
+    optima, _ = _solve(instance, transfer_costs, False, False)
     return tuple(optima[0].tolist())

@@ -27,7 +27,7 @@ from .model import (
     validate_offline_structure,
     validate_schedule,
 )
-from .offline import BudgetExceeded, DEFAULT_BUDGET, opt_full
+from .offline import BudgetExceeded, opt_full
 from .policies import AnnotatedRun, relocates, simulate
 
 
@@ -134,7 +134,7 @@ def _cost_slack(a: float, b: float) -> float:
     return 1e-9 * max(1.0, abs(a), abs(b))
 
 
-def verify_instance(instance: Instance, budget: int = DEFAULT_BUDGET) -> list[str]:
+def verify_instance(instance: Instance) -> list[str]:
     """Run every invariant suite against one instance; returns found problems."""
     problems: list[str] = []
     runs: dict[str, tuple] = {}
@@ -153,7 +153,7 @@ def verify_instance(instance: Instance, budget: int = DEFAULT_BUDGET) -> list[st
         problems.append(f"alg1: allocation conservation broken by {gap:g}")
 
     try:
-        full = opt_full(instance, budget=budget)
+        full = opt_full(instance)
     except BudgetExceeded as exc:
         problems.append(f"oracle skipped: {exc}")
         return problems
@@ -179,13 +179,13 @@ def verify_instance(instance: Instance, budget: int = DEFAULT_BUDGET) -> list[st
     return problems
 
 
-def verify_random_batch(seed: int, count: int, budget: int = DEFAULT_BUDGET) -> list[str]:
-    """Invariant suites over seeded random instances of 1-4 servers and 1-12 requests, oracles under ``budget``."""
+def verify_random_batch(seed: int, count: int) -> list[str]:
+    """Invariant suites over seeded random instances of 1-4 servers and 1-12 requests."""
     if count < 1:
         raise ValueError(f"count must be at least 1 instance, got {count}")
     problems: list[str] = []
     for k in range(count):
         inst = gen_random(seed + k, n=1 + (seed + k) % 4, m=1 + (seed + 7 * k) % 12)
-        found = verify_instance(inst, budget=budget)
+        found = verify_instance(inst)
         problems += [f"instance {k} (seed {seed + k}): {p}" for p in found]
     return problems

@@ -125,7 +125,7 @@ def test_verify_rejects_both_sources(capsys):
 
 
 def test_verify_exit_one_on_violations(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "verify_random_batch", lambda seed, count, budget: ["stub problem"])
+    monkeypatch.setattr(cli, "verify_random_batch", lambda seed, count: ["stub problem"])
     code, out, _ = _run(["verify", "--random", "--seed", "1", "--count", "1"], capsys)
     assert code == 1
     assert "VIOLATION stub problem" in out
@@ -138,11 +138,33 @@ def test_verify_random_rejects_a_count_below_one(capsys, count):
     assert err == f"error: count must be at least 1 instance, got {count}\n"
 
 
-def test_verify_random_honours_the_budget(capsys):
-    code, out, _ = _run(["verify", "--random", "--seed", "1", "--count", "2", "--budget", "1"], capsys)
+def test_verify_random_honours_the_budget(capsys, monkeypatch):
+    monkeypatch.setattr(repsim.offline, "WORK_BUDGET", 1)
+    code, out, _ = _run(["verify", "--random", "--seed", "1", "--count", "2"], capsys)
     assert code == 1
     assert out.count("oracle skipped") == 2
     assert out.endswith("verify: 2 violation(s)\n")
+
+
+def test_the_work_budget_is_no_option(capsys):
+    # the oracle's bound is the constant offline.WORK_BUDGET: no function, field or flag carries it
+    import dataclasses
+    import inspect
+
+    from repsim import experiments, offline, verify
+
+    functions = (
+        offline.opt_full, offline.opt_restricted, offline.opt_costs, offline._single, offline._solve,
+        verify.verify_instance, verify.verify_random_batch,
+    )
+    for fn in functions:
+        assert "budget" not in inspect.signature(fn).parameters, fn.__name__
+    assert "budget" not in {f.name for f in dataclasses.fields(experiments.ExperimentSpec)}
+    for argv in (["opt", "--instance", "x.json"], ["verify", "--random"], ["sweep"]):
+        with pytest.raises(SystemExit) as err:
+            cli.main([*argv, "--budget", "1"])
+        assert err.value.code == 2
+        assert "unrecognized arguments: --budget 1" in capsys.readouterr().err
 
 
 def test_usage_error_exit_two():

@@ -185,13 +185,12 @@ def test_sweep_prefix_caps_requests():
 
 
 def test_sweep_reports_na_on_budget_exhaustion():
-    # every cell of a refused group reports NA, and the sweep goes on
+    # every cell of a refused group reports NA, and the sweep goes on; 13 servers are past the oracle's cap
     times = R.gen_poisson_trace(seed=5, total_requests=60, mean_gap=10.0)
     spec = R.ExperimentSpec(
         times=tuple(times),
-        rate_sets={"custom": (1.0, 2.0), "flat": (1.0, 1.0)},
+        rate_sets={"custom": (1.0,) * 12 + (2.0,), "flat": (1.0,) * 13},
         lambda_values=(3.0, 4.0, 9.0),
-        budget=10,
     )
     rows = R.run_sweep(spec)
     assert R.run_sweep(spec, workers=2) == rows
@@ -238,6 +237,7 @@ class _SerialPool:
         ({"set1": R.RATE_SETS["set1"]}, (50.0, 1200.0), 64, 2),  # repsim sweep --rates set1 --lambda-step 1150
         ({"custom": (1.0, 1.5, 2.0)}, (2.0, 5.0), 3, 2),  # 2 tasks
         ({"a": (1.0, 2.0), "b": (1.0, 3.0)}, (2.0, 5.0, 9.0), 2, 2),  # 4 tasks on 2 workers
+        ({"custom": (1.0, 1.5, 2.0)}, (2.0,), 8, None),  # 1 task: no pool
     ],
 )
 def test_the_sweep_pool_starts_no_more_processes_than_tasks(monkeypatch, rate_sets, lambda_values, workers, processes):
@@ -248,7 +248,7 @@ def test_the_sweep_pool_starts_no_more_processes_than_tasks(monkeypatch, rate_se
     times = R.gen_poisson_trace(seed=5, total_requests=30, mean_gap=10.0)
     spec = R.ExperimentSpec(times=tuple(times), rate_sets=rate_sets, lambda_values=lambda_values)
     rows = R.run_sweep(spec, workers=workers)
-    assert _SerialPool.worker_counts == [processes]
+    assert _SerialPool.worker_counts == ([] if processes is None else [processes])
     assert rows == R.run_sweep(spec, workers=1)
 
 

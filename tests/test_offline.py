@@ -12,7 +12,7 @@ import pytest
 import repsim as R
 from conftest import brute_force_optimum
 from reference_oracle import full_prefix_optima, reference_schedule
-from repsim.offline import _check_budget
+from repsim import offline
 
 TOL = 1e-9
 
@@ -129,20 +129,23 @@ def test_prefix_costs_nondecreasing():
         assert b >= a - 1e-9
 
 
-def test_budget_refusal_names_the_bound():
+def test_budget_refusal_names_the_bound(monkeypatch):
     # (m + 1) * (n + 1) * 2^(n - 1) = 187,801 * 13 * 2,048 is just over 5e9
     inst = R.gen_random(seed=1, n=12, m=187_800, rate_range=(1.0, 2.0))
     with pytest.raises(R.BudgetExceeded) as err:
-        R.opt_full(inst, budget=5_000_000_000)
+        R.opt_full(inst)
     assert "budget" in str(err.value)
     assert "5e+09" in str(err.value)
     # the charge fits a budget of exactly its size, and one less is refused
     work = (inst.m + 1) * 13 * 2_048
-    _check_budget(inst, work)
+    monkeypatch.setattr(offline, "WORK_BUDGET", work)
+    offline._check_budget(inst)
+    monkeypatch.setattr(offline, "WORK_BUDGET", work - 1)
     with pytest.raises(R.BudgetExceeded):
-        _check_budget(inst, work - 1)
+        offline._check_budget(inst)
+    monkeypatch.setattr(offline, "WORK_BUDGET", 1000)
     with pytest.raises(R.BudgetExceeded):
-        R.opt_restricted(inst, budget=1000)
+        R.opt_restricted(inst)
     with pytest.raises(R.BudgetExceeded) as err13:
         R.opt_full(R.gen_random(seed=1, n=13, m=1))
     assert "12" in str(err13.value)
@@ -288,24 +291,24 @@ def test_full_oracle_relocates_to_a_cheaper_server_at_a_dear_servers_request():
     assert [(c.server, c.start, c.end) for c in sol.schedule.copies] == [(2, 0.0, 0.05), (1, 0.05, 10.05)]
 
 
-def test_opt_costs_checks_its_arguments():
+def test_opt_costs_checks_its_arguments(monkeypatch):
     inst = R.gen_random(seed=3, n=3, m=6)
     assert R.opt_costs(inst, []) == ()
     assert R.opt_costs(inst, [inst.transfer_cost]) == (R.opt_full(inst).opt_cost,)
-    with pytest.raises(TypeError):  # the budget is keyword-only, so a stale oracle name is never read as one
+    with pytest.raises(TypeError):  # opt_costs takes two arguments, so a stale oracle name is never read
         R.opt_costs(inst, [1.0], "restricted")
     for bad in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(R.InstanceFormatError, match="transfer cost"):
             R.opt_costs(inst, [1.0, bad])
-    with pytest.raises(R.BudgetExceeded, match="per transfer cost"):
-        R.opt_costs(inst, [1.0, 2.0], budget=10)
     # the budget bounds the work per transfer cost: one estimate fits, the pass's 3x does not
     per_cost = (inst.m + 1) * (inst.n + 1) * 2 ** (inst.n - 1)
     lams = [0.5, 1.0, 2.0]
     expected = tuple(R.opt_full(replace(inst, transfer_cost=lam), reconstruct=False).opt_cost for lam in lams)
-    assert R.opt_costs(inst, lams, budget=per_cost) == expected
-    with pytest.raises(R.BudgetExceeded):
-        R.opt_costs(inst, lams, budget=per_cost - 1)
+    monkeypatch.setattr(offline, "WORK_BUDGET", per_cost)
+    assert R.opt_costs(inst, lams) == expected
+    monkeypatch.setattr(offline, "WORK_BUDGET", per_cost - 1)
+    with pytest.raises(R.BudgetExceeded, match="per transfer cost"):
+        R.opt_costs(inst, lams)
 
 
 def test_reconstruction_is_deterministic():
