@@ -30,16 +30,10 @@ from .model import (
     KIND_RESIDENT_SPECIAL,
     Request,
 )
-from .policies import MODE_LOCAL, MODE_TRANSFER, AnnotatedRun
+from .policies import AnnotatedRun
 
-_CATEGORY = {
-    (MODE_TRANSFER, KIND_REGULAR): 1,
-    (MODE_TRANSFER, KIND_RESIDENT_SPECIAL): 2,
-    (MODE_TRANSFER, KIND_RELOCATED_SPECIAL): 3,
-    (MODE_LOCAL, KIND_REGULAR): 4,
-    (MODE_LOCAL, KIND_RESIDENT_SPECIAL): 5,
-    (MODE_LOCAL, KIND_RELOCATED_SPECIAL): 6,
-}
+# a transfer serve's category by the providing copy's kind; a local serve's is 3 more
+_CATEGORY = {KIND_REGULAR: 1, KIND_RESIDENT_SPECIAL: 2, KIND_RELOCATED_SPECIAL: 3}
 
 
 class RequestTyping(NamedTuple):
@@ -103,8 +97,9 @@ def classify_and_allocate(run: AnnotatedRun) -> AllocationReport:
     last_seen = {inst.initial_server: 0}  # each server's latest request so far, by index
     first_at: dict[int, int] = {}  # each requested server's first request, by index
     entries: list[tuple[Request, RequestTyping, float]] = []
-    for index, time, server, mode, _source, copy_kind, provider, switch_time in run.serve_rows:
-        category = _CATEGORY[mode, copy_kind]
+    for index, time, server, source, copy_kind, provider, switch_time in run.serve_rows:
+        served_by = "local" if source is None else "transfer"
+        category = _CATEGORY[copy_kind] + (3 if source is None else 0)
         alloc = 0.0
         if category in (1, 2, 3):
             alloc += lam  # serving transfer
@@ -121,7 +116,7 @@ def classify_and_allocate(run: AnnotatedRun) -> AllocationReport:
             alloc += lam  # full window opened by the preceding local request
         last_seen[server] = index
         first_at.setdefault(server, index)
-        entries.append((all_reqs[index], RequestTyping(index, category, provider, switch_time, mode), alloc))
+        entries.append((all_reqs[index], RequestTyping(index, category, provider, switch_time, served_by), alloc))
 
     # Trailing windows after each server's last request, clipped at the
     # horizon, are charged to the first request at each server other than

@@ -47,10 +47,6 @@ from .model import (
     schedule_lines,
 )
 
-MODE_LOCAL = "local"
-MODE_TRANSFER = "transfer"
-
-
 class PolicyFault(RuntimeError):
     """A policy took an infeasible action."""
 
@@ -75,17 +71,13 @@ class Policy:
     name = "abstract"
 
     def start(self, sim: "Simulation") -> None:
-        """Begin a fresh run at time 0 from ``sim.prices``, keeping no state of an earlier run: the initial
-        copy holds one window. Online by construction: a policy sees prices and the past only.
+        """Begin a fresh run at time 0 from ``sim.prices``, keeping no state of an earlier run: take the
+        prices and each server's window, transfer cost / rate, and hold the initial copy one window.
         """
-        self._begin(sim)
-        g = self._inst.initial_server
-        sim.hold(g, self._window[g])
-
-    def _begin(self, sim: "Simulation") -> None:
-        """Take the run's prices and each server's window, transfer cost / rate."""
         self._inst = inst = sim.prices
         self._window = {s.index: inst.transfer_cost / s.rate for s in inst.servers}
+        g = inst.initial_server
+        sim.hold(g, self._window[g])
 
     def on_request(self, sim: "Simulation", time: float, server: int, source: int | None) -> None:
         """The rule after the driver served a request at ``server`` from holder ``source``, None if local."""
@@ -201,16 +193,18 @@ class AnchorPolicy(Policy):
 
     Every other server holds a per-request window after each of its requests;
     the driver serves one without a copy from the anchor at server 1.
-    When the initial copy is elsewhere, the anchor is created by a transfer
-    at time 0 and the initial copy dropped immediately.
+    It starts as every policy does, then holds the initial copy forever as the
+    anchor if it is at server 1, else moves it there by a transfer at time 0.
     """
 
     name = "simple"
 
     def start(self, sim: "Simulation") -> None:
-        self._begin(sim)
+        super().start(sim)
         g = self._inst.initial_server
-        if g != 1:
+        if g == 1:
+            sim.hold(1, math.inf)
+        else:
             sim.transfer(g, 1, PURPOSE_CREATE)
             sim.drop(g)
 
@@ -241,16 +235,19 @@ def make_policy(name: str) -> Policy:
 
 
 class ServeRecord(NamedTuple):
-    """How one request was served: mode, source, and the providing copy."""
+    """How one request was served: the transfer's source (None if local) and the providing copy."""
 
     index: int
     time: float
     server: int
-    mode: str  # local | transfer
     source: int | None
     copy_kind: str
     provider: int  # index of the request whose retained copy served this one
     switch_time: float | None  # instant the providing copy turned special
+
+    @property
+    def mode(self) -> str:  # local | transfer, read off the source
+        return "local" if self.source is None else "transfer"
 
 
 @dataclass(frozen=True)
@@ -414,20 +411,17 @@ class Simulation:
                 self._expire_before(time)
             self._now, self._request = time, index
             held = holders.get(server)
-            if held is None:
-                source = min(holders)
-                c = holders[source]
-                switch = None if c.kind == KIND_REGULAR else c.start
-                serves.append((index, time, server, MODE_TRANSFER, source, c.kind, c.origin, switch))
+            source = None if held else min(holders)
+            c = held or holders[source]
+            switch = None if c.kind == KIND_REGULAR else c.start
+            serves.append((index, time, server, source, c.kind, c.origin, switch))
+            if held:
+                if c.kind != KIND_REGULAR:
+                    self.mark(server, KIND_REGULAR)
+                c.origin = index
+            else:
                 self._transfers.append(Transfer(time, source, server, PURPOSE_SERVE))
                 holders[server] = _LiveCopy(time, KIND_REGULAR, index)
-            else:
-                source = None
-                switch = None if held.kind == KIND_REGULAR else held.start
-                serves.append((index, time, server, MODE_LOCAL, None, held.kind, held.origin, switch))
-                if held.kind != KIND_REGULAR:
-                    self.mark(server, KIND_REGULAR)
-                held.origin = index
             policy.on_request(self, time, server, source)
             self._request = 0
         self._expire_before(math.inf)

@@ -71,6 +71,20 @@ BAD_DOCUMENTS = {
     "fractional-initial-server": ('{"lambda": 1, "initial_server": 1.7, "rates": [1, 2], "requests": []}', "1.7"),
     "string-rate": ('{"lambda": 1, "initial_server": 1, "rates": [1, "2"], "requests": []}', "'rates'"),
     "huge-integer": ('{"lambda": 1%s, "initial_server": 1, "rates": [1], "requests": []}' % ("0" * 400), "too large"),
+    "not-an-object": ("[]", ": top-level value must be an object"),
+    "missing-key": ('{"lambda": 1, "initial_server": 1, "rates": [1]}', ": missing key 'requests'"),
+    "string-lambda": (
+        '{"lambda": "1", "initial_server": 1, "rates": [1], "requests": []}',
+        ": 'lambda' must be a number, got '1'",
+    ),
+    "bool-initial-server": (
+        '{"lambda": 1, "initial_server": true, "rates": [1], "requests": []}',
+        ": 'initial_server' must be a number, got True",
+    ),
+    "requests-not-an-array": (
+        '{"lambda": 1, "initial_server": 1, "rates": [1], "requests": {}}',
+        ": 'requests' must be an array",
+    ),
 }
 
 

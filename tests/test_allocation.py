@@ -76,9 +76,9 @@ def test_request_typings_are_immutable_hashable_rows():
     assert typing == R.RequestTyping(*typing) and hash(typing) == hash(R.RequestTyping(*typing))
     assert len({typ for _, typ, _ in report.entries}) == len(report.entries)
     # each row restates its request's serve record
-    for (index, _, _, mode, _, _, provider, switch_time), (req, typ, _) in zip(run.serve_rows, report.entries):
-        assert req.index == typ.index == index
-        assert (typ.provider, typ.switch_time, typ.served_by) == (provider, switch_time, mode)
+    for rec, (req, typ, _) in zip(run.serves, report.entries):
+        assert req.index == typ.index == rec.index
+        assert (typ.provider, typ.switch_time, typ.served_by) == (rec.provider, rec.switch_time, rec.mode)
 
 
 def test_conservation_on_random_instances():

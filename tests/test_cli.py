@@ -154,7 +154,7 @@ def test_the_work_budget_is_no_option(capsys):
     from repsim import experiments, offline, verify
 
     functions = (
-        offline.opt_full, offline.opt_restricted, offline.opt_costs, offline._single, offline._solve,
+        offline.opt_full, offline.opt_restricted, offline.opt_costs, offline._solve,
         verify.verify_instance, verify.verify_random_batch,
     )
     for fn in functions:
@@ -273,6 +273,16 @@ def test_sweep_command_csv(capsys):
     lines = out.splitlines()
     assert lines[0] == "rate_set,lambda,policy,online_cost,opt_cost,ratio,requests,seed"
     assert len(lines) == 1 + 2 * 3
+
+
+def test_sweep_out_writes_the_bytes_it_would_print(tmp_path, capsys):
+    argv = ["sweep", "--rates", "1,1.5,2", "--lambda-step", "1150", "--poisson-requests", "60", "--seed", "3"]
+    code, out, _ = _run(argv, capsys)
+    assert code == 0 and out.startswith("rate_set,lambda,policy,")
+    path = tmp_path / "sweep.csv"
+    code, printed, _ = _run([*argv, "--out", str(path)], capsys)
+    assert (code, printed) == (0, "")
+    assert path.read_bytes() == out.encode("utf-8")
 
 
 def test_sweep_exits_one_on_a_policy_fault(monkeypatch, capsys):

@@ -105,6 +105,28 @@ def test_ingest_positional_columns(tmp_path):
     assert times == pytest.approx([1e-6, 4 + 1e-6], abs=1e-12)
 
 
+@pytest.mark.parametrize(
+    "text, make, message",
+    [
+        (
+            "ts,op,obj\n0,READ,X\n",
+            lambda path: R.ingest_trace(path, "X", {"timestamp": "ts", "op": "op"}),
+            "column_map is missing required key 'object_id'",
+        ),
+        ("", lambda path: R.ingest_trace(path, "X", CM), "{path}: empty trace file"),
+        ("ts,op,obj\n\n", lambda path: R.ingest_trace(path, "X", CM), "{path}: no records parsed"),
+        ("", lambda path: R.assign_servers([1.0], 0, seed=0), "n must be >= 1, got 0"),
+    ],
+    ids=["column-map-key", "empty-file", "no-records", "no-servers"],
+)
+def test_input_refusals_name_their_fault(tmp_path, text, make, message):
+    path = tmp_path / "trace.csv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        make(str(path))
+    assert str(err.value) == message.format(path=path)
+
+
 def test_assign_servers_single_and_deterministic():
     times = [1.0, 2.0, 3.0]
     assert all(s == 1 for _, s in R.assign_servers(times, 1, seed=0))

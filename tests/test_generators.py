@@ -133,6 +133,22 @@ def test_tight_bracket_rejections():
         R.gen_tight(4, mu2=2.0)
 
 
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: R.gen_tight(1, mu2=1.5, epsilon=1.0), "which=1 requires epsilon < lam/mu2 = 0.666667, got 1.0"),
+        (lambda: R.gen_tight(2, mu2=2.5, epsilon=0.5), "which=2 requires epsilon < lam/mu2 = 0.4, got 0.5"),
+        (lambda: R.gen_random(seed=1, n=0, m=1), "n must satisfy n >= 1, got 0"),
+        (lambda: R.gen_random(seed=1, n=1, m=-1), "m must satisfy m >= 0, got -1"),
+    ],
+    ids=["tight1-epsilon", "tight2-epsilon", "random-no-server", "random-negative-m"],
+)
+def test_generator_refusals_name_their_fault(make, message):
+    with pytest.raises(R.ParameterError) as err:
+        make()
+    assert str(err.value) == message
+
+
 @pytest.mark.parametrize("which, mu2", [(2, 3 + 5e-10), (3, 3 + 2e-9)])
 def test_tight_brackets_follow_the_threshold_rule(which, mu2):
     # within TOL of 3 the policy keeps its sole copy, just beyond it relocates, and the closed form follows

@@ -240,6 +240,22 @@ def test_instance_rejects_a_bad_request(requests, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize(
+    "servers, requests, message",
+    [
+        ((), (), "instance needs at least one server"),
+        ((R.Server(2, 1.0),), (), "server indices must be 1..n in order, got 2 at position 1"),
+        ((R.Server(1, 1.0),), (R.Request(2, 1.0, 1),), "requests[0]: index must be 1, got 2"),
+    ],
+    ids=["no-server", "server-index", "request-index"],
+)
+def test_instance_refuses_bad_indices_by_name(servers, requests, message):
+    # ``build`` numbers servers and requests itself, so the records are passed directly
+    with pytest.raises(R.InstanceFormatError) as err:
+        R.Instance(servers, 1.0, 1, requests)
+    assert str(err.value) == message
+
+
 def test_json_round_trip():
     inst = R.Instance.build([1.0, 2.5], 0.75, 2, [(0.5, 1), (1.25, 2)])
     text = R.dumps_instance(inst)

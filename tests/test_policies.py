@@ -542,11 +542,13 @@ def test_a_hold_to_the_alarm_time_fires_after_the_copies_already_due():
 def test_serve_records_are_immutable_hashable_and_keep_their_fields():
     run, _ = R.simulate("alg1", fig3_instance())
     rec = run.serves[0]
-    assert R.ServeRecord._fields == (
-        "index", "time", "server", "mode", "source", "copy_kind", "provider", "switch_time"
-    )
+    assert R.ServeRecord._fields == ("index", "time", "server", "source", "copy_kind", "provider", "switch_time")
+    # the mode is no stored field: it is read off the source
+    assert rec.mode == ("local" if rec.source is None else "transfer")
     with pytest.raises(AttributeError):
         rec.mode = "local"
+    with pytest.raises(AttributeError):
+        rec.source = None
     assert rec == R.ServeRecord(*rec) and hash(rec) == hash(R.ServeRecord(*rec))
     assert len(set(run.serves)) == len(run.serves)
     # the records are made once, from the driver's rows
