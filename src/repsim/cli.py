@@ -13,15 +13,8 @@ import sys
 
 from . import experiments
 from .allocation import classify_and_allocate
-from .generators import (
-    ParameterError,
-    gen_fig1,
-    gen_fig2,
-    gen_random,
-    gen_tight,
-    run_adversary,
-)
-from .model import InstanceFormatError, dump_instance, dumps_instance, load_instance, schedule_lines
+from .generators import gen_fig1, gen_fig2, gen_random, gen_tight, run_adversary
+from .model import dumps_instance, load_instance, schedule_lines
 from .offline import BudgetExceeded, opt_full
 from .policies import POLICIES, PolicyFault, simulate
 from .verify import verify_instance, verify_random_batch
@@ -29,6 +22,15 @@ from .verify import verify_instance, verify_random_batch
 
 def _fmt(x: float) -> str:
     return f"{x:.10g}"
+
+
+def _write(text: str, path: "str | None") -> None:
+    """Send ``text`` to the ``--out`` file ``path``, or to stdout without one."""
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
 
 
 def _cmd_simulate(args) -> int:
@@ -45,7 +47,7 @@ def _cmd_opt(args) -> int:
     instance = load_instance(args.instance)
     sol = opt_full(instance, reconstruct=args.events)
     print(f"oracle full optimum {_fmt(sol.opt_cost)}")
-    if args.events and sol.schedule is not None:
+    if args.events:
         sys.stdout.writelines(line + "\n" for line in schedule_lines(sol.schedule))
     return 0
 
@@ -58,9 +60,6 @@ def _cmd_allocate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.random == bool(args.instance):
-        print("verify: give exactly one of --instance or --random", file=sys.stderr)
-        return 2
     if args.random:
         problems = verify_random_batch(args.seed, args.count)
     else:
@@ -79,30 +78,24 @@ def _cmd_gen(args) -> int:
     mu2 = MU2_DEFAULTS.get(kind) if args.mu2 is None else args.mu2
     if kind == "random":
         instance = gen_random(args.seed, args.n, args.m)
-    elif kind == "adversary":
-        res = run_adversary(args.policy, args.mu, args.lam, args.epsilon)
-        instance, note = res.instance, f"realized branch {res.branch} ratio {_fmt(res.ratio)}"
     elif kind.startswith("tight"):
         res = gen_tight(int(kind[-1]), mu2, args.lam, args.epsilon, args.tau)
         instance, note = res.instance, f"expected online {_fmt(res.online_cost)} optimum {_fmt(res.optimal_cost)} "
         note += f"ratio {_fmt(res.ratio)}"
-    elif kind == "fig1":
-        res = gen_fig1(args.m, args.lam, args.delta, args.epsilon)
     else:
-        res = gen_fig2(args.m, args.lam, mu2, args.epsilon)
-    if kind.startswith("fig"):
+        res = (gen_fig1(args.m, args.lam, args.delta, args.epsilon) if kind == "fig1"
+               else gen_fig2(args.m, args.lam, mu2, args.epsilon))
         instance, note = res.instance, f"rival lower bound {_fmt(res.wang_lower_bound)} optimum {_fmt(res.optimal_cost)}"
     if note:
         print(f"# {note}", file=sys.stderr)
-    if args.out:
-        dump_instance(instance, args.out)
-    else:
-        sys.stdout.write(dumps_instance(instance))
+    _write(dumps_instance(instance), args.out)
     return 0
 
 
 def _cmd_adversary(args) -> int:
     outcome = run_adversary(args.policy, args.mu, args.lam, args.epsilon)
+    if args.out:
+        _write(dumps_instance(outcome.instance), args.out)
     print(
         f"policy {args.policy} branch {outcome.branch} decision_time {_fmt(outcome.decision_time)} "
         f"online {_fmt(outcome.online_cost)} offline {_fmt(outcome.offline_cost)} ratio {_fmt(outcome.ratio)}"
@@ -171,12 +164,7 @@ def _cmd_sweep(args) -> int:
         prefix=args.prefix,
     )
     rows = experiments.run_sweep(spec, workers=args.workers)
-    csv_text = experiments.sweep_csv(rows)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(csv_text)
-    else:
-        sys.stdout.write(csv_text)
+    _write(experiments.sweep_csv(rows), args.out)
     return 0
 
 
@@ -208,22 +196,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_allocate)
 
     p = sub.add_parser("verify", help="run the invariant suites")
-    p.add_argument("--instance")
-    p.add_argument("--random", action="store_true")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--instance")
+    source.add_argument("--random", action="store_true")
     p.add_argument("--seed", type=non_negative_int, default=0)
     p.add_argument("--count", type=int, default=100)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("gen", help="emit a generated instance file")
-    p.add_argument("kind", choices=("fig1", "fig2", "tight1", "tight2", "tight3", "random", "adversary"))
+    p.add_argument("kind", choices=("fig1", "fig2", "tight1", "tight2", "tight3", "random"))
     p.add_argument("--m", type=int, default=4)
     p.add_argument("--lam", type=float, default=1.0)
     p.add_argument("--delta", type=float, default=0.5)
     p.add_argument("--epsilon", type=float, default=1e-2)
     p.add_argument("--mu2", type=float, help="rate of server 2; default 1.5 (fig2, tight1), 2.5 (tight2), 4 (tight3)")
     p.add_argument("--tau", type=float, default=1.0)
-    p.add_argument("--mu", type=float, default=5.0)
-    p.add_argument("--policy", default="alg1", choices=sorted(POLICIES))
     p.add_argument("--seed", type=non_negative_int, default=0)
     p.add_argument("--n", type=int, default=3)
     p.add_argument("--out")
@@ -234,6 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", type=float, default=5.0)
     p.add_argument("--lam", type=float, default=1.0)
     p.add_argument("--epsilon", type=float, default=1e-4)
+    p.add_argument("--out", help="also write the realized instance file")
     p.set_defaults(func=_cmd_adversary)
 
     p = sub.add_parser("sweep", help="trace-driven cost sweep over transfer costs and rate sets")
@@ -262,7 +250,7 @@ def main(argv: "list[str] | None" = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InstanceFormatError, ParameterError, BudgetExceeded, PolicyFault, ValueError, OSError) as exc:
+    except (BudgetExceeded, PolicyFault, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1 if isinstance(exc, PolicyFault) else 2  # a policy fault is a violated invariant
 

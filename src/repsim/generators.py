@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Instance
+from .model import Instance, _holding_spans
 from .policies import Policy, relocates, simulate
 
 
@@ -66,14 +66,14 @@ def gen_fig1(m: int, lam: float, delta: float, epsilon: float) -> Counterexample
     """First counterexample family: rates (1, 1+delta), requests at the pricier
     server spaced exactly one transfer cost apart.
 
-    The rival policy pays at least (m-2)*3*lam + lam + eps while the optimum
-    is (m-2)*lam*(1+delta) + lam + eps, driving the ratio to 3 as delta goes
-    to 0 and m grows.
+    The rival policy pays (m-2)*3*lam + lam + eps while the optimum is
+    (m-2)*lam*(1+delta) + lam + eps, driving the ratio to 3 as delta goes to
+    0 and m grows. The optimum stores at server 2 across each gap: delta <= 1.
     """
     if m < 3:
         raise ParameterError(f"m must satisfy m >= 3, got {m}")
     _check("lam", lam, lam > 0, "0 < lam < inf")
-    _check("delta", delta, delta > 0, "0 < delta < inf")
+    _check("delta", delta, 0 < delta <= 1, "0 < delta <= 1")
     limit = lam - lam / (1.0 + delta)
     _check("epsilon", epsilon, 0 < epsilon < limit, f"0 < epsilon < lam - lam/(1+delta) = {limit:g}")
     requests = [(epsilon + (k - 2) * lam, 2) for k in range(2, m + 1)]
@@ -88,15 +88,18 @@ def gen_fig2(m: int, lam: float, mu2: float, epsilon: float) -> CounterexampleRe
     """Second counterexample family: rates (1, mu2), consecutive requests at
     the second server spaced lam + lam/mu2 + eps apart.
 
-    The rival policy pays at least (m-2)*5*lam + 2*lam - lam/mu2 + eps; the
-    ratio tends to 5/(mu2+1), which exceeds 2 for 1 <= mu2 < 3/2.
+    The rival policy pays (m-2)*5*lam + 2*lam - lam/mu2 + eps; the ratio
+    tends to 5/(mu2+1), which exceeds 2 for 1 <= mu2 < 3/2. The forms need
+    eps <= lam/mu2 and, as the optimum stores at server 2 across each
+    spacing, (mu2-1)*spacing <= lam.
     """
     if m < 3:
         raise ParameterError(f"m must satisfy m >= 3, got {m}")
     _check("lam", lam, lam > 0, "0 < lam < inf")
     _check("mu2", mu2, mu2 >= 1, "1 <= mu2 < inf")
-    _check("epsilon", epsilon, epsilon > 0, "0 < epsilon < inf")
+    _check("epsilon", epsilon, 0 < epsilon <= lam / mu2, f"0 < epsilon <= lam/mu2 = {lam / mu2:g}")
     spacing = lam + lam / mu2 + epsilon
+    _check("mu2", mu2, (mu2 - 1) * spacing <= lam, f"(mu2 - 1) * spacing <= lam = {lam:g}, spacing {spacing:g}")
     t = lam - lam / mu2 + epsilon
     requests = []
     for _ in range(2, m + 1):
@@ -121,6 +124,8 @@ def gen_tight(which: int, mu2: float, lam: float = 1.0, epsilon: float = 1e-4, t
     which=2 (2 < spread, sole copy kept): ratio (4*lam + mu2*tau) / (2*lam + tau + eps).
     which=3 (sole copy relocated): ratio (3*lam + eps) / (lam + mu2*eps).
     The threshold policy's own rule, ``relocates(mu2, 1)`` or mu2 > 3 + 1e-9, parts 2 from 3.
+    The forms need eps < lam/mu2 for 1 and 2 and, as the optimum of 3 keeps
+    its copy at server 2 to the request, eps*(mu2-1) <= lam + lam/mu2 for 3.
     """
     _check("lam", lam, lam > 0, "0 < lam < inf")
     _check("epsilon", epsilon, epsilon > 0, "0 < epsilon < inf")
@@ -145,6 +150,8 @@ def gen_tight(which: int, mu2: float, lam: float = 1.0, epsilon: float = 1e-4, t
     if which == 3:
         if not relocates(mu2, 1.0):
             raise ParameterError(f"which=3 requires mu2 > 3 + 1e-9, got {mu2}")
+        if epsilon > (bound := (lam + lam / mu2) / (mu2 - 1.0)):
+            raise ParameterError(f"which=3 requires epsilon <= (lam + lam/mu2)/(mu2 - 1) = {bound:g}, got {epsilon}")
         t1 = lam / mu2 + epsilon
         inst = Instance.build([1.0, mu2], lam, 2, [(t1, 2)])
         return TightResult(inst, 3.0 * lam + epsilon, lam + mu2 * epsilon)
@@ -171,23 +178,20 @@ def run_adversary(policy: "Policy | str", mu: float, lam: float = 1.0, epsilon: 
     abandonment does.
 
     The decision is read off a plain run of the outcome instance without
-    requests: the end of server 2's first holding span there, records that
-    touch merged so that a kind change is no abandonment. An end before the
-    probe time takes branch 2 at that end, any other branch 1. The policy is then
-    simulated afresh on the instance with the one chosen request. The two runs
-    agree up to the request because the policies are online by construction
-    (a policy sees prices and the past only), and ``Policy.start`` begins a
-    fresh run.
+    requests: the end of server 2's first holding span there, merged as the
+    validators merge spans, so that a kind change is no abandonment. An end
+    before the probe time takes branch 2 at that end, any other branch 1. The
+    policy is then simulated afresh on the instance with the one chosen
+    request. The two runs agree up to the request because the policies are
+    online by construction (a policy sees prices and the past only), and
+    ``Policy.start`` begins a fresh run.
     """
     _check("mu", mu, mu > 4, "4 < mu < inf")
     _check("lam", lam, lam > 0, "0 < lam < inf")
     _check("epsilon", epsilon, epsilon > 0, "0 < epsilon < inf")
     probe = lam / mu + 4.0 * lam / mu**2
     watched, _ = simulate(policy, Instance.build([1.0, mu], lam, 2, []))
-    held_until = 0.0  # the end of server 2's first holding span, whose initial copy starts at 0
-    for c in watched.schedule.copies:  # in start order
-        if c.server == 2 and c.start == held_until:
-            held_until = c.end
+    held_until = _holding_spans(watched.schedule)[2][0][1]  # the initial copy opens the first span at 0
     if held_until >= probe:
         branch, decision_time, request, offline = 1, probe, (probe, 1), probe + lam
     else:

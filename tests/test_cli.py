@@ -111,17 +111,23 @@ def test_verify_compares_trace_scale_costs_relatively(tmp_path, capsys):
     _verify_trace_prefix(tmp_path, capsys, 3132)
 
 
+def _usage_error(argv, capsys) -> str:
+    """The stderr of an argv that the parser refuses, with exit code 2 and nothing on stdout."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out) == (2, "")
+    return captured.err
+
+
 def test_verify_requires_a_source(capsys):
-    code, _, err = _run(["verify"], capsys)
-    assert code == 2
-    assert "--instance or --random" in err
+    err = _usage_error(["verify"], capsys)
+    assert err.endswith("error: one of the arguments --instance --random is required\n")
 
 
 def test_verify_rejects_both_sources(capsys):
-    code, out, err = _run(["verify", "--instance", "/nonexistent.json", "--random", "--count", "1"], capsys)
-    assert code == 2
-    assert out == ""
-    assert "exactly one of --instance or --random" in err
+    err = _usage_error(["verify", "--instance", "/nonexistent.json", "--random", "--count", "1"], capsys)
+    assert err.endswith("error: argument --random: not allowed with argument --instance\n")
 
 
 def test_verify_exit_one_on_violations(capsys, monkeypatch):
@@ -208,12 +214,42 @@ def test_gen_outputs_parseable_instances(capsys, tmp_path):
     for argv in (
         ["gen", "fig2", "--m", "4", "--mu2", "1.0", "--epsilon", "0.01"],
         ["gen", "random", "--seed", "3", "--n", "3", "--m", "5"],
-        ["gen", "adversary", "--policy", "alg1", "--mu", "5"],
     ):
         code, out, _ = _run(argv, capsys)
         assert code == 0
         inst = repsim.loads_instance(out)
         assert inst.n >= 2 or argv[1] == "random"
+    path = tmp_path / "adversary.json"  # the adversary's instance comes from `adversary --out`
+    code, _, _ = _run(["adversary", "--policy", "alg1", "--mu", "5", "--out", str(path)], capsys)
+    assert code == 0
+    assert repsim.load_instance(str(path)).n == 2
+
+
+@pytest.mark.parametrize("policy", ["alg1", "wang", "simple"])
+def test_adversary_out_writes_the_realized_instance(policy, tmp_path, capsys):
+    argv = ["adversary", "--policy", policy, "--mu", "5"]
+    code, out, err = _run(argv, capsys)
+    path = tmp_path / "adversary.json"
+    assert _run([*argv, "--out", str(path)], capsys) == (code, out, err)
+    assert path.read_text(encoding="utf-8") == repsim.dumps_instance(repsim.run_adversary(policy, 5.0).instance)
+
+
+def test_gen_has_no_adversary_kind(capsys):
+    assert "invalid choice: 'adversary'" in _usage_error(["gen", "adversary"], capsys)
+    assert "unrecognized arguments: --policy alg1" in _usage_error(["gen", "fig1", "--policy", "alg1"], capsys)
+    with pytest.raises(SystemExit):
+        cli.main(["gen", "--help"])
+    usage = capsys.readouterr().out
+    assert "--mu2" in usage and not re.search(r"--mu\b|--policy", usage)
+
+
+@pytest.mark.parametrize("kind", ["fig1", "fig2", "tight1", "tight2", "tight3", "random"])
+def test_gen_out_writes_the_bytes_it_would_print(kind, tmp_path, capsys):
+    code, out, err = _run(["gen", kind], capsys)
+    assert code == 0 and out.startswith("{")
+    path = tmp_path / f"{kind}.json"
+    assert _run(["gen", kind, "--out", str(path)], capsys) == (0, "", err)
+    assert path.read_bytes() == out.encode("utf-8")
 
 
 @pytest.mark.parametrize("kind", ["tight2", "tight3"])

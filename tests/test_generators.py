@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 import repsim as R
@@ -140,8 +141,16 @@ def test_tight_bracket_rejections():
         (lambda: R.gen_tight(2, mu2=2.5, epsilon=0.5), "which=2 requires epsilon < lam/mu2 = 0.4, got 0.5"),
         (lambda: R.gen_random(seed=1, n=0, m=1), "n must satisfy n >= 1, got 0"),
         (lambda: R.gen_random(seed=1, n=1, m=-1), "m must satisfy m >= 0, got -1"),
+        # each closed form outside the regime where its storage choice is the cheaper one
+        (lambda: R.gen_fig1(4, 1.0, 2.0, 0.1), "delta must satisfy 0 < delta <= 1, got 2.0"),
+        (lambda: R.gen_fig2(4, 1.0, 2.0, 0.6), "epsilon must satisfy 0 < epsilon <= lam/mu2 = 0.5, got 0.6"),
+        (lambda: R.gen_fig2(4, 1.0, 2.0, 0.1), "mu2 must satisfy (mu2 - 1) * spacing <= lam = 1, spacing 1.6, got 2.0"),
+        (lambda: R.gen_tight(3, 5.0, 1.0, 1.0), "which=3 requires epsilon <= (lam + lam/mu2)/(mu2 - 1) = 0.3, got 1.0"),
     ],
-    ids=["tight1-epsilon", "tight2-epsilon", "random-no-server", "random-negative-m"],
+    ids=[
+        "tight1-epsilon", "tight2-epsilon", "random-no-server", "random-negative-m",
+        "fig1-delta", "fig2-epsilon", "fig2-storage", "tight3-epsilon",
+    ],
 )
 def test_generator_refusals_name_their_fault(make, message):
     with pytest.raises(R.ParameterError) as err:
@@ -310,3 +319,45 @@ def test_random_generator_rejects_a_bad_horizon(horizon):
 def test_random_generator_rejects_a_bad_rate_range(rate_range):
     with pytest.raises(R.ParameterError, match=r"^rate_range must satisfy 0 < lo <= hi < inf, got "):
         R.gen_random(seed=1, n=2, m=3, rate_range=rate_range)
+
+
+def _admissible_draws(seed: int, count: int):
+    """``count`` seeded draws from each generator's admissible box, then each box's edges."""
+    rng = np.random.default_rng(seed)
+    golden = (1.0 + math.sqrt(5.0)) / 2.0  # fig2's storage rule admits no epsilon from here on
+    for _ in range(count):
+        lam, m, u = float(np.exp(rng.uniform(-2.0, 2.0))), int(rng.integers(3, 9)), rng.uniform(1e-3, 1.0, 3)
+        delta = float(u[0])
+        yield "fig1", R.gen_fig1(m, lam, delta, float(u[1]) * (lam - lam / (1.0 + delta)))
+        mu2 = 1.0 + float(u[0]) * (golden - 1.0)
+        room = lam / (mu2 - 1.0) - lam - lam / mu2  # the largest epsilon of the storage rule
+        yield "fig2", R.gen_fig2(m, lam, mu2, float(u[1]) * min(lam / mu2, room))
+        mu2 = 1.0 + float(u[0])
+        yield "tight1", R.gen_tight(1, mu2, lam, float(u[1]) * lam / mu2)
+        mu2 = 2.0 + float(u[0])
+        yield "tight2", R.gen_tight(2, mu2, lam, float(u[1]) * lam / mu2, lam * float(np.exp(rng.uniform(-4.0, 4.0))))
+        mu2 = 3.0 + float(np.exp(rng.uniform(-6.0, 3.0)))
+        yield "tight3", R.gen_tight(3, mu2, lam, float(u[1]) * (lam + lam / mu2) / (mu2 - 1.0))
+    yield "fig1", R.gen_fig1(5, 2.0, 1.0, 0.5)  # delta = 1: storing at server 2 ties holding at 1 plus a transfer
+    yield "fig2", R.gen_fig2(5, 3.0, 1.5, 1.0)  # (mu2 - 1) * spacing = 0.5 * 6 = lam
+    yield "fig2", R.gen_fig2(5, 5.0, 1.25, 4.0)  # epsilon = lam/mu2
+    yield "fig2", R.gen_fig2(5, 1.0, 1.0, 1.0)  # mu2 = 1: epsilon = lam/mu2
+    yield "tight1", R.gen_tight(1, 2.0, 1.0, 0.499)
+    yield "tight2", R.gen_tight(2, 3.0, 1.0, 0.333, 1e-3)
+    yield "tight3", R.gen_tight(3, 5.0, 4.0, (4.0 + 4.0 / 5.0) / 4.0)  # epsilon at its bound: both storage choices cost 10
+
+
+def test_closed_forms_hold_over_each_admissible_box():
+    def agree(form, got):
+        return abs(form - got) <= 1e-9 * max(1.0, abs(got))
+
+    for kind, res in _admissible_draws(seed=33, count=40):
+        where = (kind, res.instance)
+        assert agree(res.optimal_cost, R.opt_full(res.instance).opt_cost), where
+        alg1 = R.simulate("alg1", res.instance)[1].total
+        if kind.startswith("tight"):
+            assert agree(res.online_cost, alg1), where
+            continue
+        if res.threshold_cost is not None:
+            assert agree(res.threshold_cost, alg1), where
+        assert agree(res.wang_lower_bound, R.simulate("wang", res.instance)[1].total), where
