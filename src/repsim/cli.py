@@ -10,10 +10,11 @@ import argparse
 import math
 import os
 import sys
+from functools import partial
 
 from . import experiments
 from .allocation import classify_and_allocate
-from .generators import gen_fig1, gen_fig2, gen_random, gen_tight, run_adversary
+from .generators import CounterexampleResult, TightResult, gen_fig1, gen_fig2, gen_random, gen_tight, run_adversary
 from .model import dumps_instance, load_instance, schedule_lines
 from .offline import BudgetExceeded, opt_full
 from .policies import POLICIES, PolicyFault, simulate
@@ -70,25 +71,24 @@ def _cmd_verify(args) -> int:
     return 1 if problems else 0
 
 
-MU2_DEFAULTS = {"fig2": 1.5, "tight1": 1.5, "tight2": 2.5, "tight3": 4.0}  # each inside its kind's range
+GEN_KINDS = {  # kind: (generator, {option: default}); each --mu2 default lies inside its kind's range
+    "fig1": (gen_fig1, {"m": 4, "lam": 1.0, "delta": 0.5, "epsilon": 1e-2}),
+    "fig2": (gen_fig2, {"m": 4, "lam": 1.0, "mu2": 1.5, "epsilon": 1e-2}),
+    "tight1": (partial(gen_tight, 1), {"mu2": 1.5, "lam": 1.0, "epsilon": 1e-2}),
+    "tight2": (partial(gen_tight, 2), {"mu2": 2.5, "lam": 1.0, "epsilon": 1e-2, "tau": 1.0}),
+    "tight3": (partial(gen_tight, 3), {"mu2": 4.0, "lam": 1.0, "epsilon": 1e-2}),
+    "random": (gen_random, {"seed": 0, "n": 3, "m": 4}),
+}
 
 
 def _cmd_gen(args) -> int:
-    kind, note = args.kind, None
-    mu2 = MU2_DEFAULTS.get(kind) if args.mu2 is None else args.mu2
-    if kind == "random":
-        instance = gen_random(args.seed, args.n, args.m)
-    elif kind.startswith("tight"):
-        res = gen_tight(int(kind[-1]), mu2, args.lam, args.epsilon, args.tau)
-        instance, note = res.instance, f"expected online {_fmt(res.online_cost)} optimum {_fmt(res.optimal_cost)} "
-        note += f"ratio {_fmt(res.ratio)}"
-    else:
-        res = (gen_fig1(args.m, args.lam, args.delta, args.epsilon) if kind == "fig1"
-               else gen_fig2(args.m, args.lam, mu2, args.epsilon))
-        instance, note = res.instance, f"rival lower bound {_fmt(res.wang_lower_bound)} optimum {_fmt(res.optimal_cost)}"
-    if note:
-        print(f"# {note}", file=sys.stderr)
-    _write(dumps_instance(instance), args.out)
+    make, defaults = GEN_KINDS[args.kind]
+    res = make(**{name: getattr(args, name) for name in defaults})
+    if isinstance(res, TightResult):
+        print(f"# expected online {_fmt(res.online_cost)} optimum {_fmt(res.optimal_cost)} ratio {_fmt(res.ratio)}", file=sys.stderr)
+    elif isinstance(res, CounterexampleResult):
+        print(f"# rival lower bound {_fmt(res.wang_lower_bound)} optimum {_fmt(res.optimal_cost)}", file=sys.stderr)
+    _write(dumps_instance(getattr(res, "instance", res)), args.out)
     return 0
 
 
@@ -168,8 +168,11 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
+_Parser = partial(argparse.ArgumentParser, allow_abbrev=False)  # an option is taken only as spelled in full
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="repsim",
         description="Online dynamic replication: simulation, allocation, exact offline oracle, experiments.",
         epilog=(
@@ -178,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
             "{'t', 's'} with strictly increasing positive finite times and integer servers)."
         ),
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("simulate", help="run a named policy over an instance file")
     p.add_argument("--policy", required=True, choices=sorted(POLICIES))
@@ -203,18 +206,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, default=100)
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("gen", help="emit a generated instance file")
-    p.add_argument("kind", choices=("fig1", "fig2", "tight1", "tight2", "tight3", "random"))
-    p.add_argument("--m", type=int, default=4)
-    p.add_argument("--lam", type=float, default=1.0)
-    p.add_argument("--delta", type=float, default=0.5)
-    p.add_argument("--epsilon", type=float, default=1e-2)
-    p.add_argument("--mu2", type=float, help="rate of server 2; default 1.5 (fig2, tight1), 2.5 (tight2), 4 (tight3)")
-    p.add_argument("--tau", type=float, default=1.0)
-    p.add_argument("--seed", type=non_negative_int, default=0)
-    p.add_argument("--n", type=int, default=3)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_gen)
+    kinds = sub.add_parser("gen", help="emit a generated instance file").add_subparsers(
+        dest="kind", required=True, parser_class=_Parser)
+    for kind, (_, defaults) in GEN_KINDS.items():
+        p = kinds.add_parser(kind)
+        for name, default in defaults.items():
+            p.add_argument(f"--{name}", type=non_negative_int if name == "seed" else type(default), default=default)
+        p.add_argument("--out")
+        p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("adversary", help="run the adaptive lower-bound adversary against a policy")
     p.add_argument("--policy", required=True, choices=sorted(POLICIES))

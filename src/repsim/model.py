@@ -57,10 +57,10 @@ class InstanceFormatError(ValueError):
 
 
 def _exact_int(value):
-    """``value`` as an int when that loses nothing, else unchanged for validation to reject."""
+    """``value`` as an int when that loses nothing, else unchanged for validation to reject (a bool too)."""
     if isinstance(value, float) and value.is_integer():
         return int(value)
-    return operator.index(value) if hasattr(value, "__index__") else value
+    return operator.index(value) if hasattr(value, "__index__") and not isinstance(value, bool) else value
 
 
 @dataclass(frozen=True)
@@ -433,7 +433,7 @@ def compute_cost(schedule: ReplicationSchedule, horizon: float | None = None) ->
     inst = schedule.instance
     if horizon is None:
         horizon = inst.horizon
-    if horizon < 0:
+    if not horizon >= 0:  # NaN fails this too
         raise ValueError(f"horizon must be nonnegative, got {horizon}")
     rates = {s.index: s.rate for s in inst.servers}
     per_server = dict.fromkeys(rates, 0.0)

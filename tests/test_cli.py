@@ -238,9 +238,34 @@ def test_gen_has_no_adversary_kind(capsys):
     assert "invalid choice: 'adversary'" in _usage_error(["gen", "adversary"], capsys)
     assert "unrecognized arguments: --policy alg1" in _usage_error(["gen", "fig1", "--policy", "alg1"], capsys)
     with pytest.raises(SystemExit):
-        cli.main(["gen", "--help"])
+        cli.main(["gen", "fig2", "--help"])
     usage = capsys.readouterr().out
     assert "--mu2" in usage and not re.search(r"--mu\b|--policy", usage)
+    with pytest.raises(SystemExit):
+        cli.main(["gen", "--help"])
+    assert "{fig1,fig2,tight1,tight2,tight3,random}" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["gen", "fig1", "--mu", "5"], "repsim: error: unrecognized arguments: --mu 5"),
+        (["gen", "tight1", "--tau", "2"], "repsim: error: unrecognized arguments: --tau 2"),
+        (["gen", "random", "--lam", "2"], "repsim: error: unrecognized arguments: --lam 2"),
+        (["gen", "fig2", "--mu", "1.2"], "repsim: error: unrecognized arguments: --mu 1.2"),
+        (["sweep", "--rates", "set1", "--poisson-requests", "50", "--work", "1"],
+         "repsim: error: unrecognized arguments: --work 1"),
+        (["simulate", "--pol", "alg1", "--instance", "fig1.json"],
+         "repsim simulate: error: the following arguments are required: --policy"),
+    ],
+    ids=["gen-unread-mu", "gen-unread-tau", "gen-unread-lam", "gen-abbrev-mu2", "sweep-abbrev", "simulate-abbrev"],
+)
+def test_an_unread_or_abbreviated_option_is_refused(argv, message, tmp_path, monkeypatch, capsys):
+    # a gen kind takes only the options it reads, and no option is matched by a prefix
+    # (--mu of --mu2, --work of --workers, --pol of --policy)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "fig1.json").write_text(repsim.dumps_instance(repsim.gen_fig1(4, 1.0, 0.5, 0.01).instance))
+    assert _usage_error(argv, capsys).endswith(f"\n{message}\n")
 
 
 @pytest.mark.parametrize("kind", ["fig1", "fig2", "tight1", "tight2", "tight3", "random"])

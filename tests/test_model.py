@@ -65,8 +65,9 @@ def test_compute_cost_against_independent_resum():
 def test_compute_cost_negative_horizon_rejected():
     inst = R.Instance.build([1.0], 1.0, 1, [])
     sched = R.ReplicationSchedule(inst, (R.CopyInterval(1, 0.0, 1.0),), ())
-    with pytest.raises(ValueError):
-        R.compute_cost(sched, -1.0)
+    for horizon in (-1.0, math.nan):  # NaN compares false both ways, so it is refused like a negative
+        with pytest.raises(ValueError, match=f"^horizon must be nonnegative, got {horizon}$"):
+            R.compute_cost(sched, horizon)
 
 
 def test_compute_cost_monotone_and_additive():
@@ -232,7 +233,7 @@ TIED_OR_OUT_OF_ORDER = "(tied or out-of-order timestamps are rejected)"
 def test_instance_rejects_a_bad_request(requests, message):
     # the instance is the one check of a request: a simulation serves exactly
     # its instance's requests; ``Request`` is used directly, since ``build``
-    # turns 2.0 and True into ints
+    # turns 2.0 into an int
     servers = R.Instance.build([1.0, 2.0], 1.0, 1).servers
     reqs = tuple(R.Request(j + 1, t, s) for j, (t, s) in enumerate(requests))
     with pytest.raises(R.InstanceFormatError) as err:
@@ -241,18 +242,21 @@ def test_instance_rejects_a_bad_request(requests, message):
 
 
 @pytest.mark.parametrize(
-    "servers, requests, message",
+    "make, message",
     [
-        ((), (), "instance needs at least one server"),
-        ((R.Server(2, 1.0),), (), "server indices must be 1..n in order, got 2 at position 1"),
-        ((R.Server(1, 1.0),), (R.Request(2, 1.0, 1),), "requests[0]: index must be 1, got 2"),
+        (lambda: R.Instance((), 1.0, 1, ()), "instance needs at least one server"),
+        (lambda: R.Instance((R.Server(2, 1.0),), 1.0, 1, ()), "server indices must be 1..n in order, got 2 at position 1"),
+        (lambda: R.Instance((R.Server(1, 1.0),), 1.0, 1, (R.Request(2, 1.0, 1),)), "requests[0]: index must be 1, got 2"),
+        (lambda: R.Instance.build([1.0, 2.0], 1.0, True), "initial server True is not an integer in 1..2"),
+        (lambda: R.Instance.build([1.0, 2.0], 1.0, 1, [(1.0, True)]), "requests[0]: server True is not an integer in 1..2"),
     ],
-    ids=["no-server", "server-index", "request-index"],
+    ids=["no-server", "server-index", "request-index", "bool-initial-server", "bool-request-server"],
 )
-def test_instance_refuses_bad_indices_by_name(servers, requests, message):
-    # ``build`` numbers servers and requests itself, so the records are passed directly
+def test_instance_refuses_bad_indices_by_name(make, message):
+    # ``build`` numbers servers and requests itself, so bad indices are passed to ``Instance`` directly;
+    # ``build`` passes a bool server on unchanged, for ``Instance`` to refuse as the JSON parser does
     with pytest.raises(R.InstanceFormatError) as err:
-        R.Instance(servers, 1.0, 1, requests)
+        make()
     assert str(err.value) == message
 
 
