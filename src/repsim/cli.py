@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 from functools import partial
 
@@ -61,12 +60,8 @@ def _cmd_allocate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.random:
-        problems = verify_random_batch(args.seed, args.count)
-    else:
-        problems = verify_instance(load_instance(args.instance))
-    for p in problems:
-        print(f"VIOLATION {p}")
+    problems = verify_random_batch(*args.random) if args.random else verify_instance(load_instance(args.instance))
+    sys.stdout.writelines(f"VIOLATION {p}\n" for p in problems)
     print(f"verify: {len(problems)} violation(s)")
     return 1 if problems else 0
 
@@ -107,18 +102,10 @@ MAX_LAMBDA_POINTS = 2_000  # an oracle pass holds about 115 KB per grid point at
 
 
 def non_negative_int(text: str) -> int:
-    """A ``--seed`` value: numpy's generators take only a non-negative one."""
+    """A seed or count: numpy's generators take only a non-negative seed."""
     if (value := int(text)) < 0:
         raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
     return value
-
-
-def _rate(token: str, source: str) -> float:
-    """A ``--rates`` value; one that is not a number is an input error naming ``source`` and the token."""
-    try:
-        return float(token)
-    except ValueError:
-        raise ValueError(f"{source}: {token!r} is not a number") from None
 
 
 def _lambda_grid(lo: float, hi: float, step: float) -> tuple[float, ...]:
@@ -139,21 +126,29 @@ def _lambda_grid(lo: float, hi: float, step: float) -> tuple[float, ...]:
 
 
 def _cmd_sweep(args) -> int:
-    if args.trace:
-        column_map = {"timestamp": args.col_timestamp, "op": args.col_op, "object_id": args.col_object}
+    if args.trace is None:
+        for dest in ("object_id", "col_timestamp", "col_op", "col_object"):
+            if getattr(args, dest) is not None:
+                raise ValueError(f"--{dest.replace('_', '-')} needs --trace")
+        times = experiments.gen_poisson_trace(args.seed)
+    elif args.object_id is None:
+        raise ValueError("--trace needs --object-id")
+    else:  # a column not named is read under its key's own header name
+        names = {"timestamp": args.col_timestamp, "op": args.col_op, "object_id": args.col_object}
+        column_map = {key: key if name is None else name for key, name in names.items()}
         times = experiments.ingest_trace(args.trace, args.object_id, column_map)
-    else:
-        times = experiments.gen_poisson_trace(args.seed, args.poisson_requests, args.poisson_gap)
     if args.rates in experiments.RATE_SETS:
         rate_sets = {args.rates: experiments.RATE_SETS[args.rates]}
     elif args.rates == "all":
         rate_sets = dict(experiments.RATE_SETS)
-    elif os.path.exists(args.rates):
-        with open(args.rates, "r", encoding="utf-8") as fh:
-            rates = tuple(_rate(v, f"rates file {args.rates}") for v in fh.read().replace(",", " ").split())
-        rate_sets = {os.path.basename(args.rates): rates}
     else:
-        rate_sets = {"custom": tuple(_rate(v, "--rates, read as a comma list") for v in args.rates.split(","))}
+        rates = []
+        for token in args.rates.split(","):
+            try:
+                rates.append(float(token))
+            except ValueError:
+                raise ValueError(f"--rates, read as a comma list: {token!r} is not a number") from None
+        rate_sets = {"custom": tuple(rates)}
     lambdas = _lambda_grid(args.lambda_min, args.lambda_max, args.lambda_step)
     spec = experiments.ExperimentSpec(
         times=tuple(times),
@@ -201,9 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the invariant suites")
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--instance")
-    source.add_argument("--random", action="store_true")
-    p.add_argument("--seed", type=non_negative_int, default=0)
-    p.add_argument("--count", type=int, default=100)
+    source.add_argument("--random", nargs=2, type=non_negative_int, metavar=("SEED", "COUNT"))
     p.set_defaults(func=_cmd_verify)
 
     kinds = sub.add_parser("gen", help="emit a generated instance file").add_subparsers(
@@ -224,20 +217,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_adversary)
 
     p = sub.add_parser("sweep", help="trace-driven cost sweep over transfer costs and rate sets")
-    p.add_argument("--rates", default="all", help="set1|set2|set3|set4|all, a comma list of rates, or a file of rates")
+    p.add_argument("--rates", default="all", help="set1|set2|set3|set4|all, or a comma list of rates")
     p.add_argument("--lambda-min", type=float, default=50)
     p.add_argument("--lambda-max", type=float, default=1200)
     p.add_argument("--lambda-step", type=float, default=25)
-    p.add_argument("--trace", help="delimited trace file; otherwise a synthetic trace is used")
-    p.add_argument("--object-id", default="")
-    p.add_argument("--col-timestamp", default="timestamp")
-    p.add_argument("--col-op", default="op")
-    p.add_argument("--col-object", default="object_id")
-    p.add_argument("--poisson-requests", type=int, default=11683)
-    p.add_argument("--poisson-gap", type=float, default=50.0)
+    p.add_argument("--trace", help="CSV trace with a header row; needs --object-id; default: the synthetic trace")
+    p.add_argument("--object-id")
+    p.add_argument("--col-timestamp")
+    p.add_argument("--col-op")
+    p.add_argument("--col-object")
     p.add_argument("--seed", type=non_negative_int, default=0)
     p.add_argument("--policies", default="alg1,wang,simple")
-    p.add_argument("--prefix", type=int)
+    p.add_argument("--prefix", type=int, metavar="K", help="sweep only the first K requests of the trace")
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_sweep)

@@ -39,48 +39,53 @@ def _reads(path: str, object_id: str, column_map: dict[str, "str | int"], delimi
     ``column_map`` maps the keys ``timestamp``, ``op`` and ``object_id`` to
     column names (header row) or 0-based positions (no header assumed). Blank
     lines are skipped; a record that lacks a column or whose timestamp is not
-    a finite number is reported by file and line. Op and object fields are
-    stripped of surrounding whitespace. One second of source time becomes
-    one time unit, with t=0 at the first record of the file.
+    a finite number, and a line that is not UTF-8, are reported by file and
+    line. Op and object fields are stripped of surrounding whitespace. One
+    second of source time becomes one time unit, with t=0 at the first record.
     """
     keys = ("timestamp", "op", "object_id")
     for key in keys:
         if key not in column_map:
             raise ValueError(f"column_map is missing required key {key!r}")
     t0 = None
-    with open(path, "r", encoding="utf-8") as fh:
-        reader = csv.reader(fh, delimiter=delimiter)
-        rows = ((reader.line_num, row) for row in reader)  # a quoted field may span lines
-        if all(isinstance(v, int) for v in column_map.values()):
-            cols = [column_map[key] for key in keys]
-        else:
-            _, header = next(rows, (0, None))
-            if header is None:
-                raise ValueError(f"{path}: empty trace file")
-            position = {name: i for i, name in enumerate(header)}  # a repeated name means its last column
-            for key, col in column_map.items():
-                if col not in position:
-                    raise ValueError(f"{path}: column {col!r} (for {key}) not found in header {header}")
-            cols = [position[column_map[key]] for key in keys]
-        t, op, obj = cols
-        last = column_map[keys[cols.index(max(cols))]]  # the column a short record lacks
-        for lineno, row in rows:
-            if not row:
-                continue
-            try:
-                text, op_text, obj_text = row[t], row[op], row[obj]
-            except IndexError:
-                raise ValueError(f"{path}:line {lineno}: record has no column {last!r}") from None
-            try:
-                stamp = float(text)
-            except ValueError:
-                raise ValueError(f"{path}:line {lineno}: timestamp {text!r} is not a number") from None
-            if not math.isfinite(stamp):
-                raise ValueError(f"{path}:line {lineno}: timestamp {text!r} is not finite")
-            if t0 is None:
-                t0 = stamp
-            if obj_text.strip() == object_id and any(tok in op_text.strip().upper() for tok in READ_OPS):
-                yield lineno, stamp - t0
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            reader = csv.reader(fh, delimiter=delimiter)
+            rows = ((reader.line_num, row) for row in reader)  # a quoted field may span lines
+            if all(isinstance(v, int) for v in column_map.values()):
+                cols = [column_map[key] for key in keys]
+            else:
+                _, header = next(rows, (0, None))
+                if header is None:
+                    raise ValueError(f"{path}: empty trace file")
+                position = {name: i for i, name in enumerate(header)}  # a repeated name means its last column
+                for key, col in column_map.items():
+                    if col not in position:
+                        raise ValueError(f"{path}: column {col!r} (for {key}) not found in header {header}")
+                cols = [position[column_map[key]] for key in keys]
+            t, op, obj = cols
+            last = column_map[keys[cols.index(max(cols))]]  # the column a short record lacks
+            for lineno, row in rows:
+                if not row:
+                    continue
+                try:
+                    text, op_text, obj_text = row[t], row[op], row[obj]
+                except IndexError:
+                    raise ValueError(f"{path}:line {lineno}: record has no column {last!r}") from None
+                try:
+                    stamp = float(text)
+                except ValueError:
+                    raise ValueError(f"{path}:line {lineno}: timestamp {text!r} is not a number") from None
+                if not math.isfinite(stamp):
+                    raise ValueError(f"{path}:line {lineno}: timestamp {text!r} is not finite")
+                if t0 is None:
+                    t0 = stamp
+                if obj_text.strip() == object_id and any(tok in op_text.strip().upper() for tok in READ_OPS):
+                    yield lineno, stamp - t0
+    except UnicodeDecodeError as exc:  # text is decoded ahead in chunks, so the line is found in the bytes
+        with open(path, "rb") as fh:  # no UTF-8 sequence holds a newline byte; a bad line changes under replacement
+            lineno = next(n for n, raw in enumerate(fh, 1) if raw.decode("utf-8", "replace").encode() != raw)
+        raise ValueError(f"{path}:line {lineno}: not UTF-8 ({exc.reason})") from None
     if t0 is None:
         raise ValueError(f"{path}: no records parsed")
 
@@ -124,8 +129,8 @@ def assign_servers(times: "list[float]", n: int, seed: int) -> list[tuple[float,
     return list(zip(times, (int(s) for s in servers)))
 
 
-def gen_poisson_trace(seed: int, total_requests: int, mean_gap: float) -> list[float]:
-    """Synthetic arrival times with exponential inter-request gaps."""
+def gen_poisson_trace(seed: int, total_requests: int = 11_683, mean_gap: float = 50.0) -> list[float]:
+    """Synthetic arrival times with exponential gaps, drawn in order: a shorter trace prefixes a longer one."""
     if not (math.isfinite(mean_gap) and mean_gap > 0):
         raise ValueError(f"mean gap must be a finite number > 0, got {mean_gap}")
     if total_requests < 0:
@@ -154,6 +159,8 @@ class ExperimentSpec:
     prefix: int | None = None
 
     def __post_init__(self) -> None:
+        for policy in self.policies:  # first, so a repeated unknown name is refused as unknown
+            make_policy(policy)
         for name in ("rate_sets", "lambda_values", "policies"):
             values = list(getattr(self, name))
             if not values:
@@ -169,8 +176,6 @@ class ExperimentSpec:
             Instance.build(rates, self.lambda_values[0], 1)
         for lam in self.lambda_values[1:]:
             _check_transfer_cost(float(lam))
-        for policy in self.policies:
-            make_policy(policy)
 
 
 @dataclass(frozen=True)

@@ -534,6 +534,9 @@ def loads_instance(text: str, path: str | None = None) -> Instance:
 
 
 def load_instance(path: str) -> Instance:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise InstanceFormatError(str(exc), path=path) from None
     return loads_instance(text, path=path)

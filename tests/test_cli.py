@@ -51,7 +51,7 @@ def test_allocate_csv(tmp_path, capsys):
 
 
 def test_verify_random_exit_zero(capsys):
-    code, out, _ = _run(["verify", "--random", "--seed", "1", "--count", "500"], capsys)
+    code, out, _ = _run(["verify", "--random", "1", "500"], capsys)
     assert code == 0
     assert "0 violation(s)" in out
 
@@ -120,33 +120,51 @@ def _usage_error(argv, capsys) -> str:
     return captured.err
 
 
+def _exit(argv, capsys):
+    """The exit code, stdout and stderr of an argv, whether the parser or the command refuses it."""
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
 def test_verify_requires_a_source(capsys):
     err = _usage_error(["verify"], capsys)
     assert err.endswith("error: one of the arguments --instance --random is required\n")
 
 
 def test_verify_rejects_both_sources(capsys):
-    err = _usage_error(["verify", "--instance", "/nonexistent.json", "--random", "--count", "1"], capsys)
+    err = _usage_error(["verify", "--instance", "/nonexistent.json", "--random", "0", "1"], capsys)
     assert err.endswith("error: argument --random: not allowed with argument --instance\n")
 
 
 def test_verify_exit_one_on_violations(capsys, monkeypatch):
     monkeypatch.setattr(cli, "verify_random_batch", lambda seed, count: ["stub problem"])
-    code, out, _ = _run(["verify", "--random", "--seed", "1", "--count", "1"], capsys)
+    code, out, _ = _run(["verify", "--random", "1", "1"], capsys)
     assert code == 1
     assert "VIOLATION stub problem" in out
 
 
-@pytest.mark.parametrize("count", ["-3", "0"])
-def test_verify_random_rejects_a_count_below_one(capsys, count):
-    code, out, err = _run(["verify", "--random", "--seed", "1", "--count", count], capsys)
+@pytest.mark.parametrize(
+    "count, problem",
+    [
+        ("-3", "argument --random: must be a non-negative integer, got -3"),
+        ("0", "count must be at least 1 instance, got 0"),
+    ],
+    ids=["-3", "0"],
+)
+def test_verify_random_rejects_a_count_below_one(capsys, count, problem):
+    # the parser refuses a negative count, the batch an empty one
+    code, out, err = _exit(["verify", "--random", "1", count], capsys)
     assert (code, out) == (2, "")
-    assert err == f"error: count must be at least 1 instance, got {count}\n"
+    assert err.endswith(f"error: {problem}\n")
 
 
 def test_verify_random_honours_the_budget(capsys, monkeypatch):
     monkeypatch.setattr(repsim.offline, "WORK_BUDGET", 1)
-    code, out, _ = _run(["verify", "--random", "--seed", "1", "--count", "2"], capsys)
+    code, out, _ = _run(["verify", "--random", "1", "2"], capsys)
     assert code == 1
     assert out.count("oracle skipped") == 2
     assert out.endswith("verify: 2 violation(s)\n")
@@ -166,7 +184,7 @@ def test_the_work_budget_is_no_option(capsys):
     for fn in functions:
         assert "budget" not in inspect.signature(fn).parameters, fn.__name__
     assert "budget" not in {f.name for f in dataclasses.fields(experiments.ExperimentSpec)}
-    for argv in (["opt", "--instance", "x.json"], ["verify", "--random"], ["sweep"]):
+    for argv in (["opt", "--instance", "x.json"], ["verify", "--random", "0", "1"], ["sweep"]):
         with pytest.raises(SystemExit) as err:
             cli.main([*argv, "--budget", "1"])
         assert err.value.code == 2
@@ -253,7 +271,7 @@ def test_gen_has_no_adversary_kind(capsys):
         (["gen", "tight1", "--tau", "2"], "repsim: error: unrecognized arguments: --tau 2"),
         (["gen", "random", "--lam", "2"], "repsim: error: unrecognized arguments: --lam 2"),
         (["gen", "fig2", "--mu", "1.2"], "repsim: error: unrecognized arguments: --mu 1.2"),
-        (["sweep", "--rates", "set1", "--poisson-requests", "50", "--work", "1"],
+        (["sweep", "--rates", "set1", "--prefix", "50", "--work", "1"],
          "repsim: error: unrecognized arguments: --work 1"),
         (["simulate", "--pol", "alg1", "--instance", "fig1.json"],
          "repsim simulate: error: the following arguments are required: --policy"),
@@ -266,6 +284,52 @@ def test_an_unread_or_abbreviated_option_is_refused(argv, message, tmp_path, mon
     monkeypatch.chdir(tmp_path)
     (tmp_path / "fig1.json").write_text(repsim.dumps_instance(repsim.gen_fig1(4, 1.0, 0.5, 0.01).instance))
     assert _usage_error(argv, capsys).endswith(f"\n{message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["sweep", "--object-id", "X"], "error: --object-id needs --trace"),
+        (["sweep", "--col-op", "x"], "error: --col-op needs --trace"),
+        (["sweep", "--trace", "trace.csv"], "error: --trace needs --object-id"),
+        (["sweep", "--poisson-requests", "5"], "repsim: error: unrecognized arguments: --poisson-requests 5"),
+        (["sweep", "--trace", "trace.csv", "--object-id", "X", "--poisson-gap", "5"],
+         "repsim: error: unrecognized arguments: --poisson-gap 5"),
+        (["verify", "--instance", "fig1.json", "--seed", "5"], "repsim: error: unrecognized arguments: --seed 5"),
+        (["verify", "--instance", "fig1.json", "--count", "0"], "repsim: error: unrecognized arguments: --count 0"),
+    ],
+    ids=["sweep-object-id", "sweep-col-op", "sweep-trace-alone", "sweep-poisson-requests", "sweep-poisson-gap",
+         "verify-seed", "verify-count"],
+)
+def test_a_source_option_without_its_source_is_refused(argv, message, tmp_path, monkeypatch, capsys):
+    # the trace options need --trace and --trace needs its object; the synthetic trace is sized by --prefix
+    # alone, and verify's seed and count are the values of --random
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "trace.csv").write_text("timestamp,op,object_id\n1,READ,X\n2,READ,X\n", encoding="utf-8")
+    (tmp_path / "fig1.json").write_text(repsim.dumps_instance(repsim.gen_fig1(4, 1.0, 0.5, 0.01).instance))
+    small = ["--rates", "1,2", "--lambda-step", "1150", "--prefix", "5"] if argv[0] == "sweep" else []
+    code, out, err = _exit(argv + small, capsys)
+    assert (code, out) == (2, "")
+    assert err.endswith(f"{message}\n")
+
+
+def test_a_non_utf8_instance_file_is_named(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'{"lambda": 1, "initial_server": 1, "rates": [1], "requests": [], "note": "\xd0"}')
+    code, out, err = _run(["simulate", "--policy", "alg1", "--instance", str(bad)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {bad}: 'utf-8' codec can't decode byte 0xd0 ")
+
+
+def test_a_non_utf8_trace_line_is_named(tmp_path, capsys):
+    # the bad byte lies chunks past the last line the csv reader returned, so the line is counted in the bytes
+    trace = tmp_path / "trace.csv"
+    reads = "".join(f"{t},READ,X\n" for t in range(1, 2001)).encode()
+    trace.write_bytes(b"timestamp,op,object_id\n" + reads + b"2001,READ,\xffX\n2002,READ,X\n")
+    argv = ["sweep", "--trace", str(trace), "--object-id", "X", "--rates", "1,2", "--lambda-step", "1150"]
+    code, out, err = _run(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: {trace}:line 2002: not UTF-8 (invalid start byte)\n"
 
 
 @pytest.mark.parametrize("kind", ["fig1", "fig2", "tight1", "tight2", "tight3", "random"])
@@ -290,8 +354,8 @@ def test_gen_tight_without_mu2_uses_a_default_inside_its_bracket(kind, tmp_path,
     "argv",
     [
         ["gen", "random", "--seed", "-1"],
-        ["verify", "--random", "--seed", "-5"],
-        ["sweep", "--rates", "1,2", "--poisson-requests", "5", "--seed", "-1"],
+        ["verify", "--random", "-5", "1"],
+        ["sweep", "--rates", "1,2", "--prefix", "5", "--seed", "-1"],
     ],
     ids=["gen", "verify", "sweep"],
 )
@@ -300,23 +364,9 @@ def test_a_negative_seed_is_refused_by_name(argv, capsys):
         cli.main(argv)
     captured = capsys.readouterr()
     assert (exc.value.code, captured.out) == (2, "")
-    seed = argv[argv.index("--seed") + 1]
-    assert captured.err.endswith(f"error: argument --seed: must be a non-negative integer, got {seed}\n")
-
-
-def test_sweep_rates_from_file(tmp_path, capsys):
-    rates_file = tmp_path / "rates.txt"
-    rates_file.write_text("1.0, 1.5\n2.0\n")
-    code, out, _ = _run(
-        [
-            "sweep", "--rates", str(rates_file),
-            "--lambda-min", "2", "--lambda-max", "2", "--lambda-step", "1",
-            "--poisson-requests", "50", "--poisson-gap", "5", "--seed", "4",
-        ],
-        capsys,
-    )
-    assert code == 0
-    assert out.splitlines()[1].startswith("rates.txt,2,")
+    flag = "--random" if "--random" in argv else "--seed"  # verify's seed is the first value of --random
+    seed = argv[argv.index(flag) + 1]
+    assert captured.err.endswith(f"error: argument {flag}: must be a non-negative integer, got {seed}\n")
 
 
 def test_sweep_command_csv(capsys):
@@ -325,7 +375,7 @@ def test_sweep_command_csv(capsys):
             "sweep",
             "--rates", "1,1.5,2",
             "--lambda-min", "2", "--lambda-max", "4", "--lambda-step", "2",
-            "--poisson-requests", "120", "--poisson-gap", "10",
+            "--prefix", "120",
             "--seed", "3",
         ],
         capsys,
@@ -337,7 +387,7 @@ def test_sweep_command_csv(capsys):
 
 
 def test_sweep_out_writes_the_bytes_it_would_print(tmp_path, capsys):
-    argv = ["sweep", "--rates", "1,1.5,2", "--lambda-step", "1150", "--poisson-requests", "60", "--seed", "3"]
+    argv = ["sweep", "--rates", "1,1.5,2", "--lambda-step", "1150", "--prefix", "60", "--seed", "3"]
     code, out, _ = _run(argv, capsys)
     assert code == 0 and out.startswith("rate_set,lambda,policy,")
     path = tmp_path / "sweep.csv"
@@ -349,7 +399,7 @@ def test_sweep_out_writes_the_bytes_it_would_print(tmp_path, capsys):
 def test_sweep_exits_one_on_a_policy_fault(monkeypatch, capsys):
     # an alg1 whose expiry drops even a sole copy breaks the run's invariant, not the input
     monkeypatch.setattr(repsim.policies.ThresholdPolicy, "expire", lambda self, sim, time, server: sim.drop(server))
-    argv = ["sweep", "--rates", "1,1.5,2", "--poisson-requests", "50", "--poisson-gap", "10", "--policies", "alg1"]
+    argv = ["sweep", "--rates", "1,1.5,2", "--prefix", "50", "--policies", "alg1"]
     code, out, err = _run(argv, capsys)
     assert code == 1
     assert out == ""
@@ -370,7 +420,7 @@ def test_sweep_lambda_grid(capsys, bounds, want):
     code, out, _ = _run(
         [
             "sweep", "--rates", "1,2", "--lambda-min", lo, "--lambda-max", hi, "--lambda-step", step,
-            "--poisson-requests", "30", "--poisson-gap", "5", "--policies", "alg1",
+            "--prefix", "30", "--policies", "alg1",
         ],
         capsys,
     )
@@ -403,7 +453,7 @@ def test_sweep_rejects_a_grid_over_the_point_limit(capsys):
     cap = cli.MAX_LAMBDA_POINTS
     assert len(cli._lambda_grid(1.0, float(cap), 1.0)) == cap
     for hi, step, count in ((str(cap + 1), "1", str(cap + 1)), ("1200", "5e-324", "inf")):
-        argv = ["sweep", "--rates", "1,2", "--poisson-requests", "2", "--lambda-min", "1", "--lambda-max", hi]
+        argv = ["sweep", "--rates", "1,2", "--prefix", "2", "--lambda-min", "1", "--lambda-max", hi]
         code, out, err = _run(argv + ["--lambda-step", step], capsys)
         assert code == 2
         assert out == ""
@@ -412,15 +462,14 @@ def test_sweep_rejects_a_grid_over_the_point_limit(capsys):
 
 def test_sweep_rejects_a_step_below_an_ulp_of_the_grid(capsys):
     # at 1e16 an ulp is 2, so 1e16 + 1 rounds back to 1e16
-    argv = ["sweep", "--rates", "1,2", "--poisson-requests", "3", "--lambda-min", "1e16"]
+    argv = ["sweep", "--rates", "1,2", "--prefix", "3", "--lambda-min", "1e16"]
     code, out, err = _run(argv + ["--lambda-max", "10000000000000002", "--lambda-step", "1"], capsys)
     assert (code, out) == (2, "")
     assert err == "error: --lambda-step 1 is below an ulp of the grid from --lambda-min 1e+16: it repeats 1e+16\n"
 
 
 SMALL_SWEEP = [
-    "sweep", "--rates", "1,2", "--lambda-min", "2", "--lambda-max", "2", "--lambda-step", "1",
-    "--poisson-requests", "50", "--poisson-gap", "5", "--policies", "alg1",
+    "sweep", "--rates", "1,2", "--lambda-min", "2", "--lambda-max", "2", "--lambda-step", "1", "--policies", "alg1",
 ]
 
 
@@ -430,11 +479,6 @@ SMALL_SWEEP = [
         (["--prefix", "-45"], "prefix must be at least 1 request, got -45"),
         (["--prefix", "0"], "prefix must be at least 1 request, got 0"),
         (["--workers", "0"], "workers must be at least 1, got 0"),
-        (["--poisson-gap", "nan"], "mean gap must be a finite number > 0, got nan"),
-        (["--poisson-gap", "inf"], "mean gap must be a finite number > 0, got inf"),
-        (["--poisson-requests", "-3"], "request count must be >= 0, got -3"),
-        (["--poisson-gap", "1e308"], "mean gap 1e+308 over 50 requests overflows the arrival times"),
-        (["--poisson-gap", "5e-324"], "mean gap 5e-324 over 50 requests gives tied arrival times"),
     ],
 )
 def test_sweep_rejects_bad_sizes(capsys, flags, problem):
@@ -450,13 +494,13 @@ def test_sweep_rejects_bad_sizes(capsys, flags, problem):
         ("1,x", "--rates, read as a comma list: 'x' is not a number"),
         ("", "--rates, read as a comma list: '' is not a number"),
         ("1,,2", "--rates, read as a comma list: '' is not a number"),
-        ("file", "rates file {path}: 'abc' is not a number"),
+        ("file", "--rates, read as a comma list: '{path}' is not a number"),  # a path is no rate source
     ],
     ids=["unknown-set", "bad-token", "empty", "empty-token", "file"],
 )
 def test_sweep_names_the_source_of_a_bad_rate(tmp_path, capsys, rates, problem):
     path = tmp_path / "rates.txt"
-    path.write_text("1.5 abc\n")
+    path.write_text("1.5 2\n")
     code, out, err = _run(SMALL_SWEEP + ["--rates", str(path) if rates == "file" else rates], capsys)
     assert (code, out) == (2, "")
     assert err == f"error: {problem.format(path=path)}\n"
@@ -496,18 +540,19 @@ def test_sweep_locates_a_bad_trace_timestamp(tmp_path, capsys, stamp, problem):
 def test_sweep_rejects_an_unknown_policy_before_the_oracle_runs(monkeypatch, capsys):
     calls = []
     monkeypatch.setattr(repsim.experiments, "opt_costs", lambda *args, **kwargs: calls.append(args))
-    argv = ["sweep", "--rates", "1,2", "--poisson-requests", "30", "--poisson-gap", "5", "--policies", "alg1,nosuch"]
-    for workers in ("1", "2"):
-        code, out, err = _run(argv + ["--workers", workers], capsys)
-        assert (code, out) == (2, "")
-        assert err == "error: unknown policy 'nosuch'; expected one of ['alg1', 'simple', 'wang']\n"
+    argv = ["sweep", "--rates", "1,2", "--prefix", "30"]
+    for policies, name in (("alg1,nosuch", "nosuch"), (",", "")):  # an unknown name is named even when repeated
+        for workers in ("1", "2"):
+            code, out, err = _run(argv + ["--policies", policies, "--workers", workers], capsys)
+            assert (code, out) == (2, "")
+            assert err == f"error: unknown policy {name!r}; expected one of ['alg1', 'simple', 'wang']\n"
     assert calls == []
 
 
 def test_sweep_rejects_a_repeated_policy_before_the_oracle_runs(monkeypatch, capsys):
     calls = []
     monkeypatch.setattr(repsim.experiments, "opt_costs", lambda *args, **kwargs: calls.append(args))
-    argv = ["sweep", "--poisson-requests", "5", "--rates", "set1", "--policies", "alg1,alg1", "--lambda-step", "1150"]
+    argv = ["sweep", "--prefix", "5", "--rates", "set1", "--policies", "alg1,alg1", "--lambda-step", "1150"]
     code, out, err = _run(argv, capsys)
     assert (code, out, err) == (2, "", "error: policies repeats 'alg1'\n")
     assert calls == []
@@ -515,10 +560,10 @@ def test_sweep_rejects_a_repeated_policy_before_the_oracle_runs(monkeypatch, cap
 
 def test_sweep_optima_over_the_table_loop_equal_single_cost_optima_over_the_list_loop(capsys):
     # several transfer costs at n = 3 take the oracle's numpy table loop, one cost its list loop
-    argv = ["sweep", "--rates", "1,2,3", "--poisson-requests", "40", "--poisson-gap", "5", "--seed", "3"]
+    argv = ["sweep", "--rates", "1,2,3", "--prefix", "40", "--seed", "3"]
     code, out, _ = _run(argv + ["--policies", "simple"], capsys)
     assert code == 0
-    times = repsim.gen_poisson_trace(3, 40, 5.0)
+    times = repsim.gen_poisson_trace(3)[:40]
     requests = repsim.assign_servers(times, 3, 3)
     rows = [line.split(",") for line in out.splitlines()[1:]]
     assert [float(row[1]) for row in rows] == list(repsim.experiments.DEFAULT_LAMBDA_VALUES)
@@ -533,7 +578,7 @@ def test_sweep_optima_over_the_table_loop_equal_single_cost_optima_over_the_list
 def test_identical_argv_byte_identical_output(capsys):
     argv = [
         "sweep", "--rates", "1,2", "--lambda-min", "2", "--lambda-max", "2",
-        "--lambda-step", "1", "--poisson-requests", "60", "--poisson-gap", "5",
+        "--lambda-step", "1", "--prefix", "60",
         "--seed", "9",
     ]
     _, out1, _ = _run(argv, capsys)

@@ -188,7 +188,7 @@ def test_golden_trace_scale_optima(trace_instance):
 def test_golden_sweep_csv():
     out = _ok(
         [
-            "sweep", "--poisson-requests", "300", "--rates", "set4",
+            "sweep", "--prefix", "300", "--rates", "set4",
             "--lambda-min", "50", "--lambda-max", "1200", "--lambda-step", "575",
         ]
     )
